@@ -10,7 +10,7 @@ from .background import BackgroundBuildParams, OccupancyOctree, build_background
 from .config import ConfigError, ScenarioConfig, default_config, describe_schema, parse_config
 from .filters import FilterParams, preprocess_cloud, radius_outlier_removal, range_filter, statistical_outlier_removal, subtract_background
 from .geometry import Frame, FrameMismatchError, PanTiltPose, PointCloud, SensorPose, TimedPoint, pan_tilt_to_rotation, transform_cloud
-from .harness import MetricsReport, RunResult, ScanLog, TrackLog, TruthLog, compute_metrics, export_csv, run_scenario
+from .harness import SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, RunResult, compute_metrics, export_csv, positions, run_scenario
 from .scene import Box, Scene, Surface, TargetModel, Trajectory, WeatherModel, make_pattern, ray_cast, return_probability, target_position
 from .sensor import BeamDirection, RingScanParams, RosetteParams, rosette_direction, scan
 from .tracker import Particle, ParticleSet, TrackEstimate, TrackStatus, TrackerParams, estimate, init_filter, predict, resample, step, systematic_indices, update

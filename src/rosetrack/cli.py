@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, describe_schema, parse_config
-from .harness import (MetricsReport, compute_metrics, export_csv, read_scan_log,
-                      read_track_log, read_truth_log, run_scenario)
+from .harness import (compute_metrics, export_csv, read_scan_log, read_track_log,
+                      read_truth_log, run_scenario)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3

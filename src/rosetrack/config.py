@@ -324,6 +324,20 @@ def parse_config(path, overrides: list[str] | None = None) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError("io", f"cannot read config {path}: {exc}") from exc
     values = _parse_lines(lines, str(path))
+    _apply_overrides(values, overrides)
+    return _build_config(values)
+
+
+def default_config(overrides: list[str] | None = None) -> ScenarioConfig:
+    """The all-defaults scenario (indoor arena, vertical pattern)."""
+    values: dict[tuple[str, str], tuple[str, str]] = {}
+    _apply_overrides(values, overrides)
+    return _build_config(values)
+
+
+def _apply_overrides(values: dict[tuple[str, str], tuple[str, str]],
+                     overrides: list[str] | None) -> None:
+    """Parse ``section.key=value`` items into ``values``, later items winning."""
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError("config-syntax",
@@ -334,19 +348,6 @@ def parse_config(path, overrides: list[str] | None = None) -> ScenarioConfig:
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError("config-unknown-key", f"override: unknown key {section}.{key}")
         values[(section, key)] = (text.strip(), f"override {dotted}")
-    return _build_config(values)
-
-
-def default_config(overrides: list[str] | None = None) -> ScenarioConfig:
-    """The all-defaults scenario (indoor arena, vertical pattern)."""
-    values: dict[tuple[str, str], tuple[str, str]] = {}
-    for item in overrides or []:
-        dotted, text = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError("config-unknown-key", f"override: unknown key {section}.{key}")
-        values[(section, key)] = (text.strip(), f"override {dotted}")
-    return _build_config(values)
 
 
 def describe_schema() -> str:

@@ -33,73 +33,21 @@ SUSTAIN_WINDOW = 0.4
 STATIONARY_SPEED = 0.05
 
 
-@dataclass
-class TrackRecord:
-    t: float
-    est_x: float
-    est_y: float
-    est_z: float
-    sigma_particles: float
-    status: str
-    pan: float
-    tilt: float
+# One structured dtype per log; the field names are the CSV columns.
+TRACK_DTYPE = np.dtype([("t", "f8"), ("est_x", "f8"), ("est_y", "f8"), ("est_z", "f8"),
+                        ("sigma_particles", "f8"),
+                        ("status", f"U{max(len(s.value) for s in TrackStatus)}"),
+                        ("pan", "f8"), ("tilt", "f8")])
+TRUTH_DTYPE = np.dtype([("t", "f8"), ("x", "f8"), ("y", "f8"), ("z", "f8"), ("speed", "f8")])
+# t is the frame start; n_points counts raw returns off the target surface
+SCAN_DTYPE = np.dtype([("t", "f8"), ("n_points", "i8"), ("target_range", "f8")])
+
+_POSITION_FIELDS = {TRACK_DTYPE: ("est_x", "est_y", "est_z"), TRUTH_DTYPE: ("x", "y", "z")}
 
 
-@dataclass
-class TruthRecord:
-    t: float
-    x: float
-    y: float
-    z: float
-    speed: float
-
-
-@dataclass
-class ScanRecord:
-    t: float          # frame start
-    n_points: int     # raw returns off the target surface in this frame
-    target_range: float
-
-
-class _Log:
-    record_type: type = None
-    columns: tuple[str, ...] = ()
-
-    def __init__(self, records=None):
-        self.records = list(records) if records else []
-
-    def append(self, rec):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def column(self, name) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
-
-class TrackLog(_Log):
-    record_type = TrackRecord
-    columns = ("t", "est_x", "est_y", "est_z", "sigma_particles", "status", "pan", "tilt")
-
-    def positions(self) -> np.ndarray:
-        return np.array([[r.est_x, r.est_y, r.est_z] for r in self.records]).reshape(-1, 3)
-
-
-class TruthLog(_Log):
-    record_type = TruthRecord
-    columns = ("t", "x", "y", "z", "speed")
-
-    def positions(self) -> np.ndarray:
-        return np.array([[r.x, r.y, r.z] for r in self.records]).reshape(-1, 3)
-
-
-class ScanLog(_Log):
-    record_type = ScanRecord
-    columns = ("t", "n_points", "target_range")
+def positions(log: np.ndarray) -> np.ndarray:
+    """(n, 3) positions of a track log (estimates) or a truth log."""
+    return np.stack([log[name] for name in _POSITION_FIELDS[log.dtype]], axis=1)
 
 
 @dataclass
@@ -121,9 +69,9 @@ class MetricsReport:
 
 @dataclass
 class RunResult:
-    track: TrackLog
-    truth: TruthLog
-    scans: ScanLog
+    track: np.ndarray  # TRACK_DTYPE, one row per filter tick
+    truth: np.ndarray  # TRUTH_DTYPE, one row per filter tick
+    scans: np.ndarray  # SCAN_DTYPE, one row per LiDAR frame
     metrics: MetricsReport
     background: OccupancyOctree
 
@@ -172,10 +120,11 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     state = TurretState(pose=state.pose, mode=TurretMode.TRACKING, t=state.t)
     track_rng = np.random.default_rng(scan_ss)
     pset = init_filter(config.tracker, np.random.default_rng(pf_ss))
-    track, truth, scans = TrackLog(), TruthLog(), ScanLog()
-
     n_frames = int(math.floor(config.duration * config.lidar_rate + 1e-9))
     n_ticks = int(math.floor(config.duration * config.filter_rate + 1e-9))
+    track = np.zeros(n_ticks, TRACK_DTYPE)
+    truth = np.zeros(n_ticks, TRUTH_DTYPE)
+    scans = np.zeros(n_frames, SCAN_DTYPE)
     events = sorted(
         [(t_track0 + k / config.lidar_rate, 0, k) for k in range(n_frames)]
         + [(t_track0 + j / config.filter_rate, 1, j) for j in range(n_ticks)]
@@ -184,7 +133,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     pending: list[tuple[float, PointCloud]] = []
     last_cmd = state.pose
 
-    for ev_t, kind, _ in events:
+    for ev_t, kind, i in events:
         state = _advance_turret(state, ev_t, last_cmd, tparams, raster=False)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
@@ -194,8 +143,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             world = transform_cloud(cloud, pose)
             pending.append((ev_t + config.pipeline_latency, world))
             mid = traj.position(ev_t + config.sensor.integration_time / 2.0)
-            scans.append(ScanRecord(ev_t, int(np.sum(surfaces == 2)),
-                                    float(np.linalg.norm(mid - np.asarray(origin)))))
+            scans[i] = (ev_t, np.sum(surfaces == 2), np.linalg.norm(mid - np.asarray(origin)))
         else:  # filter tick
             ready = [c for dt, c in pending if dt <= ev_t + 1e-12]
             pending = [(dt, c) for dt, c in pending if dt > ev_t + 1e-12]
@@ -206,11 +154,9 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
                                              octree, sensor_origin=origin)
             pset, est = step(pset, delivered, ev_t, config.tracker)
             pos = traj.position(ev_t)
-            truth.append(TruthRecord(ev_t, float(pos[0]), float(pos[1]), float(pos[2]),
-                                     float(traj.speed(ev_t))))
-            track.append(TrackRecord(ev_t, float(est.position[0]), float(est.position[1]),
-                                     float(est.position[2]), est.sigma_particles,
-                                     est.status.value, state.pose.pan, state.pose.tilt))
+            truth[i] = (ev_t, *pos, traj.speed(ev_t))
+            track[i] = (ev_t, *est.position, est.sigma_particles, est.status.value,
+                        state.pose.pan, state.pose.tilt)
             if est.status is not TrackStatus.LOST:
                 last_cmd = tracking_command(state, est, origin, tparams)
         if progress is not None:
@@ -240,11 +186,11 @@ def _stats(err: np.ndarray):
     return float(err.mean()), float(err.std()), float(np.sqrt(np.mean(err ** 2)))
 
 
-def target_visibility(track: TrackLog, truth: TruthLog, config: ScenarioConfig) -> np.ndarray:
+def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """Per-tick flag: target inside the FoV, unoccluded, and within range.
 
     Uses the logged turret pose for the FoV test and the configured static
-    geometry for occlusion.
+    geometry for occlusion. Track and truth rows are paired by index.
     """
     static = Scene(config.ground_z, list(config.obstacles), None, config.weather)
     origin = np.asarray(config.turret_origin, dtype=float)
@@ -252,29 +198,31 @@ def target_visibility(track: TrackLog, truth: TruthLog, config: ScenarioConfig) 
     fov_h = getattr(config.sensor, "fov_h", None)
     fov_v = config.sensor.fov_v
     out = np.zeros(len(track), dtype=bool)
-    for i, (trec, urec) in enumerate(zip(track, truth)):
-        d = np.array([urec.x, urec.y, urec.z]) - origin
+    n = min(len(track), len(truth))
+    true_pos = positions(truth[:n])
+    for i, (t, pan, tilt) in enumerate(zip(track["t"][:n], track["pan"][:n], track["tilt"][:n])):
+        d = true_pos[i] - origin
         dist = float(np.linalg.norm(d))
         if dist < config.filters.near_min or dist > min(config.filters.far_max,
                                                         config.sensor.range_max):
             continue
         u = d / dist
-        rot = pan_tilt_to_rotation(PanTiltPose(trec.pan, trec.tilt))
+        rot = pan_tilt_to_rotation(PanTiltPose(pan, tilt))
         local = rot.T @ u
         a_h = math.atan2(local[1], local[0])
         a_v = math.atan2(local[2], math.hypot(local[0], local[1]))
         if abs(a_v) > fov_v / 2.0 or (fov_h is not None and abs(a_h) > fov_h / 2.0):
             continue
         rng_hit, surf = ray_cast_arrays(static, origin, u[None, :],
-                                        np.array([trec.t]), include_target=False)
+                                        np.array([t]), include_target=False)
         if surf[0] >= 0 and rng_hit[0] < dist - radius:
             continue
         out[i] = True
     return out
 
 
-def compute_metrics(track: TrackLog, truth: TruthLog, config: ScenarioConfig,
-                    scans: ScanLog | None = None) -> MetricsReport:
+def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig,
+                    scans: np.ndarray | None = None) -> MetricsReport:
     """Error statistics over Stable ticks, detection distance, re-detection
     latency, initial lock time, and the points-vs-range histogram.
 
@@ -283,8 +231,8 @@ def compute_metrics(track: TrackLog, truth: TruthLog, config: ScenarioConfig,
     """
     if not len(track) or not len(truth):
         raise ValueError("cannot compute metrics from empty logs")
-    tt = track.column("t")
-    ut = truth.column("t")
+    tt = track["t"]
+    ut = truth["t"]
     idx = np.clip(np.searchsorted(ut, tt), 0, len(ut) - 1)
     idx_prev = np.clip(idx - 1, 0, len(ut) - 1)
     idx = np.where(np.abs(ut[idx_prev] - tt) <= np.abs(ut[idx] - tt), idx_prev, idx)
@@ -293,9 +241,9 @@ def compute_metrics(track: TrackLog, truth: TruthLog, config: ScenarioConfig,
         raise ValueError("track and truth logs are not time-aligned "
                          f"(max skew {skew.max():.4f} s)")
 
-    err = np.linalg.norm(track.positions() - truth.positions()[idx], axis=1)
-    speed = truth.column("speed")[idx]
-    stable = track.column("status") == TrackStatus.STABLE.value
+    err = np.linalg.norm(positions(track) - positions(truth)[idx], axis=1)
+    speed = truth["speed"][idx]
+    stable = track["status"] == TrackStatus.STABLE.value
     report = MetricsReport()
     report.mean_error, report.sigma_error, report.rmse = _stats(err[stable])
     stationary = stable & (speed < STATIONARY_SPEED)
@@ -307,7 +255,7 @@ def compute_metrics(track: TrackLog, truth: TruthLog, config: ScenarioConfig,
 
     # detection distance: max target range over *sustained* Stable ticks
     min_run = max(1, int(round(SUSTAIN_WINDOW * config.filter_rate)))
-    ranges = np.linalg.norm(truth.positions()[idx] - np.asarray(config.turret_origin), axis=1)
+    ranges = np.linalg.norm(positions(truth)[idx] - np.asarray(config.turret_origin), axis=1)
     sustained = np.zeros(len(track), dtype=bool)
     i = 0
     while i < len(stable):
@@ -348,8 +296,8 @@ def compute_metrics(track: TrackLog, truth: TruthLog, config: ScenarioConfig,
     # initial lock: first Stable tick relative to the first update tick fed
     # by a frame with target returns
     if scans is not None and len(scans):
-        n_pts = scans.column("n_points")
-        frame_t = scans.column("t")
+        n_pts = scans["n_points"]
+        frame_t = scans["t"]
         with_target = n_pts > 0
         if np.any(with_target):
             deliver = frame_t[with_target][0] + config.pipeline_latency
@@ -357,9 +305,9 @@ def compute_metrics(track: TrackLog, truth: TruthLog, config: ScenarioConfig,
             first_stable = tt[stable & (tt >= deliver - 1e-12)]
             if len(tick_after) and len(first_stable):
                 report.initial_lock_time = float(first_stable[0] - tick_after[0])
-        finite = np.isfinite(scans.column("target_range"))
+        finite = np.isfinite(scans["target_range"])
         if np.any(finite):
-            r = scans.column("target_range")[finite]
+            r = scans["target_range"][finite]
             n = n_pts[finite]
             hi = 10.0 * math.ceil(r.max() / 10.0 + 1e-9)
             edges = np.arange(0.0, hi + 10.0, 10.0)
@@ -391,45 +339,53 @@ def export_csv(obj, path) -> None:
                     fh.write(f"{name},,,{_fmt(getattr(obj, name))}\n")
                 for lo, hi, mean_pts in obj.points_per_scan:
                     fh.write(f"points_per_scan,{_fmt(lo)},{_fmt(hi)},{_fmt(mean_pts)}\n")
-            elif isinstance(obj, _Log):
-                fh.write(",".join(obj.columns) + "\n")
-                for rec in obj:
-                    fh.write(",".join(_fmt(getattr(rec, c)) for c in obj.columns) + "\n")
+            elif isinstance(obj, np.ndarray) and obj.dtype.names:
+                fh.write(",".join(obj.dtype.names) + "\n")
+                for row in obj.tolist():
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
             else:
                 raise TypeError(f"cannot export object of type {type(obj).__name__}")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_log(path, log_cls):
+def _read_log(path, dtype: np.dtype) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    if not lines or tuple(lines[0].split(",")) != log_cls.columns:
-        raise ValueError(f"{path}: expected header {','.join(log_cls.columns)}")
-    log = log_cls()
-    for ln in lines[1:]:
+    if not lines or tuple(lines[0].split(",")) != dtype.names:
+        raise ValueError(f"{path}: expected header {','.join(dtype.names)}")
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         parts = ln.split(",")
-        kwargs = {}
-        for name, text in zip(log_cls.columns, parts):
-            f_type = log_cls.record_type.__dataclass_fields__[name].type
-            kwargs[name] = text if "str" in str(f_type) else (
-                int(text) if "int" in str(f_type) else float(text))
-        log.append(log_cls.record_type(**kwargs))
+        if len(parts) != len(dtype.names):
+            raise ValueError(f"{path}:{lineno}: expected {len(dtype.names)} fields, got {len(parts)}")
+        rows.append(parts)
+    log = np.zeros(len(rows), dtype)
+    for i, name in enumerate(dtype.names):
+        text = np.array([parts[i] for parts in rows], dtype=str)
+        try:
+            column = text.astype(dtype[name])
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: column {name}: {exc}") from exc
+        if column.dtype.kind == "U" and np.any(column != text):  # astype truncates strings
+            raise ValueError(f"{path}: column {name}: values must be at most "
+                             f"{dtype[name].itemsize // 4} characters")
+        log[name] = column
     return log
 
 
-def read_track_log(path) -> TrackLog:
-    return _read_log(path, TrackLog)
+def read_track_log(path) -> np.ndarray:
+    return _read_log(path, TRACK_DTYPE)
 
 
-def read_truth_log(path) -> TruthLog:
-    return _read_log(path, TruthLog)
+def read_truth_log(path) -> np.ndarray:
+    return _read_log(path, TRUTH_DTYPE)
 
 
-def read_scan_log(path) -> ScanLog:
-    return _read_log(path, ScanLog)
+def read_scan_log(path) -> np.ndarray:
+    return _read_log(path, SCAN_DTYPE)

@@ -177,76 +177,16 @@ def target_position(traj: Trajectory, t: float) -> np.ndarray:
     return traj.position(t)
 
 
-try:
-    from numba import njit as _njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAVE_NUMBA = False
+def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
+                    times: np.ndarray, include_target: bool = True):
+    """Nearest intersection for a batch of rays sharing one origin.
 
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-@_njit(cache=True)
-def _ray_cast_kernel(origin, dirs, ground_z, has_ground, boxes_lo, boxes_hi,
-                     centers, radius, has_target, eps):  # pragma: no cover - jitted
-    n = dirs.shape[0]
-    n_boxes = boxes_lo.shape[0]
-    best = np.full(n, np.inf)
-    surf = np.full(n, -1, dtype=np.int8)
-    for i in range(n):
-        dx, dy, dz = dirs[i, 0], dirs[i, 1], dirs[i, 2]
-        if has_ground and dz != 0.0:
-            tg = (ground_z - origin[2]) / dz
-            if eps < tg < best[i]:
-                best[i] = tg
-                surf[i] = 0
-        for b in range(n_boxes):
-            tmin = -np.inf
-            tmax = np.inf
-            ok = True
-            for ax in range(3):
-                d = dirs[i, ax]
-                o = origin[ax]
-                if d == 0.0:
-                    if o < boxes_lo[b, ax] or o > boxes_hi[b, ax]:
-                        ok = False
-                        break
-                else:
-                    t1 = (boxes_lo[b, ax] - o) / d
-                    t2 = (boxes_hi[b, ax] - o) / d
-                    if t1 > t2:
-                        t1, t2 = t2, t1
-                    if t1 > tmin:
-                        tmin = t1
-                    if t2 < tmax:
-                        tmax = t2
-            if ok and tmax >= (tmin if tmin > eps else eps):
-                thit = tmin if tmin > eps else tmax
-                if eps < thit < best[i]:
-                    best[i] = thit
-                    surf[i] = 1
-        if has_target:
-            ocx = origin[0] - centers[i, 0]
-            ocy = origin[1] - centers[i, 1]
-            ocz = origin[2] - centers[i, 2]
-            bq = ocx * dx + ocy * dy + ocz * dz
-            cq = ocx * ocx + ocy * ocy + ocz * ocz - radius * radius
-            disc = bq * bq - cq
-            if disc >= 0.0:
-                sq = np.sqrt(disc)
-                thit = -bq - sq
-                if thit <= eps:
-                    thit = -bq + sq
-                if eps < thit < best[i]:
-                    best[i] = thit
-                    surf[i] = 2
-    return best, surf
-
-
-def _ray_cast_numpy(scene, origin, dirs, times, include_target):
+    Returns (ranges, surfaces) where surfaces is int8 coded
+    (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
+    The target sphere is evaluated at each ray's own emission time.
+    """
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
     n = len(dirs)
     best = np.full(n, np.inf)
     surf = np.full(n, -1, dtype=np.int8)
@@ -292,39 +232,6 @@ def _ray_cast_numpy(scene, origin, dirs, times, include_target):
         surf[hit] = 2
 
     return best, surf
-
-
-def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
-                    times: np.ndarray, include_target: bool = True,
-                    force_numpy: bool = False):
-    """Nearest intersection for a batch of rays sharing one origin.
-
-    Returns (ranges, surfaces) where surfaces is int8 coded
-    (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
-    The target sphere is evaluated at each ray's own emission time. A jitted
-    kernel handles large batches when numba is available; the plain numpy
-    path has identical semantics and serves small batches.
-    """
-    origin = np.asarray(origin, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    if force_numpy or not _HAVE_NUMBA or len(dirs) < 512:
-        return _ray_cast_numpy(scene, origin, dirs, times, include_target)
-    want_target = include_target and scene.target is not None
-    if want_target:
-        centers = np.atleast_2d(scene.target.trajectory.position(np.asarray(times, dtype=float)))
-        centers = np.ascontiguousarray(centers)
-        radius = scene.target.diameter / 2.0
-    else:
-        centers = np.zeros((1, 3))
-        radius = 0.0
-    if scene.obstacles:
-        boxes_lo = np.array([b.lo for b in scene.obstacles], dtype=float)
-        boxes_hi = np.array([b.hi for b in scene.obstacles], dtype=float)
-    else:
-        boxes_lo = np.zeros((0, 3))
-        boxes_hi = np.zeros((0, 3))
-    return _ray_cast_kernel(origin, np.ascontiguousarray(dirs), scene.ground_z, True,
-                            boxes_lo, boxes_hi, centers, radius, want_target, _EPS)
 
 
 _SURFACE_BY_CODE = {0: Surface.GROUND, 1: Surface.OBSTACLE, 2: Surface.TARGET}

@@ -59,8 +59,7 @@ class RosetteParams:
             raise ValueError("prism frequencies must be positive")
         if not (0 < self.fov_h < math.pi and 0 < self.fov_v < math.pi):
             raise ValueError("fov angles must be in (0, pi)")
-        if self.point_rate <= 0 or self.integration_time <= 0:
-            raise ValueError("point_rate and integration_time must be positive")
+        _check_rays_per_frame(self)
         if self.range_noise_sigma < 0:
             raise ValueError("range_noise_sigma must be >= 0")
 
@@ -106,8 +105,7 @@ class RingScanParams:
             raise ValueError("need at least one ring")
         if self.spin_rate <= 0:
             raise ValueError("spin_rate must be positive")
-        if self.point_rate <= 0 or self.integration_time <= 0:
-            raise ValueError("point_rate and integration_time must be positive")
+        _check_rays_per_frame(self)
 
     @property
     def ring_elevations(self) -> np.ndarray:
@@ -120,6 +118,20 @@ class RingScanParams:
         az = (2.0 * math.pi * self.spin_rate * t) % (2.0 * math.pi)
         elev = self.ring_elevations[np.arange(len(t)) % self.n_rings]
         return _angles_to_directions(az, elev)
+
+
+def _rays_per_frame(params) -> int:
+    """floor(point_rate * integration_time), guarded against float error so
+    that e.g. 100 rays/s over 0.29 s gives 29 rays, not 28."""
+    return int(math.floor(params.point_rate * params.integration_time + 1e-9))
+
+
+def _check_rays_per_frame(params) -> None:
+    if params.point_rate <= 0 or params.integration_time <= 0:
+        raise ValueError("point_rate and integration_time must be positive")
+    if _rays_per_frame(params) < 1:
+        raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
+                         f"{params.integration_time:g}) gives no ray per frame")
 
 
 def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
@@ -162,7 +174,7 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
          return_surfaces: bool = False):
     """Simulate one integration frame; returns a sensor-frame cloud.
 
-    Emits floor(point_rate * integration_time) rays at uniform time steps,
+    Emits floor(point_rate * integration_time + 1e-9) rays at uniform time steps,
     casts each into the scene, keeps hits within range_max with the
     range/weather keep probability, and perturbs kept ranges with Gaussian
     noise along the ray. An empty cloud is a valid result. With
@@ -171,7 +183,7 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     """
     if t0 < 0:
         raise ValueError("frame start time must be >= 0")
-    n = int(params.point_rate * params.integration_time)
+    n = _rays_per_frame(params)
     t_end = t0 + params.integration_time
     offsets = np.arange(n) * (params.integration_time / n)
     dirs_sensor = _frame_directions(params, t0, offsets)

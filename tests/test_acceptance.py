@@ -17,7 +17,7 @@ from rosetrack.config import default_config, parse_config
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
                                statistical_outlier_removal)
 from rosetrack.geometry import Frame, PointCloud, SensorPose
-from rosetrack.harness import export_csv, run_scenario, target_visibility
+from rosetrack.harness import export_csv, positions, run_scenario, target_visibility
 from rosetrack.scene import Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import RingScanParams, RosetteParams, scan
 from rosetrack.tracker import ParticleSet, TrackerParams, init_filter, step, systematic_indices
@@ -54,10 +54,10 @@ class TestCriterion01InitialLock:
         for seed in range(100):
             res = run("indoor_lock.cfg", [f"run.seed={seed}", "run.duration=2.8"])
             cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg")
-            tt = res.track.column("t")
-            sig = res.track.column("sigma_particles")
-            frame_t = res.scans.column("t")
-            n_pts = res.scans.column("n_points")
+            tt = res.track["t"]
+            sig = res.track["sigma_particles"]
+            frame_t = res.scans["t"]
+            n_pts = res.scans["n_points"]
             with_target = frame_t[n_pts > 0]
             if len(with_target) == 0:
                 continue
@@ -97,9 +97,9 @@ class TestCriterion02StaticAccuracy:
 class TestCriterion03DynamicError:
     def test_dynamic_error(self):
         res = run("indoor_fast.cfg")
-        err = np.linalg.norm(res.track.positions() - res.truth.positions(), axis=1)
-        speed = res.truth.column("speed")
-        stable = res.track.column("status") == "stable"
+        err = np.linalg.norm(positions(res.track) - positions(res.truth), axis=1)
+        speed = res.truth["speed"]
+        stable = res.track["status"] == "stable"
         peak = stable & (speed >= 1.1)
         peak_err = float(err[peak].mean())
         corr = float(np.corrcoef(speed[stable], err[stable])[0, 1])
@@ -126,8 +126,8 @@ class TestCriterion05LossAndRegain:
         redetects = []
         for seed in range(100):
             res = run("lost_and_found.cfg", [f"run.seed={seed}", "run.duration=9.5"])
-            tt = res.track.column("t")
-            sig = res.track.column("sigma_particles")
+            tt = res.track["t"]
+            sig = res.track["sigma_particles"]
             in_window = (tt >= window[0]) & (tt <= window[1])
             occluded_ok = bool(np.all(sig[in_window] > SIGMA_THRESHOLD))
             latency = res.metrics.redetect_latency
@@ -175,8 +175,8 @@ class TestCriterion07CenteringGain:
             "run.duration=8.0",
         ])
         res = run_scenario(cfg)
-        scans_t = res.scans.column("t")
-        n_pts = res.scans.column("n_points")
+        scans_t = res.scans["t"]
+        n_pts = res.scans["n_points"]
         locked = scans_t >= cfg.turret.scan_duration + 3.0
         closed_rate = float(n_pts[locked].sum() / (locked.sum() / cfg.lidar_rate))
 

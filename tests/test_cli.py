@@ -67,6 +67,21 @@ class TestRunCommand:
         assert "error: io" in capsys.readouterr().err
 
 
+    def test_no_ray_per_frame_is_config_domain(self, capsys):
+        code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"),
+                     "--override", "sensor.point_rate=5"])
+        assert code == 2
+        assert "error: config-domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsys):
+    args = ([str(small_cfg)] if command == "run"
+            else [str(tmp_path / "track.csv"), str(tmp_path / "truth.csv")])
+    assert main([command, *args, "--override", "foo"]) == 2
+    assert "error: config-syntax" in capsys.readouterr().err
+
+
 class TestMetricsCommand:
     def test_metrics_roundtrip(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -78,6 +93,19 @@ class TestMetricsCommand:
         assert code == 0
         assert (out / "metrics2.csv").exists()
         assert "rmse" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("row, n_fields", [("0,4,-1,1.2,0.05,stable,0", 7),
+                                               ("0,4,-1,1.2,0.05,stable,0,0,9", 9)])
+    def test_wrong_field_count_is_invalid_input(self, row, n_fields, tmp_path, capsys):
+        track, truth = tmp_path / "track.csv", tmp_path / "truth.csv"
+        track.write_text("t,est_x,est_y,est_z,sigma_particles,status,pan,tilt\n"
+                         "0,4,-1,1.2,0.05,stable,0,0\n" + row + "\n")
+        truth.write_text("t,x,y,z,speed\n0,4,-1,1.2,0\n0.1,4,-1,1.2,0\n")
+        assert main(["metrics", str(track), str(truth)]) == 4
+        err = capsys.readouterr().err
+        assert "error: invalid-input" in err
+        assert f"track.csv:3: expected 8 fields, got {n_fields}" in err
 
 
 class TestSweepCommand:

@@ -5,23 +5,21 @@ import numpy as np
 import pytest
 
 from rosetrack.config import default_config, parse_config
-from rosetrack.harness import (MetricsReport, ScanLog, ScanRecord, TrackLog, TrackRecord,
-                               TruthLog, TruthRecord, compute_metrics, export_csv,
-                               read_scan_log, read_track_log, read_truth_log, run_scenario,
-                               target_visibility)
+from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport,
+                               compute_metrics, export_csv, positions, read_scan_log,
+                               read_track_log, read_truth_log, run_scenario, target_visibility)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def synthetic_logs(n=30, dt=1.0 / 15.0, offset=(0.0, 0.0, 0.0), status="stable"):
-    track, truth = TrackLog(), TruthLog()
+    truth, track = [], []
     for i in range(n):
         t = i * dt
         x, y, z = 4.0 + 0.1 * i, -1.0, 1.2
-        truth.append(TruthRecord(t, x, y, z, 0.0))
-        track.append(TrackRecord(t, x + offset[0], y + offset[1], z + offset[2],
-                                 0.05, status, 0.0, 0.0))
-    return track, truth
+        truth.append((t, x, y, z, 0.0))
+        track.append((t, x + offset[0], y + offset[1], z + offset[2], 0.05, status, 0.0, 0.0))
+    return np.array(track, dtype=TRACK_DTYPE), np.array(truth, dtype=TRUTH_DTYPE)
 
 
 QUICK = ["turret.scan_duration=2.0", "run.duration=2.0", "sensor.point_rate=24000"]
@@ -42,11 +40,11 @@ class TestComputeMetrics:
 
     def test_rmse_matches_hand_computation(self):
         # spreadsheet oracle: errors 0.1, 0.2, 0.2, 0.3 on four stable ticks
-        track, truth = TrackLog(), TruthLog()
         errors = [0.1, 0.2, 0.2, 0.3]
-        for i, e in enumerate(errors):
-            truth.append(TruthRecord(i * 0.1, 1.0, 0.0, 1.0, 0.0))
-            track.append(TrackRecord(i * 0.1, 1.0 + e, 0.0, 1.0, 0.05, "stable", 0.0, 0.0))
+        truth = np.array([(i * 0.1, 1.0, 0.0, 1.0, 0.0) for i in range(len(errors))],
+                         dtype=TRUTH_DTYPE)
+        track = np.array([(i * 0.1, 1.0 + e, 0.0, 1.0, 0.05, "stable", 0.0, 0.0)
+                          for i, e in enumerate(errors)], dtype=TRACK_DTYPE)
         m = compute_metrics(track, truth, default_config())
         want = math.sqrt(sum(e * e for e in errors) / 4)  # = 0.21213
         assert m.rmse == pytest.approx(want, rel=1e-12)
@@ -59,32 +57,30 @@ class TestComputeMetrics:
         assert math.isnan(m.mean_error) and math.isnan(m.rmse)
 
     def test_stationary_vs_moving_split(self):
-        track, truth = TrackLog(), TruthLog()
+        truth, track = [], []
         for i in range(40):
             speed = 0.0 if i < 20 else 1.0
             err = 0.02 if i < 20 else 0.2
-            truth.append(TruthRecord(i * 0.1, 1.0, 0.0, 1.0, speed))
-            track.append(TrackRecord(i * 0.1, 1.0 + err, 0.0, 1.0, 0.05, "stable", 0.0, 0.0))
+            truth.append((i * 0.1, 1.0, 0.0, 1.0, speed))
+            track.append((i * 0.1, 1.0 + err, 0.0, 1.0, 0.05, "stable", 0.0, 0.0))
+        track, truth = np.array(track, dtype=TRACK_DTYPE), np.array(truth, dtype=TRUTH_DTYPE)
         m = compute_metrics(track, truth, default_config())
         assert m.mean_error_stationary == pytest.approx(0.02)
         assert m.mean_error_moving == pytest.approx(0.2)
 
     def test_empty_logs_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics(TrackLog(), TruthLog(), default_config())
+            compute_metrics(np.zeros(0, TRACK_DTYPE), np.zeros(0, TRUTH_DTYPE), default_config())
 
     def test_misaligned_logs_rejected(self):
         track, _ = synthetic_logs()
-        truth = TruthLog()
-        truth.append(TruthRecord(99.0, 0, 0, 0, 0))
+        truth = np.array([(99.0, 0, 0, 0, 0)], dtype=TRUTH_DTYPE)
         with pytest.raises(ValueError):
             compute_metrics(track, truth, default_config())
 
     def test_histogram_bins_monotone(self):
         track, truth = synthetic_logs()
-        scans = ScanLog()
-        for i in range(20):
-            scans.append(ScanRecord(i * 0.1, 10 + i, 5.0 + 3.0 * i))
+        scans = np.array([(i * 0.1, 10 + i, 5.0 + 3.0 * i) for i in range(20)], dtype=SCAN_DTYPE)
         m = compute_metrics(track, truth, default_config(), scans)
         edges = [(lo, hi) for lo, hi, _ in m.points_per_scan]
         assert all(lo < hi for lo, hi in edges)
@@ -94,27 +90,26 @@ class TestComputeMetrics:
 class TestVisibility:
     def test_occluded_ticks_flagged(self):
         cfg = parse_config(CONFIG_DIR / "lost_and_found.cfg")
-        track, truth = TrackLog(), TruthLog()
         # target at the occluded middle waypoint vs the visible first waypoint
-        for i, pos in enumerate([(4.0, -1.8, 1.2), (4.0, 0.0, 1.2)]):
-            track.append(TrackRecord(i * 0.1, *pos, 0.05, "stable",
-                                     math.atan2(pos[1], pos[0]), 0.0))
-            truth.append(TruthRecord(i * 0.1, *pos, 0.0))
+        waypoints = [(4.0, -1.8, 1.2), (4.0, 0.0, 1.2)]
+        track = np.array([(i * 0.1, *pos, 0.05, "stable", math.atan2(pos[1], pos[0]), 0.0)
+                          for i, pos in enumerate(waypoints)], dtype=TRACK_DTYPE)
+        truth = np.array([(i * 0.1, *pos, 0.0) for i, pos in enumerate(waypoints)],
+                         dtype=TRUTH_DTYPE)
         vis = target_visibility(track, truth, cfg)
         assert vis[0] and not vis[1]
 
     def test_out_of_fov_counts_invisible(self):
         cfg = default_config()
-        track, truth = TrackLog(), TruthLog()
-        track.append(TrackRecord(0.0, 4.0, 0.0, 1.2, 0.05, "stable", math.pi, 0.0))
-        truth.append(TruthRecord(0.0, 4.0, 0.0, 1.2, 0.0))  # behind the boresight
+        track = np.array([(0.0, 4.0, 0.0, 1.2, 0.05, "stable", math.pi, 0.0)], dtype=TRACK_DTYPE)
+        truth = np.array([(0.0, 4.0, 0.0, 1.2, 0.0)], dtype=TRUTH_DTYPE)  # behind the boresight
         assert not target_visibility(track, truth, cfg)[0]
 
 
 class TestExportCsv:
     def test_empty_track_log_header_only(self, tmp_path):
         path = tmp_path / "track.csv"
-        export_csv(TrackLog(), path)
+        export_csv(np.zeros(0, TRACK_DTYPE), path)
         assert path.read_text() == "t,est_x,est_y,est_z,sigma_particles,status,pan,tilt\n"
 
     def test_three_records_round_trip(self, tmp_path):
@@ -126,8 +121,8 @@ class TestExportCsv:
         loaded = read_track_log(path)
         assert len(loaded) == 3
         for a, b in zip(loaded, track):
-            assert a.t == pytest.approx(b.t, rel=1e-5)
-            assert a.status == b.status
+            assert a["t"] == pytest.approx(b["t"], rel=1e-5)
+            assert a["status"] == b["status"]
 
     def test_metrics_histogram_rows(self, tmp_path):
         m = MetricsReport(points_per_scan=[(0.0, 10.0, 120.5), (10.0, 20.0, 60.25)])
@@ -140,7 +135,7 @@ class TestExportCsv:
         assert float(hist[0][1]) < float(hist[0][2]) <= float(hist[1][1])
 
     def test_six_significant_digits(self, tmp_path):
-        track = TrackLog([TrackRecord(0.123456789, 1.23456789, 0, 0, 0.05, "stable", 0, 0)])
+        track = np.array([(0.123456789, 1.23456789, 0, 0, 0.05, "stable", 0, 0)], dtype=TRACK_DTYPE)
         path = tmp_path / "t.csv"
         export_csv(track, path)
         assert "0.123457" in path.read_text()
@@ -148,16 +143,29 @@ class TestExportCsv:
 
     def test_unwritable_path_has_context(self, tmp_path):
         with pytest.raises(OSError) as err:
-            export_csv(TrackLog(), tmp_path / "missing_dir" / "x.csv")
+            export_csv(np.zeros(0, TRACK_DTYPE), tmp_path / "missing_dir" / "x.csv")
         assert "x.csv" in str(err.value)
 
     def test_truth_and_scan_logs_round_trip(self, tmp_path):
-        truth = TruthLog([TruthRecord(0.1, 1, 2, 3, 0.5)])
-        scans = ScanLog([ScanRecord(0.1, 42, 7.5)])
+        truth = np.array([(0.1, 1, 2, 3, 0.5)], dtype=TRUTH_DTYPE)
+        scans = np.array([(0.1, 42, 7.5)], dtype=SCAN_DTYPE)
         export_csv(truth, tmp_path / "truth.csv")
         export_csv(scans, tmp_path / "scans.csv")
-        assert read_truth_log(tmp_path / "truth.csv").records[0].speed == 0.5
-        assert read_scan_log(tmp_path / "scans.csv").records[0].n_points == 42
+        assert read_truth_log(tmp_path / "truth.csv")[0]["speed"] == 0.5
+        assert read_scan_log(tmp_path / "scans.csv")[0]["n_points"] == 42
+
+
+    @pytest.mark.parametrize("reader, header, row, column", [
+        (read_track_log, "t,est_x,est_y,est_z,sigma_particles,status,pan,tilt",
+         "0,4,-1,1.2,0.05,stabilized,0,0", "status"),   # wider than any TrackStatus
+        (read_scan_log, "t,n_points,target_range", "0,99999999999999999999,5", "n_points"),
+        (read_truth_log, "t,x,y,z,speed", "0,4,abc,1.2,0", "y"),
+    ])
+    def test_bad_values_rejected_with_column(self, reader, header, row, column, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=f"log.csv: column {column}"):
+            reader(path)
 
 
 class TestRunScenario:
@@ -171,9 +179,9 @@ class TestRunScenario:
     def test_logs_strictly_increasing_time(self):
         cfg = default_config(QUICK)
         result = run_scenario(cfg)
-        t = result.track.column("t")
+        t = result.track["t"]
         assert np.all(np.diff(t) > 0)
-        assert np.array_equal(t, result.truth.column("t"))
+        assert np.array_equal(t, result.truth["t"])
 
     def test_cadence_counts(self):
         cfg = default_config(QUICK)
@@ -191,7 +199,7 @@ class TestRunScenario:
     def test_seed_changes_output(self, tmp_path):
         a = run_scenario(default_config(QUICK))
         b = run_scenario(default_config(QUICK + ["run.seed=1"]))
-        assert not np.array_equal(a.track.positions(), b.track.positions())
+        assert not np.array_equal(positions(a.track), positions(b.track))
 
     def test_latency_honesty(self):
         # the estimate cannot react to the target before
@@ -200,8 +208,8 @@ class TestRunScenario:
         result = run_scenario(cfg)
         takeoff = cfg.turret.scan_duration + cfg.target_takeoff_delay
         earliest_reaction = takeoff + cfg.pipeline_latency
-        sig = result.track.column("sigma_particles")
-        t = result.track.column("t")
+        sig = result.track["sigma_particles"]
+        t = result.track["t"]
         # before the first cloud can arrive the spread only inflates (modulo
         # finite-sample jitter); any collapse would be a latency violation
         before = sig[t < earliest_reaction - 1e-9]
@@ -225,8 +233,8 @@ class TestRunScenario:
         monkeypatch.setattr(H, "step", counting_step)
         cfg = default_config(QUICK)
         result = run_scenario(cfg)
-        last_tick = result.track.column("t").max()
-        deliverable = int(np.sum(result.scans.column("t") + cfg.pipeline_latency
+        last_tick = result.track["t"].max()
+        deliverable = int(np.sum(result.scans["t"] + cfg.pipeline_latency
                                  <= last_tick + 1e-12))
         assert len(consumed) == deliverable
         assert len(set(consumed)) == len(consumed)  # never twice in one tick
@@ -245,17 +253,17 @@ class TestRunScenario:
                               "sensor.f1=161.0", "sensor.f2=38.0"])
         result = run_scenario(cfg)
         vis = target_visibility(result.track, result.truth, cfg)
-        t = result.track.column("t")
+        t = result.track["t"]
         settled = t > 4.0
         origin = np.asarray(cfg.turret_origin)
         offsets = []
-        for trec, urec in zip(result.track, result.truth):
-            if trec.t <= 4.0:
+        for trec, pos in zip(result.track, positions(result.truth)):
+            if trec["t"] <= 4.0:
                 continue
-            d = np.array([urec.x, urec.y, urec.z]) - origin
+            d = pos - origin
             u = d / np.linalg.norm(d)
             from rosetrack.geometry import PanTiltPose, pan_tilt_to_rotation
-            local = pan_tilt_to_rotation(PanTiltPose(trec.pan, trec.tilt)).T @ u
+            local = pan_tilt_to_rotation(PanTiltPose(trec["pan"], trec["tilt"])).T @ u
             offsets.append(math.acos(np.clip(local[0], -1, 1)))
         half_fov = min(cfg.sensor.fov_h, cfg.sensor.fov_v) / 2
         assert np.max(offsets) < 0.15 * half_fov
@@ -267,8 +275,8 @@ class TestSpeedErrorCoupling:
         cfg = parse_config(CONFIG_DIR / "indoor_fast.cfg",
                            ["run.duration=15.0", "turret.scan_duration=3.0"])
         result = run_scenario(cfg)
-        err = np.linalg.norm(result.track.positions() - result.truth.positions(), axis=1)
-        speed = result.truth.column("speed")
-        stable = result.track.column("status") == "stable"
+        err = np.linalg.norm(positions(result.track) - positions(result.truth), axis=1)
+        speed = result.truth["speed"]
+        stable = result.track["status"] == "stable"
         corr = np.corrcoef(speed[stable], err[stable])[0, 1]
         assert corr > 0.5

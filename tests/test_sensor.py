@@ -115,6 +115,20 @@ class TestScan:
         assert len(cloud) <= int(p.point_rate * p.integration_time)
         assert cloud.t.min() >= 0.5 and cloud.t.max() <= 0.6
 
+    def test_ray_count_not_truncated_by_float_error(self):
+        # 100 * 0.29 == 28.999999999999996 in floating point; the frame still
+        # holds 29 rays, all of which hit the wall
+        p = RosetteParams(point_rate=100.0, integration_time=0.29)
+        wall = Box((9.9, -50, -50), (10.1, 50, 50))
+        scene = Scene(-100.0, [wall], None, NO_CUTOFF)
+        cloud = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
+        assert len(cloud) == 29
+
+    @pytest.mark.parametrize("params", [RosetteParams, RingScanParams])
+    def test_less_than_one_ray_per_frame_rejected(self, params):
+        with pytest.raises(ValueError, match="no ray per frame"):
+            params(point_rate=5.0, integration_time=0.1)
+
     def test_plane_ranges_match_analytic_intersection(self):
         # a wall face perpendicular to the boresight at 10 m: every return's
         # range must equal 10 / cos(angle from boresight)
