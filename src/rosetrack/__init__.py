@@ -6,14 +6,14 @@ subtraction -> radius + statistical outlier removal -> particle filter ->
 turret centering commands.
 """
 
-from .background import BackgroundBuildParams, OccupancyOctree, build_background, inflate, insert_cloud, is_background
+from .background import BackgroundBuildParams, OccupancyOctree, build_background, inflate, insert_cloud
 from .config import ConfigError, ScenarioConfig, default_config, describe_schema, parse_config
 from .filters import FilterParams, preprocess_cloud, radius_outlier_removal, range_filter, statistical_outlier_removal, subtract_background
-from .geometry import Frame, FrameMismatchError, PanTiltPose, PointCloud, SensorPose, TimedPoint, pan_tilt_to_rotation, transform_cloud
+from .geometry import Frame, FrameMismatchError, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
 from .harness import SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, RunResult, compute_metrics, export_csv, positions, run_scenario
-from .scene import Box, Scene, Surface, TargetModel, Trajectory, WeatherModel, make_pattern, ray_cast, return_probability, target_position
-from .sensor import BeamDirection, RingScanParams, RosetteParams, rosette_direction, scan
-from .tracker import Particle, ParticleSet, TrackEstimate, TrackStatus, TrackerParams, estimate, init_filter, predict, resample, step, systematic_indices, update
+from .scene import Box, Scene, Surface, TargetModel, Trajectory, WeatherModel, make_pattern, ray_cast, return_probability
+from .sensor import RingScanParams, RosetteParams, scan
+from .tracker import ParticleSet, TrackEstimate, TrackStatus, TrackerParams, estimate, init_filter, predict, resample, step, systematic_indices, update
 from .turret import TurretMode, TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
 
 __version__ = "0.1.0"

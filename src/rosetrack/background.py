@@ -8,6 +8,7 @@ volume and points outside it are skipped on insert.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -17,31 +18,29 @@ from .geometry import Frame, PointCloud, SensorPose, transform_cloud
 
 _MAGIC = b"ROCT"
 _VERSION = 1
+_HEADER = "<4sI7dQ"
 
 
 class OccupancyOctree:
-    """Sparse set of occupied voxels keyed by packed index.
+    """Occupied voxels as one sorted, unique int64 array of packed indices.
 
-    Single writer during the build phase; freeze() (implicit on the first
-    bulk query) snapshots the key set into a sorted array for fast
-    vectorised lookups afterwards.
+    Inserts merge into the array, so lookups are a binary search at any time.
     """
 
     def __init__(self, resolution: float, lo, hi):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(resolution) and resolution > 0):
+            raise ValueError("resolution must be positive and finite")
         self.resolution = float(resolution)
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if not np.all(self.hi > self.lo):
-            raise ValueError("bounds must have positive extent")
+        if not np.all(np.isfinite(self.lo) & np.isfinite(self.hi) & (self.hi > self.lo)):
+            raise ValueError("bounds must be finite with positive extent")
         self._ilo = np.floor(self.lo / self.resolution).astype(np.int64)
         ihi = np.floor(self.hi / self.resolution).astype(np.int64)
         self._dims = ihi - self._ilo + 1
         if int(np.prod(self._dims.astype(object))) >= 2**62:
             raise ValueError("bounds/resolution produce too many voxels to index")
-        self._keys: set[int] = set()
-        self._sorted: np.ndarray | None = None
+        self._keys = np.empty(0, dtype=np.int64)
 
     # -- indexing ---------------------------------------------------------
 
@@ -69,20 +68,13 @@ class OccupancyOctree:
 
     def occupied_indices(self) -> np.ndarray:
         """(n, 3) absolute indices of occupied voxels, sorted by packed key."""
-        if not self._keys:
-            return np.empty((0, 3), dtype=np.int64)
-        return self._unpack(np.array(sorted(self._keys), dtype=np.int64))
+        return self._unpack(self._keys)
 
     def insert_points(self, pts: np.ndarray) -> None:
         idx = self.voxel_indices(pts)
         idx = idx[self._in_bounds(idx)]
         if len(idx):
-            self._keys.update(np.unique(self._pack(idx)).tolist())
-            self._sorted = None
-
-    def freeze(self) -> None:
-        if self._sorted is None:
-            self._sorted = np.array(sorted(self._keys), dtype=np.int64)
+            self._keys = np.union1d(self._keys, self._pack(idx))
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorised occupancy query; (n,) bool for world points."""
@@ -90,18 +82,15 @@ class OccupancyOctree:
         idx = self.voxel_indices(pts)
         ok = self._in_bounds(idx)
         out = np.zeros(len(pts), dtype=bool)
-        if np.any(ok):
-            self.freeze()
+        if np.any(ok) and len(self._keys):
             keys = self._pack(idx[ok])
-            pos = np.searchsorted(self._sorted, keys)
-            pos = np.clip(pos, 0, max(len(self._sorted) - 1, 0))
-            if len(self._sorted):
-                out[ok] = self._sorted[pos] == keys
+            pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            out[ok] = self._keys[pos] == keys
         return out
 
     def copy(self) -> "OccupancyOctree":
         other = OccupancyOctree(self.resolution, self.lo, self.hi)
-        other._keys = set(self._keys)
+        other._keys = self._keys.copy()
         return other
 
     # -- serialization ----------------------------------------------------
@@ -113,25 +102,32 @@ class OccupancyOctree:
         float64, bounds lo/hi as 3 float64 each, voxel count uint64, then the
         sorted packed voxel keys as int64.
         """
-        self.freeze()
-        header = struct.pack("<4sI7dQ", _MAGIC, _VERSION, self.resolution,
-                             *self.lo.tolist(), *self.hi.tolist(), len(self._sorted))
-        return header + self._sorted.astype("<i8").tobytes()
+        header = struct.pack(_HEADER, _MAGIC, _VERSION, self.resolution,
+                             *self.lo.tolist(), *self.hi.tolist(), len(self._keys))
+        return header + self._keys.astype("<i8").tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "OccupancyOctree":
-        head_size = struct.calcsize("<4sI7dQ")
-        magic, version, res, *rest = struct.unpack("<4sI7dQ", blob[:head_size])
+        """Parse a to_bytes() blob; keys outside the bounds box are rejected,
+        unsorted or repeated keys are normalised."""
+        head_size = struct.calcsize(_HEADER)
+        if len(blob) < head_size:
+            raise ValueError(f"occupancy map blob of {len(blob)} bytes is shorter "
+                             f"than its {head_size}-byte header")
+        magic, version, res, *rest = struct.unpack(_HEADER, blob[:head_size])
         if magic != _MAGIC:
             raise ValueError("not an occupancy map blob (bad magic)")
         if version != _VERSION:
             raise ValueError(f"unsupported occupancy map version {version}")
         lo, hi, count = rest[:3], rest[3:6], rest[6]
         octree = cls(res, lo, hi)
-        keys = np.frombuffer(blob[head_size:], dtype="<i8")
-        if len(keys) != count:
+        if len(blob) - head_size != 8 * count:
             raise ValueError("truncated occupancy map blob")
-        octree._keys = set(keys.tolist())
+        keys = np.frombuffer(blob, dtype="<i8", offset=head_size).astype(np.int64)
+        n_voxels = int(np.prod(octree._dims))
+        if len(keys) and (keys.min() < 0 or keys.max() >= n_voxels):
+            raise ValueError(f"occupancy map key outside [0, {n_voxels})")
+        octree._keys = np.unique(keys)
         return octree
 
     def save(self, path) -> None:
@@ -187,31 +183,19 @@ def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
     if radius < 0:
         raise ValueError("inflation radius must be >= 0")
     out = octree.copy()
-    if radius == 0 or not len(octree):
+    keys = out._keys
+    if radius == 0 or not len(keys):
         return out
-    idx = octree.occupied_indices()
     shifts = np.arange(-radius, radius + 1, dtype=np.int64)
-    ilo = octree._ilo
-    ihi = octree._ilo + octree._dims - 1
+    dims = octree._dims
     for axis in range(3):
-        grown = np.repeat(idx[None, :, :], len(shifts), axis=0).reshape(-1, 3)
-        grown[:, axis] += np.repeat(shifts, len(idx))
-        grown = grown[(grown[:, axis] >= ilo[axis]) & (grown[:, axis] <= ihi[axis])]
-        idx = np.unique(grown, axis=0)
-    out._keys = set(out._pack(idx).tolist())
-    out._sorted = None
+        stride = int(np.prod(dims[axis + 1:]))
+        coord = (keys // stride) % dims[axis]
+        grown = keys[None, :] + shifts[:, None] * stride
+        moved = coord[None, :] + shifts[:, None]
+        keys = np.unique(grown[(moved >= 0) & (moved < dims[axis])])
+    out._keys = keys
     return out
-
-
-def is_background(octree: OccupancyOctree, p) -> bool:
-    """True iff the point's voxel is occupied (query the inflated map)."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("query point must be finite")
-    idx = octree.voxel_indices(p.reshape(1, 3))
-    if not octree._in_bounds(idx)[0]:
-        return False
-    return int(octree._pack(idx)[0]) in octree._keys
 
 
 def build_background(scans, params: BackgroundBuildParams) -> OccupancyOctree:

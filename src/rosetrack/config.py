@@ -10,7 +10,7 @@ together describe the indoor arena scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .background import BackgroundBuildParams
@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    kind: str       # float | int | str | vec3 | boxes | choice | opt_float
+    kind: str       # float | int | vec3 | boxes | choice | opt_float
     default: Any
     doc: str
     choices: tuple = ()
@@ -146,7 +146,6 @@ class ScenarioConfig:
     pipeline_latency: float
     duration: float
     seed: int
-    raw: dict = field(default_factory=dict, repr=False)
 
     def build_trajectory(self, start_time: float = 0.0):
         traj = make_pattern(self.pattern, center=self.pattern_center,
@@ -170,9 +169,9 @@ def _convert(spec: FieldSpec, text: str, where: str):
             if float(text) != int(float(text)):
                 raise ValueError("not an integer")
             return int(float(text))
-        if spec.kind in ("str", "choice"):
+        if spec.kind == "choice":
             value = text.strip()
-            if spec.kind == "choice" and value not in spec.choices:
+            if value not in spec.choices:
                 raise ValueError(f"must be one of {', '.join(spec.choices)}")
             return value
         if spec.kind == "vec3":
@@ -312,7 +311,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         turret=turret, turret_origin=tu["origin"],
         lidar_rate=tm["lidar_rate"], filter_rate=tm["filter_rate"],
         pipeline_latency=tm["pipeline_latency"],
-        duration=rn["duration"], seed=rn["seed"], raw=cfg,
+        duration=rn["duration"], seed=rn["seed"],
     )
 
 

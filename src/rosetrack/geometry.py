@@ -26,29 +26,12 @@ class FrameMismatchError(ValueError):
     """Raised when a cloud is supplied in the wrong coordinate frame."""
 
 
-@dataclass(frozen=True)
-class TimedPoint:
-    """One LiDAR return: timestamp (s), position (m), intensity in [0, 1]."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-    intensity: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("point coordinates must be finite")
-        if self.t < 0.0:
-            raise ValueError("point timestamp must be non-negative")
-
-
 @dataclass
 class PointCloud:
     """A batch of timed returns covering one integration window.
 
-    Positions are stored as arrays for vectorised processing; ``points``
-    materialises the equivalent ordered ``TimedPoint`` list.
+    Point i is row i of the parallel arrays: emission time ``t[i]``,
+    position ``xyz[i]`` and intensity ``intensity[i]``.
     """
 
     frame_id: Frame
@@ -73,25 +56,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def points(self) -> list[TimedPoint]:
-        return [
-            TimedPoint(float(t), float(x), float(y), float(z), float(i))
-            for t, (x, y, z), i in zip(self.t, self.xyz, self.intensity)
-        ]
-
-    @classmethod
-    def from_points(cls, frame_id: Frame, points, t_start: float, t_end: float) -> "PointCloud":
-        pts = list(points)
-        return cls(
-            frame_id=frame_id,
-            t=np.array([p.t for p in pts], dtype=float),
-            xyz=np.array([[p.x, p.y, p.z] for p in pts], dtype=float).reshape(-1, 3),
-            intensity=np.array([p.intensity for p in pts], dtype=float),
-            t_start=t_start,
-            t_end=t_end,
-        )
 
     @classmethod
     def empty(cls, frame_id: Frame, t_start: float, t_end: float) -> "PointCloud":
@@ -154,14 +118,4 @@ def transform_cloud(cloud: PointCloud, pose: SensorPose) -> PointCloud:
     rot = pan_tilt_to_rotation(pose.orientation)
     xyz = cloud.xyz @ rot.T + np.asarray(pose.origin, dtype=float)
     return PointCloud(Frame.WORLD, cloud.t.copy(), xyz, cloud.intensity.copy(),
-                      cloud.t_start, cloud.t_end)
-
-
-def inverse_transform_cloud(cloud: PointCloud, pose: SensorPose) -> PointCloud:
-    """Inverse of :func:`transform_cloud` (world back into the sensor frame)."""
-    if cloud.frame_id is not Frame.WORLD:
-        raise FrameMismatchError(f"expected a world-frame cloud, got {cloud.frame_id}")
-    rot = pan_tilt_to_rotation(pose.orientation)
-    xyz = (cloud.xyz - np.asarray(pose.origin, dtype=float)) @ rot
-    return PointCloud(Frame.SENSOR, cloud.t.copy(), xyz, cloud.intensity.copy(),
                       cloud.t_start, cloud.t_end)

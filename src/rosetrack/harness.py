@@ -114,7 +114,6 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         cloud = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
         bg_scans.append((cloud, pose))
     octree = build_background(bg_scans, config.background)
-    octree.freeze()
 
     # --- tracking phase ----------------------------------------------------
     state = TurretState(pose=state.pose, mode=TurretMode.TRACKING, t=state.t)
@@ -189,35 +188,34 @@ def _stats(err: np.ndarray):
 def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """Per-tick flag: target inside the FoV, unoccluded, and within range.
 
-    Uses the logged turret pose for the FoV test and the configured static
-    geometry for occlusion. Track and truth rows are paired by index.
+    Truth row i must be the truth at track row i; compute_metrics passes the
+    truth rows nearest in time to the track rows. Uses the logged turret pose
+    for the FoV test and the configured static geometry for occlusion, with
+    one ray cast for every tick whose target is in range and in the FoV.
     """
+    if len(track) != len(truth):
+        raise ValueError(f"track and truth logs must be aligned row for row "
+                         f"({len(track)} vs {len(truth)} rows)")
     static = Scene(config.ground_z, list(config.obstacles), None, config.weather)
     origin = np.asarray(config.turret_origin, dtype=float)
-    radius = config.target_diameter / 2.0
+    d = positions(truth) - origin
+    dist = np.linalg.norm(d, axis=1)
+    far = min(config.filters.far_max, config.sensor.range_max)
+    ticks = np.flatnonzero((dist >= config.filters.near_min) & (dist <= far))
+    u = d[ticks] / dist[ticks, None]
+    rots = np.array([pan_tilt_to_rotation(PanTiltPose(pan, tilt))
+                     for pan, tilt in zip(track["pan"][ticks], track["tilt"][ticks])])
+    local = np.einsum("nji,nj->ni", rots.reshape(-1, 3, 3), u)
+    a_h = np.arctan2(local[:, 1], local[:, 0])
+    a_v = np.arctan2(local[:, 2], np.hypot(local[:, 0], local[:, 1]))
+    in_fov = np.abs(a_v) <= config.sensor.fov_v / 2.0
     fov_h = getattr(config.sensor, "fov_h", None)
-    fov_v = config.sensor.fov_v
+    if fov_h is not None:
+        in_fov &= np.abs(a_h) <= fov_h / 2.0
+    ticks, u = ticks[in_fov], u[in_fov]
+    rng_hit, surf = ray_cast_arrays(static, origin, u, track["t"][ticks], include_target=False)
     out = np.zeros(len(track), dtype=bool)
-    n = min(len(track), len(truth))
-    true_pos = positions(truth[:n])
-    for i, (t, pan, tilt) in enumerate(zip(track["t"][:n], track["pan"][:n], track["tilt"][:n])):
-        d = true_pos[i] - origin
-        dist = float(np.linalg.norm(d))
-        if dist < config.filters.near_min or dist > min(config.filters.far_max,
-                                                        config.sensor.range_max):
-            continue
-        u = d / dist
-        rot = pan_tilt_to_rotation(PanTiltPose(pan, tilt))
-        local = rot.T @ u
-        a_h = math.atan2(local[1], local[0])
-        a_v = math.atan2(local[2], math.hypot(local[0], local[1]))
-        if abs(a_v) > fov_v / 2.0 or (fov_h is not None and abs(a_h) > fov_h / 2.0):
-            continue
-        rng_hit, surf = ray_cast_arrays(static, origin, u[None, :],
-                                        np.array([t]), include_target=False)
-        if surf[0] >= 0 and rng_hit[0] < dist - radius:
-            continue
-        out[i] = True
+    out[ticks] = ~((surf >= 0) & (rng_hit < dist[ticks] - config.target_diameter / 2.0))
     return out
 
 
@@ -226,8 +224,8 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     """Error statistics over Stable ticks, detection distance, re-detection
     latency, initial lock time, and the points-vs-range histogram.
 
-    Track and truth are aligned nearest-neighbor in time; skew beyond half a
-    filter period is an error.
+    Each track row is paired once with the truth row nearest in time; skew
+    beyond half a filter period is an error. Every metric uses that pairing.
     """
     if not len(track) or not len(truth):
         raise ValueError("cannot compute metrics from empty logs")
@@ -240,9 +238,11 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     if np.any(skew > 0.5 / config.filter_rate + 1e-9):
         raise ValueError("track and truth logs are not time-aligned "
                          f"(max skew {skew.max():.4f} s)")
+    truth = truth[idx]
+    true_pos = positions(truth)
 
-    err = np.linalg.norm(positions(track) - positions(truth)[idx], axis=1)
-    speed = truth["speed"][idx]
+    err = np.linalg.norm(positions(track) - true_pos, axis=1)
+    speed = truth["speed"]
     stable = track["status"] == TrackStatus.STABLE.value
     report = MetricsReport()
     report.mean_error, report.sigma_error, report.rmse = _stats(err[stable])
@@ -255,43 +255,27 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
 
     # detection distance: max target range over *sustained* Stable ticks
     min_run = max(1, int(round(SUSTAIN_WINDOW * config.filter_rate)))
-    ranges = np.linalg.norm(positions(truth)[idx] - np.asarray(config.turret_origin), axis=1)
-    sustained = np.zeros(len(track), dtype=bool)
-    i = 0
-    while i < len(stable):
-        if stable[i]:
-            j = i
-            while j < len(stable) and stable[j]:
-                j += 1
-            if j - i >= min_run:
-                sustained[i:j] = True
-            i = j
-        else:
-            i += 1
-    if np.any(sustained):
-        report.detection_distance = float(ranges[sustained].max())
+    ranges = np.linalg.norm(true_pos - np.asarray(config.turret_origin), axis=1)
+    edges = np.diff(stable.astype(np.int8), prepend=0, append=0)
+    run_starts, run_ends = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
+    sustained = [ranges[a:b].max() for a, b in zip(run_starts, run_ends) if b - a >= min_run]
+    if sustained:
+        report.detection_distance = float(max(sustained))
 
-    # re-detection latency: occlusion/visibility transitions after a stable track
+    # re-detection latency: from the end of each visibility gap that began
+    # after a Stable tick on the visible target, to the next Stable tick
     vis = target_visibility(track, truth, config)
-    latencies = []
-    seen_stable = False
-    in_gap = False
-    gap_started_after_stable = False
-    for i in range(len(track)):
-        if stable[i] and vis[i]:
-            seen_stable = True
-        if not vis[i]:
-            if not in_gap:
-                in_gap = True
-                gap_started_after_stable = seen_stable
-        elif in_gap:
-            in_gap = False
-            if gap_started_after_stable:
-                later = np.nonzero(stable[i:])[0]
-                latencies.append(tt[i + later[0]] - tt[i] if len(later) else math.nan)
-    if latencies:
-        report.redetect_latency = float(np.nanmax(latencies)) if not all(
-            math.isnan(v) for v in latencies) else math.nan
+    edges = np.diff(vis.astype(np.int8), prepend=1)
+    gap_starts, gap_ends = np.flatnonzero(edges < 0), np.flatnonzero(edges > 0)
+    after_stable = np.cumsum(stable & vis)[gap_starts[:len(gap_ends)]] > 0
+    gap_ends = gap_ends[after_stable]
+    stable_ticks = np.flatnonzero(stable)
+    nxt = np.searchsorted(stable_ticks, gap_ends)
+    found = nxt < len(stable_ticks)
+    latencies = np.full(len(gap_ends), math.nan)
+    latencies[found] = tt[stable_ticks[nxt[found]]] - tt[gap_ends[found]]
+    if not np.all(np.isnan(latencies)):
+        report.redetect_latency = float(np.nanmax(latencies))
 
     # initial lock: first Stable tick relative to the first update tick fed
     # by a frame with target returns

@@ -172,11 +172,6 @@ class Scene:
     weather: WeatherModel = field(default_factory=WeatherModel)
 
 
-def target_position(traj: Trajectory, t: float) -> np.ndarray:
-    """Position of the scripted target at time t (piecewise hold/segment)."""
-    return traj.position(t)
-
-
 def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                     times: np.ndarray, include_target: bool = True):
     """Nearest intersection for a batch of rays sharing one origin.

@@ -24,17 +24,6 @@ from .scene import Scene, ray_cast_arrays, return_probability_arrays
 
 
 @dataclass(frozen=True)
-class BeamDirection:
-    """Unit beam direction in the sensor frame (+x is the boresight)."""
-
-    u: tuple[float, float, float]
-
-    def __post_init__(self):
-        if abs(math.sqrt(sum(c * c for c in self.u)) - 1.0) > 1e-9:
-            raise ValueError("beam direction must be a unit vector")
-
-
-@dataclass(frozen=True)
 class RosetteParams:
     """Two-prism rosette pattern plus frame/return bookkeeping.
 
@@ -137,15 +126,6 @@ def _check_rays_per_frame(params) -> None:
 def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
     cv = np.cos(a_v)
     return np.stack([cv * np.cos(a_h), cv * np.sin(a_h), np.sin(a_v)], axis=1)
-
-
-def rosette_direction(t: float, params: RosetteParams) -> BeamDirection:
-    """Beam direction at time t for the rosette pattern."""
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    u = params.directions(np.array([t]))[0]
-    u = u / np.linalg.norm(u)
-    return BeamDirection((float(u[0]), float(u[1]), float(u[2])))
 
 
 # Pattern directions repeat with the pattern period, so frames whose start

@@ -11,7 +11,6 @@ log space so a distant cloud can never underflow the whole weight vector.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,18 +51,6 @@ class TrackerParams:
         return self.sigma_threshold if self.sigma_threshold is not None else 1.5 * self.sigma_pred
 
 
-@dataclass(frozen=True)
-class Particle:
-    """One position hypothesis with its importance weight."""
-
-    position: tuple[float, float, float]
-    weight: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError("particle weight must be finite and >= 0")
-
-
 @dataclass
 class ParticleSet:
     positions: np.ndarray          # (n, 3) world frame
@@ -74,10 +61,6 @@ class ParticleSet:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [Particle(tuple(p), float(w)) for p, w in zip(self.positions, self.weights)]
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,6 @@ class TestCriterion10PerformanceEnvelope:
             pose = SensorPose(cfg.turret_origin, scan_mode_command(k / 10.0, tp))
             scans.append((scan(scene, pose, k / 10.0, cfg.sensor, rng, include_target=False), pose))
         octree = build_background(scans, cfg.background)
-        octree.freeze()
         from rosetrack.geometry import transform_cloud
         pose = SensorPose(cfg.turret_origin)
         frames = [transform_cloud(scan(scene, pose, 2.0 + k / 10.0, cfg.sensor, rng), pose)

@@ -1,4 +1,5 @@
 import math
+import struct
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from rosetrack.background import (BackgroundBuildParams, OccupancyOctree, build_background,
-                                  inflate, insert_cloud, is_background)
+                                  inflate, insert_cloud)
 from rosetrack.geometry import Frame, PanTiltPose, PointCloud, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import RosetteParams, scan
@@ -39,17 +40,17 @@ class TestInsertAndQuery:
 
     def test_insert_query_round_trip(self):
         octree = fresh_octree()
-        assert not is_background(octree, (0.33, 0.33, 0.33))
+        assert not octree.contains_points((0.33, 0.33, 0.33))[0]
         insert_cloud(octree, world_cloud([[0.33, 0.33, 0.33]]))
-        assert is_background(octree, (0.33, 0.33, 0.33))
-        assert is_background(octree, (0.39, 0.31, 0.36))  # same voxel
-        assert not is_background(octree, (0.45, 0.33, 0.33))  # neighbor voxel
+        assert octree.contains_points((0.33, 0.33, 0.33))[0]
+        assert octree.contains_points((0.39, 0.31, 0.36))[0]  # same voxel
+        assert not octree.contains_points((0.45, 0.33, 0.33))[0]  # neighbor voxel
 
     def test_out_of_bounds_points_skipped(self):
         octree = fresh_octree(lo=(0, 0, 0), hi=(1, 1, 1))
         insert_cloud(octree, world_cloud([[5.0, 5.0, 5.0], [0.5, 0.5, 0.5]]))
         assert len(octree) == 1
-        assert not is_background(octree, (5.0, 5.0, 5.0))
+        assert not octree.contains_points((5.0, 5.0, 5.0))[0]
 
     def test_idempotent_for_repeated_points(self):
         octree = fresh_octree()
@@ -77,8 +78,6 @@ class TestInsertAndQuery:
         want = np.array([tuple(v) in oracle
                          for v in np.floor(queries / 0.25).astype(int).tolist()])
         assert np.array_equal(got, want)
-        for q, w in zip(queries[:50], want[:50]):
-            assert is_background(octree, q) == w
 
     def test_monotonicity_of_insert(self):
         octree = fresh_octree()
@@ -107,8 +106,8 @@ class TestInflate:
         octree = fresh_octree(resolution=0.1)
         insert_cloud(octree, world_cloud([[1.0, 1.0, 1.0]]))
         out = inflate(octree, 1)
-        assert is_background(out, (1.0 + 0.1, 1.0, 1.0))
-        assert not is_background(out, (1.0 + 0.25, 1.0, 1.0))
+        assert out.contains_points((1.0 + 0.1, 1.0, 1.0))[0]
+        assert not out.contains_points((1.0 + 0.25, 1.0, 1.0))[0]
 
     @given(seed=st.integers(0, 5000), radius=st.integers(1, 2))
     @settings(max_examples=25, deadline=None)
@@ -154,6 +153,43 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             OccupancyOctree.from_bytes(b"NOPE" + b"\x00" * 80)
+
+    @staticmethod
+    def blob_3x3x3(keys):
+        # unit voxels over [0, 2.5]^3: dims 3 x 3 x 3, packed keys 0..26
+        header = struct.pack("<4sI7dQ", b"ROCT", 1, 1.0, 0.0, 0.0, 0.0, 2.5, 2.5, 2.5, len(keys))
+        return header + np.asarray(keys, dtype="<i8").tobytes()
+
+    def test_blob_shorter_than_header_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            OccupancyOctree.from_bytes(b"ROCT")
+        with pytest.raises(ValueError, match="header"):
+            OccupancyOctree.from_bytes(self.blob_3x3x3([])[:-1])
+
+    def test_truncated_keys_rejected(self):
+        with pytest.raises(ValueError, match="truncated"):
+            OccupancyOctree.from_bytes(self.blob_3x3x3([1, 2])[:-3])
+
+    @pytest.mark.parametrize("key", [10**6, 27, -1])
+    def test_key_outside_map_rejected(self, key):
+        with pytest.raises(ValueError, match="outside"):
+            OccupancyOctree.from_bytes(self.blob_3x3x3([0, key]))
+
+    @pytest.mark.parametrize("field, value", [(2, math.nan), (2, math.inf), (3, math.nan),
+                                              (6, math.inf)])
+    def test_non_finite_resolution_or_bounds_rejected(self, field, value):
+        blob = bytearray(self.blob_3x3x3([0]))
+        struct.pack_into("<d", blob, 8 + 8 * (field - 2), value)  # after magic and version
+        with pytest.raises(ValueError, match="finite"):
+            OccupancyOctree.from_bytes(bytes(blob))
+
+    def test_unsorted_and_duplicate_keys_normalised(self):
+        octree = OccupancyOctree.from_bytes(self.blob_3x3x3([26, 5, 0, 5]))
+        assert len(octree) == 3
+        assert octree.occupied_indices().tolist() == [[0, 0, 0], [0, 1, 2], [2, 2, 2]]
+        queries = np.array([[0.5, 0.5, 0.5], [0.5, 1.5, 2.5], [2.5, 2.5, 2.5], [1.5, 1.5, 1.5]])
+        assert octree.contains_points(queries).tolist() == [True, True, True, False]
+        assert octree.to_bytes() == self.blob_3x3x3([0, 5, 26])
 
 
 class TestBuildBackground:
@@ -208,7 +244,6 @@ class TestQueryPerformance:
         rng = np.random.default_rng(0)
         octree = OccupancyOctree(0.1, (0, 0, 0), (10, 10, 10))
         octree.insert_points(rng.uniform(0, 10, (1_000_000, 3)))
-        octree.freeze()
         queries = rng.uniform(0, 10, (1_000_000, 3))
         octree.contains_points(queries[:1000])  # warm up
         start = time.perf_counter()

@@ -99,6 +99,33 @@ class TestVisibility:
         vis = target_visibility(track, truth, cfg)
         assert vis[0] and not vis[1]
 
+    @staticmethod
+    def occlusion_logs(lead_truth_rows=0):
+        # visible and Stable for 5 ticks, behind the pillar for 5, then
+        # visible again with the track Stable two ticks after re-emergence;
+        # the truth log may start lead_truth_rows ticks before the track log
+        dt = 1.0 / 15.0
+        visible, hidden = (4.0, -1.8, 1.2), (4.0, 0.0, 1.2)
+        path = [hidden] * lead_truth_rows + [visible] * 5 + [hidden] * 5 + [visible] * 10
+        status = ["stable"] * 5 + ["searching"] * 7 + ["stable"] * 8
+        truth = np.array([(i * dt, *pos, 0.0) for i, pos in enumerate(path)], dtype=TRUTH_DTYPE)
+        track = np.array([(i * dt, *pos, 0.05, st, math.atan2(pos[1], pos[0]), 0.0)
+                          for i, (pos, st) in enumerate(zip(path, status), start=lead_truth_rows)],
+                         dtype=TRACK_DTYPE)
+        return track, truth
+
+    def test_redetect_latency_pairs_rows_by_time(self):
+        cfg = parse_config(CONFIG_DIR / "lost_and_found.cfg")
+        aligned = compute_metrics(*self.occlusion_logs(), cfg)
+        assert aligned.redetect_latency == pytest.approx(2.0 / 15.0)
+        shifted = compute_metrics(*self.occlusion_logs(lead_truth_rows=1), cfg)
+        assert shifted.redetect_latency == pytest.approx(aligned.redetect_latency)
+
+    def test_unaligned_rows_rejected(self):
+        track, truth = self.occlusion_logs(lead_truth_rows=1)
+        with pytest.raises(ValueError, match="row for row"):
+            target_visibility(track, truth, parse_config(CONFIG_DIR / "lost_and_found.cfg"))
+
     def test_out_of_fov_counts_invisible(self):
         cfg = default_config()
         track = np.array([(0.0, 4.0, 0.0, 1.2, 0.05, "stable", math.pi, 0.0)], dtype=TRACK_DTYPE)
@@ -166,6 +193,33 @@ class TestExportCsv:
         path.write_text(f"{header}\n{row}\n")
         with pytest.raises(ValueError, match=f"log.csv: column {column}"):
             reader(path)
+
+
+class TestExportedMetrics:
+    @pytest.mark.parametrize("name", ["indoor_lock", "lost_and_found", "outdoor_sweep_foggy"])
+    def test_metrics_from_exported_logs_match_in_memory(self, name, tmp_path):
+        cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
+        result = run_scenario(cfg)
+        for log in ("track", "truth", "scans"):
+            export_csv(getattr(result, log), tmp_path / f"{log}.csv")
+        loaded = compute_metrics(read_track_log(tmp_path / "track.csv"),
+                                 read_truth_log(tmp_path / "truth.csv"), cfg,
+                                 read_scan_log(tmp_path / "scans.csv"))
+        # each exported float keeps 6 significant digits, so a logged time or
+        # coordinate moves by at most 5e-6 of the largest logged magnitude; a
+        # metric built from the difference of two 3-vectors moves by at most
+        # 2 * sqrt(3) times that
+        scale = max(np.abs(result.track["t"]).max(), np.abs(positions(result.track)).max(),
+                    np.abs(positions(result.truth)).max())
+        tol = 2 * math.sqrt(3) * 5e-6 * scale
+        want = vars(result.metrics)
+        for key, got in vars(loaded).items():
+            if key == "points_per_scan":
+                assert got == want[key]
+            elif math.isnan(want[key]):
+                assert math.isnan(got), key
+            else:
+                assert got == pytest.approx(want[key], rel=0, abs=tol), key
 
 
 class TestRunScenario:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosetrack.scene import (Box, Scene, Surface, TargetModel, Trajectory, WeatherModel,
-                             make_pattern, ray_cast, return_probability, target_position)
+                             make_pattern, ray_cast, return_probability)
 
 
 def brute_force_ray_cast(scene, origin, direction, t):
@@ -53,11 +53,11 @@ class TestTrajectory:
     def test_hold_phase_returns_first_waypoint(self):
         traj = Trajectory([((1, 2, 3), 2.0), ((4, 2, 3), 0.0)], segment_duration=3.0)
         for t in (0.0, 0.5, 1.999):
-            assert np.allclose(target_position(traj, t), (1, 2, 3))
+            assert np.allclose(traj.position(t), (1, 2, 3))
 
     def test_segment_midpoint_is_geometric_midpoint(self):
         traj = Trajectory([((0, 0, 1), 1.0), ((1.8, 0, 1), 0.0)], segment_duration=3.0)
-        assert np.allclose(target_position(traj, 1.0 + 1.5), (0.9, 0, 1), atol=1e-12)
+        assert np.allclose(traj.position(1.0 + 1.5), (0.9, 0, 1), atol=1e-12)
 
     def test_fast_segment_peak_speed(self):
         # raised-cosine profile: peak speed is (pi/2) * mean speed; for the

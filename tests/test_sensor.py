@@ -5,7 +5,7 @@ import pytest
 
 from rosetrack.geometry import Frame, PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import BeamDirection, RingScanParams, RosetteParams, rosette_direction, scan
+from rosetrack.sensor import RingScanParams, RosetteParams, scan
 
 NO_CUTOFF = WeatherModel(extinction_beta=0.0, detection_threshold=1e-6, saturation_range=1e6)
 
@@ -17,8 +17,8 @@ def static_target(pos, diameter=0.35, reflectivity=1.0):
 class TestRosetteDirection:
     def test_boresight_at_time_zero(self):
         # the two phasors start in phase opposition, cancelling exactly
-        beam = rosette_direction(0.0, RosetteParams())
-        assert np.allclose(beam.u, (1.0, 0.0, 0.0), atol=1e-12)
+        u = RosetteParams().directions(np.array([0.0]))[0]
+        assert np.allclose(u, (1.0, 0.0, 0.0), atol=1e-12)
 
     def test_centre_crossings_at_phase_opposition(self):
         # the deflection vanishes whenever the phasor angles differ by pi,
@@ -39,14 +39,8 @@ class TestRosetteDirection:
         assert np.max(np.abs(a_v)) <= p.fov_v / 2 + 1e-12
 
     def test_unit_norm(self):
-        p = RosetteParams()
-        for t in (0.0, 0.013, 0.27, 1.9):
-            beam = rosette_direction(t, p)
-            assert abs(np.linalg.norm(beam.u) - 1.0) < 1e-9
-
-    def test_beam_direction_invariant(self):
-        with pytest.raises(ValueError):
-            BeamDirection((1.0, 1.0, 0.0))
+        u = RosetteParams().directions(np.array([0.0, 0.013, 0.27, 1.9]))
+        assert np.all(np.abs(np.linalg.norm(u, axis=1) - 1.0) < 1e-9)
 
     def test_param_invariants(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,37 @@
+"""The benchmark's tracer patches rosetrack names from outside the package;
+a deleted or renamed name must fail here, not only in the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import rosetrack.harness as harness
+from rosetrack.config import default_config
+from rosetrack.harness import run_scenario
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_patches_every_name_and_uninstall_restores():
+    tracer_mod = load_tracer()
+    original_scan = harness.scan
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        assert harness.scan is not original_scan
+        run_scenario(default_config(["turret.scan_duration=1.0", "run.duration=1.0",
+                                     "sensor.point_rate=24000"]))
+    finally:
+        tracer.uninstall()
+    assert harness.scan is original_scan
+    names = [span[3] for span in tracer.spans]
+    # metrics align track and truth once and cast all visibility rays in one call
+    assert names.count("harness.metrics") == 1
+    assert names.count("harness.visibility_cast") == 1
+    assert tracer.counts["harness.metrics.visibility_rays"] > 0
