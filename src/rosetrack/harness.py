@@ -224,11 +224,15 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     """Error statistics over Stable ticks, detection distance, re-detection
     latency, initial lock time, and the points-vs-range histogram.
 
-    Each track row is paired once with the truth row nearest in time; skew
-    beyond half a filter period is an error. Every metric uses that pairing.
+    Each track row is paired once with the truth row nearest in time; a
+    non-finite t in either log, or skew beyond half a filter period, is an
+    error. Every metric uses that pairing.
     """
     if not len(track) or not len(truth):
         raise ValueError("cannot compute metrics from empty logs")
+    for name, log in (("track", track), ("truth", truth)):
+        if not np.all(np.isfinite(log["t"])):
+            raise ValueError(f"{name} log has a non-finite t")
     tt = track["t"]
     ut = truth["t"]
     idx = np.clip(np.searchsorted(ut, tt), 0, len(ut) - 1)

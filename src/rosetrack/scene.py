@@ -95,12 +95,19 @@ class Trajectory:
     def start_position(self) -> np.ndarray:
         return self._a[0].copy()
 
+    def _phase(self, t_arr: np.ndarray) -> np.ndarray:
+        """Index of the phase each time falls in; times before the first
+        phase map to phase 0, which starts by holding the first waypoint."""
+        return np.clip(np.searchsorted(self._t0, t_arr, side="right") - 1, 0, len(self._t0) - 1)
+
     def position(self, t) -> np.ndarray:
         """Target position at time(s) t; scalar in, (3,) out; array in, (n, 3) out."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0):
-            raise ValueError("trajectory time must be >= 0")
-        idx = np.clip(np.searchsorted(self._t0, t_arr, side="right") - 1, 0, len(self._t0) - 1)
+        if not np.all(t_arr >= 0):
+            raise ValueError("trajectory time must be >= 0 and not NaN")
+        if len(t_arr) == 0:
+            return np.empty((0, 3))
+        idx = self._phase(t_arr)
         lo_idx, hi_idx = int(idx.min()), int(idx.max())
         if lo_idx == hi_idx and np.all(self._a[lo_idx] == self._b[lo_idx]):
             # whole batch inside one hold phase (the common case while waiting)
@@ -112,10 +119,28 @@ class Trajectory:
         pos = self._a[idx] + (self._b[idx] - self._a[idx]) * s[:, None]
         return pos[0] if np.isscalar(t) or np.ndim(t) == 0 else pos
 
+    def bounding_ball(self, t_lo: float, t_hi: float) -> tuple[np.ndarray, float]:
+        """(centre, radius) of a ball that holds position(t) for every t in
+        [t_lo, t_hi], up to rounding.
+
+        Each phase moves monotonically along the straight segment from its
+        start point to its end point, so over the window the target stays in
+        the hull of position(t_lo), position(t_hi) and the endpoints of the
+        phases the window crosses; no speed bound is needed.
+        """
+        window = np.array([t_lo, t_hi], dtype=float)
+        ends = self.position(window)
+        if not t_lo <= t_hi:
+            raise ValueError("bounding_ball needs t_lo <= t_hi")
+        k_lo, k_hi = self._phase(window)
+        pts = np.vstack([ends, self._b[k_lo:k_hi], self._a[k_lo + 1:k_hi + 1]])
+        centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        return centre, float(np.sqrt(np.max(np.sum((pts - centre) ** 2, axis=1))))
+
     def speed(self, t) -> np.ndarray:
         """Target speed magnitude at time(s) t (analytic profile derivative)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip(np.searchsorted(self._t0, t_arr, side="right") - 1, 0, len(self._t0) - 1)
+        idx = self._phase(t_arr)
         u = (t_arr - self._t0[idx]) / self._dur[idx]
         u = np.clip(np.nan_to_num(u, nan=0.0, posinf=1.0), 0.0, 1.0)
         length = np.linalg.norm(self._b[idx] - self._a[idx], axis=1)
@@ -176,9 +201,16 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                     times: np.ndarray, include_target: bool = True):
     """Nearest intersection for a batch of rays sharing one origin.
 
+    dirs is (n, 3) and each row must be a unit vector: the sphere test
+    measures range along the ray in units of |d|. times holds the n emission
+    times; the target sphere is evaluated at each ray's own time.
     Returns (ranges, surfaces) where surfaces is int8 coded
     (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
-    The target sphere is evaluated at each ray's own emission time.
+
+    Only rays inside the cone from the origin around a ball that holds the
+    target over the whole batch window get the per-ray trajectory lookup and
+    sphere test; the ball is padded so that rounding can only let extra rays
+    through, and every other ray misses the target exactly.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -203,18 +235,32 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
             t2 = hi[None, :] * inv
         near = np.fmin(t1, t2)
         far = np.fmax(t1, t2)
-        tmin = np.max(near, axis=1)
-        tmax = np.min(far, axis=1)
+        tmin = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
+        tmax = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
         thit = np.where(tmin > _EPS, tmin, tmax)  # tmax covers an origin inside the box
         hit = (tmax >= np.maximum(tmin, _EPS)) & (thit > _EPS) & (thit < best)
         best[hit] = thit[hit]
         surf[hit] = 1
 
-    if include_target and scene.target is not None:
-        centers = np.atleast_2d(scene.target.trajectory.position(np.asarray(times, dtype=float)))
+    if include_target and scene.target is not None and n:
+        traj = scene.target.trajectory
+        times = np.asarray(times, dtype=float)
         r = scene.target.diameter / 2.0
-        oc = origin[None, :] - centers
-        b = np.einsum("ij,ij->i", oc, dirs)
+        centre, radius = traj.bounding_ball(times.min(), times.max())
+        w = centre - origin
+        dist = float(np.linalg.norm(w))
+        reach = radius + r
+        # padding far above the rounding of the cull and of the sphere test,
+        # so that rounding can only add candidates, never drop a hit
+        reach += 1e-6 * (1.0 + reach + dist + float(np.linalg.norm(origin)))
+        if dist > reach:
+            dw = dirs @ w
+            cand = np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach))
+        else:  # the origin is inside the ball: any ray can hit
+            cand = np.arange(n)
+        oc = origin[None, :] - traj.position(times[cand])
+        d = dirs[cand]
+        b = np.einsum("ij,ij->i", oc, d)
         c = np.einsum("ij,ij->i", oc, oc) - r * r
         disc = b * b - c
         ok = disc >= 0.0
@@ -222,9 +268,9 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
         t_near = -b - sq
         t_far = -b + sq
         thit = np.where(t_near > _EPS, t_near, t_far)
-        hit = ok & (thit > _EPS) & (thit < best)
-        best[hit] = thit[hit]
-        surf[hit] = 2
+        hit = ok & (thit > _EPS) & (thit < best[cand])
+        best[cand[hit]] = thit[hit]
+        surf[cand[hit]] = 2
 
     return best, surf
 

@@ -107,6 +107,17 @@ class TestMetricsCommand:
         assert "error: invalid-input" in err
         assert f"track.csv:3: expected 8 fields, got {n_fields}" in err
 
+    def test_nan_time_is_invalid_input(self, tmp_path, capsys):
+        track, truth = tmp_path / "track.csv", tmp_path / "truth.csv"
+        track.write_text("t,est_x,est_y,est_z,sigma_particles,status,pan,tilt\n"
+                         "0,4,-1,1.2,0.05,stable,0,0\n"
+                         "nan,4,-1,1.2,0.05,stable,0,0\n")
+        truth.write_text("t,x,y,z,speed\n0,4,-1,1.2,0\n0.1,4,-1,1.2,0\n")
+        assert main(["metrics", str(track), str(truth)]) == 4
+        err = capsys.readouterr().err
+        assert "error: invalid-input" in err
+        assert "track log has a non-finite t" in err
+
 
 class TestSweepCommand:
     def test_sweep_runs_values(self, small_cfg, tmp_path, capsys):

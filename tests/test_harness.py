@@ -78,6 +78,15 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics(track, truth, default_config())
 
+    @pytest.mark.parametrize("log_name", ["track", "truth"])
+    @pytest.mark.parametrize("bad_t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, log_name, bad_t):
+        # a NaN skew is not > the skew limit, so the time check must be explicit
+        track, truth = synthetic_logs()
+        (track if log_name == "track" else truth)["t"][5] = bad_t
+        with pytest.raises(ValueError, match=f"{log_name} log has a non-finite t"):
+            compute_metrics(track, truth, default_config())
+
     def test_histogram_bins_monotone(self):
         track, truth = synthetic_logs()
         scans = np.array([(i * 0.1, 10 + i, 5.0 + 3.0 * i) for i in range(20)], dtype=SCAN_DTYPE)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosetrack.scene import (Box, Scene, Surface, TargetModel, Trajectory, WeatherModel,
-                             make_pattern, ray_cast, return_probability)
+                             make_pattern, ray_cast, ray_cast_arrays, return_probability)
 
 
 def brute_force_ray_cast(scene, origin, direction, t):
@@ -47,6 +47,77 @@ def brute_force_ray_cast(scene, origin, direction, t):
                     best, surface = thit, Surface.TARGET
                     break
     return None if surface is None else (best, surface)
+
+
+def unculled_ray_cast_arrays(scene, origin, dirs, times, include_target=True):
+    """Oracle twin of ray_cast_arrays without the target-cone cull: every ray
+    gets its own trajectory lookup and sphere test, and the slab test reduces
+    over the axis columns with np.max / np.min."""
+    eps = 1e-9
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    n = len(dirs)
+    best = np.full(n, np.inf)
+    surf = np.full(n, -1, dtype=np.int8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+    tg = (scene.ground_z - origin[2]) * inv[:, 2]
+    hit = (dirs[:, 2] != 0.0) & (tg > eps) & (tg < best)
+    best[hit] = tg[hit]
+    surf[hit] = 0
+    for box in scene.obstacles:
+        lo = np.asarray(box.lo) - origin
+        hi = np.asarray(box.hi) - origin
+        with np.errstate(invalid="ignore"):
+            t1 = lo[None, :] * inv
+            t2 = hi[None, :] * inv
+        tmin = np.max(np.fmin(t1, t2), axis=1)
+        tmax = np.min(np.fmax(t1, t2), axis=1)
+        thit = np.where(tmin > eps, tmin, tmax)
+        hit = (tmax >= np.maximum(tmin, eps)) & (thit > eps) & (thit < best)
+        best[hit] = thit[hit]
+        surf[hit] = 1
+    if include_target and scene.target is not None:
+        centers = np.atleast_2d(scene.target.trajectory.position(np.asarray(times, dtype=float)))
+        r = scene.target.diameter / 2.0
+        oc = origin[None, :] - centers
+        b = np.einsum("ij,ij->i", oc, dirs)
+        c = np.einsum("ij,ij->i", oc, oc) - r * r
+        disc = b * b - c
+        ok = disc >= 0.0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t_near = -b - sq
+        t_far = -b + sq
+        thit = np.where(t_near > eps, t_near, t_far)
+        hit = ok & (thit > eps) & (thit < best)
+        best[hit] = thit[hit]
+        surf[hit] = 2
+    return best, surf
+
+
+@st.composite
+def trajectories(draw):
+    """Multi-waypoint schedules, often with a start_time offset and zero waits."""
+    n = draw(st.integers(1, 4))
+    coord = st.floats(-6.0, 6.0)
+    wps = [((draw(coord), draw(coord), draw(st.floats(0.5, 3.0))),
+            draw(st.sampled_from([0.0, 0.3, 1.0]))) for _ in range(n)]
+    return Trajectory(wps, segment_duration=draw(st.floats(0.2, 2.0)),
+                      repeat_count=draw(st.integers(1, 3)),
+                      start_time=draw(st.sampled_from([0.0, 0.7, 2.5])))
+
+
+@st.composite
+def frame_windows(draw, traj):
+    """[t_lo, t_hi] placed across a phase boundary (the phase starts include
+    start_time and the terminal hold) or anywhere in the schedule."""
+    length = draw(st.floats(1e-3, 1.5))
+    if draw(st.booleans()):
+        anchor = float(draw(st.sampled_from(list(traj._t0))))
+    else:
+        anchor = draw(st.floats(0.0, traj.total_duration + 1.0))
+    t_lo = max(0.0, anchor - draw(st.floats(0.0, 1.0)) * length)
+    return t_lo, t_lo + length
 
 
 class TestTrajectory:
@@ -94,6 +165,25 @@ class TestTrajectory:
         assert np.allclose(traj.position(0.0), (1, 1, 1))
         assert np.allclose(traj.position(4.9), (1, 1, 1))
         assert np.allclose(traj.position(5.0 + 1.0 + 1.0), (1.5, 1, 1))
+
+    def test_zero_length_batch_gives_empty_positions(self):
+        traj = make_pattern("fast")
+        assert traj.position(np.empty(0)).shape == (0, 3)
+
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan]), -0.1])
+    def test_nan_or_negative_time_rejected(self, t):
+        # NaN used to fall through every phase test and return the terminal hold
+        with pytest.raises(ValueError):
+            make_pattern("fast").position(t)
+
+    @given(traj=trajectories(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bounding_ball_holds_every_position_in_window(self, traj, data):
+        t_lo, t_hi = data.draw(frame_windows(traj))
+        centre, radius = traj.bounding_ball(t_lo, t_hi)
+        ts = np.concatenate([[t_lo, t_hi], np.linspace(t_lo, t_hi, 257)])
+        dist = np.linalg.norm(traj.position(ts) - centre, axis=1)
+        assert np.all(dist <= radius + 1e-12 * (1.0 + radius + np.linalg.norm(centre)))
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -154,6 +244,65 @@ class TestRayCast:
             assert got is not None
             assert got[1] is want[1]
             assert abs(got[0] - want[0]) < 1e-9
+
+
+class TestTargetConeCull:
+    """ray_cast_arrays sphere-tests only the rays in the cone around the
+    target's bounding ball; the result must equal the unculled oracle bit
+    for bit."""
+
+    @given(traj=trajectories(), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           n_boxes=st.integers(0, 3), diameter=st.floats(0.05, 1.0),
+           origin_inside=st.booleans(), n_rays=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unculled_oracle(self, traj, data, seed, n_boxes, diameter,
+                                     origin_inside, n_rays):
+        rng = np.random.default_rng(seed)
+        t_lo, t_hi = data.draw(frame_windows(traj))
+        times = rng.uniform(t_lo, t_hi, n_rays)  # unsorted emission times
+        centres = traj.position(times)
+        r = diameter / 2.0
+        if origin_inside:  # inside the ball that bounds the target over the window
+            centre, radius = traj.bounding_ball(t_lo, t_hi)
+            origin = centre + rng.uniform(-1.0, 1.0, 3) * (radius + r) / 2.0
+        else:
+            origin = rng.uniform([-8.0, -8.0, 0.5], [8.0, 8.0, 4.0])
+        boxes = []
+        for _ in range(n_boxes):
+            lo = rng.uniform([-8.0, -8.0, 0.0], [8.0, 8.0, 3.0])
+            boxes.append(Box(tuple(lo), tuple(lo + rng.uniform(0.2, 3.0, 3))))
+        scene = Scene(float(rng.uniform(-1.0, 0.3)), boxes,
+                      TargetModel(diameter, 1.0, traj), WeatherModel())
+
+        # a third random, a third aimed into the sphere, a third passing the
+        # centre at a distance within a relative 1e-16..1e-9 of the radius
+        # (rounding decides some of these): the ray through centre + g * perp
+        # passes at g * L / sqrt(L^2 + g^2)
+        to_centre = centres - origin
+        length = np.linalg.norm(to_centre, axis=1)
+        perp = np.cross(to_centre, rng.normal(size=(n_rays, 3)))
+        perp /= np.linalg.norm(perp, axis=1)[:, None]
+        kind = rng.integers(0, 3, n_rays)
+        miss = r * (1.0 + rng.uniform(-1.0, 1.0, n_rays) * 10.0 ** rng.uniform(-16, -9, n_rays))
+        grazing = np.where(length > miss, miss * length / np.sqrt(np.maximum(
+            length ** 2 - miss ** 2, 1e-300)), miss)
+        inside = r * rng.uniform(0.0, 1.0, n_rays)
+        dirs = np.where((kind == 0)[:, None], rng.normal(size=(n_rays, 3)),
+                        to_centre + perp * np.where(kind == 1, inside, grazing)[:, None])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+
+        got = ray_cast_arrays(scene, origin, dirs, times)
+        want = unculled_ray_cast_arrays(scene, origin, dirs, times)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_zero_rays_with_target(self):
+        traj = Trajectory([((5.0, 0.0, 1.0), 1.0)], 1.0)
+        scene = Scene(0.0, [Box((1, -1, 0), (2, 1, 2))], TargetModel(0.2, 1.0, traj),
+                      WeatherModel())
+        ranges, surfaces = ray_cast_arrays(scene, np.zeros(3), np.empty((0, 3)), np.empty(0))
+        assert ranges.shape == (0,) and surfaces.shape == (0,)
+        assert surfaces.dtype == np.int8
 
 
 class TestReturnProbability:

@@ -1,5 +1,6 @@
 """The benchmark's tracer patches rosetrack names from outside the package;
-a deleted or renamed name must fail here, not only in the benchmark."""
+a deleted or renamed name must fail here, not only in the benchmark, and so
+must a count that stops showing the work the tracer is meant to see."""
 
 import importlib.util
 from pathlib import Path
@@ -35,3 +36,8 @@ def test_install_patches_every_name_and_uninstall_restores():
     assert names.count("harness.metrics") == 1
     assert names.count("harness.visibility_cast") == 1
     assert tracer.counts["harness.metrics.visibility_rays"] > 0
+    # the target-cone cull looks up the trajectory for a few rays per frame,
+    # not for every ray; positions seen at all means Trajectory.position is traced
+    target_rays = tracer.counts["scene.ray_cast.target_rays"]
+    assert target_rays > 0
+    assert 0 < tracer.counts["scene.trajectory.points"] < target_rays // 10

@@ -150,6 +150,18 @@ class TestUpdate:
         # nearest distances: 0 and sigma; ratio exp(1/2)
         assert out.weights[0] / out.weights[1] == pytest.approx(math.exp(0.5), rel=1e-9)
 
+    def test_all_zero_weights_reach_the_degenerate_branch(self):
+        # unreachable from step (see TestStep), kept for direct API calls
+        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        pset = ParticleSet(positions, np.zeros(2), np.random.default_rng(0),
+                           last_measurement_age=3)
+        out = update(pset, cloud_at([[0.5, 0.0, 0.0]]), PARAMS)
+        assert out.degenerate
+        assert np.array_equal(out.weights, [0.5, 0.5])
+        assert np.array_equal(out.positions, positions)
+        assert out.last_measurement_age == 0
+        assert estimate(out, 0.0, PARAMS).status is TrackStatus.SEARCHING
+
 
 class TestResample:
     def test_uniform_weights_copy_every_particle_once(self):
@@ -297,6 +309,39 @@ class TestStep:
             if sigma_ok:
                 locked_runs += 1
         assert locked_runs >= 19
+
+    @given(seed=st.integers(0, 2**32 - 1), n_particles=st.integers(1, 60),
+           sigma_pred=st.floats(0.0, 0.5), sigma_meas=st.floats(1e-3, 1.0),
+           likelihood=st.sampled_from(["centroid", "nearest"]),
+           frames=st.lists(st.tuples(st.sampled_from(["none", "empty", "cloud"]),
+                                     st.integers(1, 30), st.floats(1.0, 1e4)),
+                           min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_step_never_degenerate_on_finite_clouds(self, seed, n_particles, sigma_pred,
+                                                     sigma_meas, likelihood, frames):
+        # every set step reaches has positive uniform weights (init_filter,
+        # then resampling), and the log-space shift gives the most likely
+        # particle factor 1, so the weight total stays positive; clouds
+        # reach up to 1e4 m, far past any sensor range
+        params = TrackerParams(n_particles=n_particles, sigma_pred=sigma_pred,
+                               sigma_meas=sigma_meas, likelihood=likelihood)
+        rng = np.random.default_rng(seed)
+        pset = init_filter(params, rng)
+        for k, (kind, n_points, scale) in enumerate(frames):
+            cloud = {"none": None, "empty": EMPTY,
+                     "cloud": cloud_at(rng.uniform(-scale, scale, (n_points, 3)))}[kind]
+            pset, _ = step(pset, cloud, 0.1 * k, params)
+            assert not pset.degenerate
+
+    def test_step_reaches_degenerate_only_when_distances_overflow(self):
+        # a cloud so far away that (d / sigma_meas)^2 overflows for every
+        # particle gives -inf log-likelihoods, whose shift is NaN
+        pset = init_filter(PARAMS, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, est = step(pset, cloud_at([[1e200, 0.0, 0.0]]), 0.0, PARAMS)
+        assert out.degenerate
+        assert est.status is TrackStatus.SEARCHING
+        assert np.allclose(out.weights, 1.0 / len(out))
 
     def test_sigma_nondecreasing_without_measurements(self):
         # inflation property, in expectation across seeds
