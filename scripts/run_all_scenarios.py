@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from rosetrack.config import parse_config
-from rosetrack.harness import export_csv, run_scenario
+from rosetrack.harness import export_run, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -30,12 +30,7 @@ def main() -> int:
         start = time.perf_counter()
         result = run_scenario(cfg)
         wall = time.perf_counter() - start
-        sub = args.out_dir / path.stem
-        sub.mkdir(parents=True, exist_ok=True)
-        export_csv(result.track, sub / "track.csv")
-        export_csv(result.truth, sub / "truth.csv")
-        export_csv(result.scans, sub / "scans.csv")
-        export_csv(result.metrics, sub / "metrics.csv")
+        export_run(result, args.out_dir / path.stem)
         m = result.metrics
         print(f"{path.stem:24s} wall={wall:5.1f}s rmse={m.rmse:8.4f} "
               f"stationary={m.mean_error_stationary:8.4f} moving={m.mean_error_moving:8.4f} "

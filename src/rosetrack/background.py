@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Frame, PointCloud, SensorPose, transform_cloud
+from .geometry import Frame, PointCloud, transform_cloud
+
+if TYPE_CHECKING:
+    from .filters import FilterParams
 
 _MAGIC = b"ROCT"
 _VERSION = 1
@@ -142,23 +146,14 @@ class OccupancyOctree:
 
 @dataclass(frozen=True)
 class BackgroundBuildParams:
-    """Knobs for turning raster scans into the inflated background map."""
+    """Voxel map knobs for turning raster scans into the inflated background map."""
 
-    duration: float = 5.0
-    near_min: float = 0.5
-    far_max: float = 200.0
-    ground_margin: float = 0.3
-    inflation_radius: int = 1
     resolution: float = 0.1
+    inflation_radius: int = 1
     bounds_lo: tuple[float, float, float] = (-1.0, -5.0, -0.5)
     bounds_hi: tuple[float, float, float] = (9.0, 5.0, 4.0)
-    ground_z: float = 0.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.near_min >= self.far_max:
-            raise ValueError("near_min must be below far_max")
         if self.inflation_radius < 0:
             raise ValueError("inflation_radius must be >= 0")
 
@@ -198,22 +193,22 @@ def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
     return out
 
 
-def build_background(scans, params: BackgroundBuildParams) -> OccupancyOctree:
-    """Transform, range/ground filter, and insert raster scans; inflate last.
+def build_background(scans, params: BackgroundBuildParams, filters: FilterParams,
+                     ground_z: float) -> OccupancyOctree:
+    """Transform, range/ground gate, and insert raster scans; inflate last.
 
     `scans` is a sequence of (sensor-frame cloud, sensor pose) pairs from the
-    turret's initialization raster.
+    turret's initialization raster. The gate is the tracking phase's range
+    gate: `filters` near_min, far_max and ground_margin over `ground_z`.
     """
-    from .filters import FilterParams, range_filter
+    from .filters import range_filter
 
     scans = list(scans)
     if not scans:
         raise ValueError("cannot bootstrap a background model from zero scans")
     octree = OccupancyOctree(params.resolution, params.bounds_lo, params.bounds_hi)
-    fparams = FilterParams(near_min=params.near_min, far_max=params.far_max,
-                           ground_margin=params.ground_margin)
     for cloud, pose in scans:
         world = transform_cloud(cloud, pose)
-        kept = range_filter(world, fparams, params.ground_z, sensor_origin=pose.origin)
+        kept = range_filter(world, filters, ground_z, sensor_origin=pose.origin)
         insert_cloud(octree, kept)
     return inflate(octree, params.inflation_radius)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, describe_schema, parse_config
-from .harness import (compute_metrics, export_csv, read_scan_log, read_track_log,
+from .harness import (compute_metrics, export_csv, export_run, read_scan_log, read_track_log,
                       read_truth_log, run_scenario)
 
 EXIT_CONFIG = 2
@@ -64,11 +64,7 @@ def _run(args) -> int:
         overrides.append(f"run.seed={args.seed}")
     config = parse_config(args.config, overrides)
     result = run_scenario(config)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    export_csv(result.track, args.out_dir / "track.csv")
-    export_csv(result.truth, args.out_dir / "truth.csv")
-    export_csv(result.scans, args.out_dir / "scans.csv")
-    export_csv(result.metrics, args.out_dir / "metrics.csv")
+    export_run(result, args.out_dir)
     print(f"wrote {args.out_dir}/track.csv truth.csv scans.csv metrics.csv "
           f"({len(result.track)} ticks, {len(result.scans)} frames)")
     return 0
@@ -103,12 +99,7 @@ def _sweep(args) -> int:
         config = parse_config(args.config, overrides)
         result = run_scenario(config)
         tag = value.replace("/", "_")
-        sub = args.out_dir / f"{args.param.replace('.', '_')}_{tag}"
-        sub.mkdir(parents=True, exist_ok=True)
-        export_csv(result.track, sub / "track.csv")
-        export_csv(result.truth, sub / "truth.csv")
-        export_csv(result.scans, sub / "scans.csv")
-        export_csv(result.metrics, sub / "metrics.csv")
+        export_run(result, args.out_dir / f"{args.param.replace('.', '_')}_{tag}")
         m = result.metrics
         rows.append((value, m.detection_distance, m.rmse, m.mean_error, m.redetect_latency))
         print(f"{args.param}={value}: detection_distance={m.detection_distance:.6g} "
@@ -116,9 +107,8 @@ def _sweep(args) -> int:
     try:
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("value,detection_distance,rmse,mean_error,redetect_latency\n")
-            for row in rows:
-                fh.write(",".join(str(row[0:1][0]) if i == 0 else f"{row[i]:.6g}"
-                                  for i in range(5)) + "\n")
+            for value, *stats in rows:
+                fh.write(",".join([value, *(f"{v:.6g}" for v in stats)]) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {summary_path}: {exc}") from exc
     print(f"wrote {summary_path}")

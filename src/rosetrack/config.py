@@ -81,9 +81,6 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "inflation_radius": FieldSpec("int", 1, "Chebyshev dilation radius, voxels"),
         "bounds_lo": FieldSpec("vec3", (-1.0, -5.0, -0.5), "surveillance volume lower corner, m"),
         "bounds_hi": FieldSpec("vec3", (9.0, 5.0, 4.0), "surveillance volume upper corner, m"),
-        "near_min": FieldSpec("opt_float", None, "build-phase near cut, m (default: filters.near_min)"),
-        "far_max": FieldSpec("opt_float", None, "build-phase far cut, m (default: filters.far_max)"),
-        "ground_margin": FieldSpec("opt_float", None, "build-phase ground margin, m (default: filters.ground_margin)"),
     },
     "tracker": {
         "n_particles": FieldSpec("int", 500, "particle count"),
@@ -121,20 +118,13 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
 
 @dataclass
 class ScenarioConfig:
-    """Typed scenario description; built from SCHEMA values."""
+    """Typed scenario description; built from SCHEMA values.
 
-    ground_z: float
-    obstacles: list[Box]
-    weather: WeatherModel
-    target_diameter: float
-    target_reflectivity: float
-    pattern: str
-    pattern_center: tuple[float, float, float]
-    pattern_extent: float
-    pattern_wait: float
-    sweep_max_range: float
-    sweep_speed: float
-    target_takeoff_delay: float
+    The scene holds the target, whose trajectory starts at the beginning of
+    the tracking phase plus the takeoff delay.
+    """
+
+    scene: Scene
     sensor: RosetteParams | RingScanParams
     filters: FilterParams
     background: BackgroundBuildParams
@@ -146,17 +136,6 @@ class ScenarioConfig:
     pipeline_latency: float
     duration: float
     seed: int
-
-    def build_trajectory(self, start_time: float = 0.0):
-        traj = make_pattern(self.pattern, center=self.pattern_center,
-                            extent=self.pattern_extent, wait=self.pattern_wait,
-                            max_range=self.sweep_max_range, sweep_speed=self.sweep_speed)
-        return replace(traj, start_time=start_time) if start_time else traj
-
-    def build_scene(self, start_time: float = 0.0) -> Scene:
-        target = TargetModel(self.target_diameter, self.target_reflectivity,
-                             self.build_trajectory(start_time))
-        return Scene(self.ground_z, list(self.obstacles), target, self.weather)
 
 
 def _convert(spec: FieldSpec, text: str, where: str):
@@ -261,12 +240,8 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         ror_radius=fl["ror_radius"], ror_min_neighbors=fl["ror_min_neighbors"],
         sor_k=fl["sor_k"], sor_alpha=fl["sor_alpha"]))
     background = domain("background", lambda: BackgroundBuildParams(
-        duration=tu["scan_duration"],
-        near_min=bg["near_min"] if bg["near_min"] is not None else fl["near_min"],
-        far_max=bg["far_max"] if bg["far_max"] is not None else fl["far_max"],
-        ground_margin=bg["ground_margin"] if bg["ground_margin"] is not None else fl["ground_margin"],
-        inflation_radius=bg["inflation_radius"], resolution=bg["resolution"],
-        bounds_lo=bg["bounds_lo"], bounds_hi=bg["bounds_hi"], ground_z=s["ground_z"]))
+        resolution=bg["resolution"], inflation_radius=bg["inflation_radius"],
+        bounds_lo=bg["bounds_lo"], bounds_hi=bg["bounds_hi"]))
     tracker = domain("tracker", lambda: TrackerParams(
         n_particles=tk["n_particles"], sigma_pred=tk["sigma_pred"], sigma_meas=tk["sigma_meas"],
         sigma_threshold=tk["sigma_threshold"], lost_after_misses=tk["lost_after_misses"],
@@ -278,7 +253,6 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         scan_pan_min=tu["scan_pan_min"], scan_pan_max=tu["scan_pan_max"],
         scan_tilt_min=tu["scan_tilt_min"], scan_tilt_max=tu["scan_tilt_max"],
         scan_line_spacing=tu["scan_line_spacing"], scan_duration=tu["scan_duration"]))
-    obstacles = domain("scene", lambda: list(s["obstacles"]))
 
     if tm["filter_rate"] < tm["lidar_rate"]:
         raise ConfigError("config-domain",
@@ -297,16 +271,12 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
                           f"sensor.integration_time ({sn['integration_time']:g}) must fit the "
                           f"timing.lidar_rate period ({1.0 / tm['lidar_rate']:g})")
 
-    target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"],
-                                                  make_pattern(tg["pattern"], tg["center"],
-                                                               tg["extent"], tg["wait"],
-                                                               tg["max_range"], tg["sweep_speed"])))
+    target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
+        make_pattern(tg["pattern"], tg["center"], tg["extent"], tg["wait"],
+                     tg["max_range"], tg["sweep_speed"]),
+        start_time=tu["scan_duration"] + tg["takeoff_delay"])))
     return ScenarioConfig(
-        ground_z=s["ground_z"], obstacles=obstacles, weather=weather,
-        target_diameter=target.diameter, target_reflectivity=target.reflectivity,
-        pattern=tg["pattern"], pattern_center=tg["center"], pattern_extent=tg["extent"],
-        pattern_wait=tg["wait"], sweep_max_range=tg["max_range"], sweep_speed=tg["sweep_speed"],
-        target_takeoff_delay=tg["takeoff_delay"],
+        scene=Scene(s["ground_z"], list(s["obstacles"]), target, weather),
         sensor=sensor, filters=filters, background=background, tracker=tracker,
         turret=turret, turret_origin=tu["origin"],
         lidar_rate=tm["lidar_rate"], filter_rate=tm["filter_rate"],

@@ -11,15 +11,16 @@ deterministic under the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .background import BackgroundBuildParams, OccupancyOctree, build_background
+from .background import OccupancyOctree, build_background
 from .config import ScenarioConfig
 from .filters import preprocess_cloud
-from .geometry import Frame, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
-from .scene import Scene, ray_cast_arrays
+from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
+from .scene import ray_cast_arrays
 from .sensor import scan
 from .tracker import TrackStatus, estimate, init_filter, step
 from .turret import TurretMode, TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
@@ -97,8 +98,9 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     """
     bg_ss, scan_ss, pf_ss = np.random.SeedSequence(config.seed).spawn(3)
     t_track0 = config.turret.scan_duration
-    spawn_t = t_track0 + config.target_takeoff_delay
-    scene = config.build_scene(start_time=spawn_t)
+    scene = config.scene
+    traj = scene.target.trajectory
+    spawn_t = traj.start_time
     origin = config.turret_origin
     tparams = config.turret
 
@@ -113,7 +115,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         pose = SensorPose(origin, state.pose)
         cloud = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
         bg_scans.append((cloud, pose))
-    octree = build_background(bg_scans, config.background)
+    octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
 
     # --- tracking phase ----------------------------------------------------
     state = TurretState(pose=state.pose, mode=TurretMode.TRACKING, t=state.t)
@@ -128,7 +130,6 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         [(t_track0 + k / config.lidar_rate, 0, k) for k in range(n_frames)]
         + [(t_track0 + j / config.filter_rate, 1, j) for j in range(n_ticks)]
     )
-    traj = scene.target.trajectory
     pending: list[tuple[float, PointCloud]] = []
     last_cmd = state.pose
 
@@ -149,7 +150,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             delivered = None
             if ready:
                 delivered = ready[0] if len(ready) == 1 else _merge_clouds(ready)
-                delivered = preprocess_cloud(delivered, config.filters, config.ground_z,
+                delivered = preprocess_cloud(delivered, config.filters, scene.ground_z,
                                              octree, sensor_origin=origin)
             pset, est = step(pset, delivered, ev_t, config.tracker)
             pos = traj.position(ev_t)
@@ -196,7 +197,7 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     if len(track) != len(truth):
         raise ValueError(f"track and truth logs must be aligned row for row "
                          f"({len(track)} vs {len(truth)} rows)")
-    static = Scene(config.ground_z, list(config.obstacles), None, config.weather)
+    static = replace(config.scene, target=None)
     origin = np.asarray(config.turret_origin, dtype=float)
     d = positions(truth) - origin
     dist = np.linalg.norm(d, axis=1)
@@ -215,7 +216,7 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     ticks, u = ticks[in_fov], u[in_fov]
     rng_hit, surf = ray_cast_arrays(static, origin, u, track["t"][ticks], include_target=False)
     out = np.zeros(len(track), dtype=bool)
-    out[ticks] = ~((surf >= 0) & (rng_hit < dist[ticks] - config.target_diameter / 2.0))
+    out[ticks] = ~((surf >= 0) & (rng_hit < dist[ticks] - config.scene.target.diameter / 2.0))
     return out
 
 
@@ -225,13 +226,13 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     latency, initial lock time, and the points-vs-range histogram.
 
     Each track row is paired once with the truth row nearest in time; a
-    non-finite t in either log, or skew beyond half a filter period, is an
+    non-finite t in any log, or skew beyond half a filter period, is an
     error. Every metric uses that pairing.
     """
     if not len(track) or not len(truth):
         raise ValueError("cannot compute metrics from empty logs")
-    for name, log in (("track", track), ("truth", truth)):
-        if not np.all(np.isfinite(log["t"])):
+    for name, log in (("track", track), ("truth", truth), ("scan", scans)):
+        if log is not None and not np.all(np.isfinite(log["t"])):
             raise ValueError(f"{name} log has a non-finite t")
     tt = track["t"]
     ut = truth["t"]
@@ -335,6 +336,15 @@ def export_csv(obj, path) -> None:
                 raise TypeError(f"cannot export object of type {type(obj).__name__}")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def export_run(result: RunResult, out_dir) -> None:
+    """Write track.csv, truth.csv, scans.csv and metrics.csv into out_dir,
+    creating it if needed."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("track", "truth", "scans", "metrics"):
+        export_csv(getattr(result, name), out_dir / f"{name}.csv")
 
 
 def _read_log(path, dtype: np.dtype) -> np.ndarray:

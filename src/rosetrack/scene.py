@@ -6,19 +6,12 @@ function of time, so concurrent ray queries are safe.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _EPS = 1e-9
-
-
-class Surface(enum.Enum):
-    GROUND = "ground"
-    OBSTACLE = "obstacle"
-    TARGET = "target"
 
 
 @dataclass(frozen=True)
@@ -97,14 +90,15 @@ class Trajectory:
 
     def _phase(self, t_arr: np.ndarray) -> np.ndarray:
         """Index of the phase each time falls in; times before the first
-        phase map to phase 0, which starts by holding the first waypoint."""
+        phase map to phase 0, which starts by holding the first waypoint.
+        Negative and NaN times are rejected."""
+        if not np.all(t_arr >= 0):
+            raise ValueError("trajectory time must be >= 0 and not NaN")
         return np.clip(np.searchsorted(self._t0, t_arr, side="right") - 1, 0, len(self._t0) - 1)
 
     def position(self, t) -> np.ndarray:
         """Target position at time(s) t; scalar in, (3,) out; array in, (n, 3) out."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.all(t_arr >= 0):
-            raise ValueError("trajectory time must be >= 0 and not NaN")
         if len(t_arr) == 0:
             return np.empty((0, 3))
         idx = self._phase(t_arr)
@@ -275,27 +269,13 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     return best, surf
 
 
-_SURFACE_BY_CODE = {0: Surface.GROUND, 1: Surface.OBSTACLE, 2: Surface.TARGET}
-
-
-def ray_cast(scene: Scene, origin, direction, t: float, include_target: bool = True):
-    """Nearest hit of a single unit ray, or None.
-
-    Returns (range, Surface) among the ground plane, the obstacle boxes and
-    the target sphere at its time-t position.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
-        raise ValueError("ray direction must be a unit vector")
-    ranges, surfs = ray_cast_arrays(scene, np.asarray(origin, dtype=float),
-                                    direction[None, :], np.array([t]), include_target)
-    if surfs[0] < 0:
-        return None
-    return float(ranges[0]), _SURFACE_BY_CODE[int(surfs[0])]
-
-
 def return_probability_arrays(ranges: np.ndarray, is_target: np.ndarray, scene: Scene) -> np.ndarray:
-    """Keep probability per return; vector form of :func:`return_probability`."""
+    """Probability that each return at the given positive range survives the receiver.
+
+    reflectivity * exp(-2 * beta * range) * min(1, (r_sat / range)^2),
+    clamped to [0, 1] and zeroed below the detection threshold. Background
+    surfaces (is_target False) use reflectivity 1.
+    """
     w = scene.weather
     refl = np.where(is_target, scene.target.reflectivity if scene.target else 1.0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -303,19 +283,6 @@ def return_probability_arrays(ranges: np.ndarray, is_target: np.ndarray, scene: 
         p = refl * np.exp(-2.0 * w.extinction_beta * ranges) * geom
     p = np.clip(p, 0.0, 1.0)
     return np.where(p < w.detection_threshold, 0.0, p)
-
-
-def return_probability(range_m: float, target_hit: bool, scene: Scene) -> float:
-    """Probability that a return at the given range survives the receiver.
-
-    reflectivity * exp(-2 * beta * range) * min(1, (r_sat / range)^2),
-    clamped to [0, 1] and zeroed below the detection threshold. Background
-    surfaces use reflectivity 1.
-    """
-    if range_m <= 0:
-        raise ValueError("range must be positive")
-    return float(return_probability_arrays(np.array([range_m]),
-                                           np.array([target_hit]), scene)[0])
 
 
 PATTERN_NAMES = ("vertical", "horizontal", "fast", "lost_and_found", "range_sweep", "hover")

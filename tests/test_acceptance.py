@@ -7,6 +7,7 @@ stays within a few minutes on a laptop.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -301,22 +302,24 @@ class TestCriterion10PerformanceEnvelope:
 
         # preprocessing: real frames from the fast scenario against its map
         cfg = parse_config(CONFIG_DIR / "indoor_fast.cfg")
-        scene = cfg.build_scene(start_time=0.0)
+        target = cfg.scene.target
+        scene = replace(cfg.scene, target=replace(
+            target, trajectory=replace(target.trajectory, start_time=0.0)))
         tp = cfg.turret
         rng = np.random.default_rng(2)
         scans = []
         for k in range(20):
             pose = SensorPose(cfg.turret_origin, scan_mode_command(k / 10.0, tp))
             scans.append((scan(scene, pose, k / 10.0, cfg.sensor, rng, include_target=False), pose))
-        octree = build_background(scans, cfg.background)
+        octree = build_background(scans, cfg.background, cfg.filters, cfg.scene.ground_z)
         from rosetrack.geometry import transform_cloud
         pose = SensorPose(cfg.turret_origin)
         frames = [transform_cloud(scan(scene, pose, 2.0 + k / 10.0, cfg.sensor, rng), pose)
                   for k in range(15)]
-        preprocess_cloud(frames[0], cfg.filters, cfg.ground_z, octree, cfg.turret_origin)
+        preprocess_cloud(frames[0], cfg.filters, cfg.scene.ground_z, octree, cfg.turret_origin)
         start = time.perf_counter()
         for frame in frames:
-            preprocess_cloud(frame, cfg.filters, cfg.ground_z, octree, cfg.turret_origin)
+            preprocess_cloud(frame, cfg.filters, cfg.scene.ground_z, octree, cfg.turret_origin)
         pre_ms = (time.perf_counter() - start) / len(frames) * 1e3
         sizes = max(len(f) for f in frames)
 

@@ -10,6 +10,7 @@ from scipy import ndimage
 
 from rosetrack.background import (BackgroundBuildParams, OccupancyOctree, build_background,
                                   inflate, insert_cloud)
+from rosetrack.filters import FilterParams
 from rosetrack.geometry import Frame, PanTiltPose, PointCloud, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import RosetteParams, scan
@@ -210,9 +211,9 @@ class TestBuildBackground:
     def test_static_scene_builds_target_free_octree(self):
         scene = self.build_scene()
         scans = self.raster_scans(scene)
-        params = BackgroundBuildParams(duration=2.0, bounds_lo=(-1, -5, -0.5),
-                                       bounds_hi=(9, 5, 4), resolution=0.1)
-        octree = build_background(scans, params)
+        params = BackgroundBuildParams(bounds_lo=(-1, -5, -0.5), bounds_hi=(9, 5, 4),
+                                       resolution=0.1)
+        octree = build_background(scans, params, FilterParams(), 0.0)
         assert len(octree) > 100  # the wall is in the map
         # a hovering target in front of the wall survives subtraction
         target_pts = np.array([[5.0, 0.0, 1.2], [5.02, 0.01, 1.22], [5.0, -0.02, 1.18]])
@@ -221,22 +222,29 @@ class TestBuildBackground:
     def test_ground_only_scene_builds_empty_octree(self):
         scene = Scene(0.0, [], None, WeatherModel())
         scans = self.raster_scans(scene, n_frames=10)
-        params = BackgroundBuildParams(duration=1.0)
-        octree = build_background(scans, params)
+        octree = build_background(scans, BackgroundBuildParams(), FilterParams(), 0.0)
         assert len(octree) == 0
 
     def test_double_insertion_is_idempotent(self):
         scene = self.build_scene()
         scans = self.raster_scans(scene)
-        params = BackgroundBuildParams(duration=2.0, bounds_lo=(-1, -5, -0.5),
-                                       bounds_hi=(9, 5, 4))
-        once = build_background(scans, params)
-        twice = build_background(scans + scans, params)
+        params = BackgroundBuildParams(bounds_lo=(-1, -5, -0.5), bounds_hi=(9, 5, 4))
+        once = build_background(scans, params, FilterParams(), 0.0)
+        twice = build_background(scans + scans, params, FilterParams(), 0.0)
         assert np.array_equal(once.occupied_indices(), twice.occupied_indices())
+
+    def test_gate_is_the_tracking_range_gate(self):
+        # the wall is 7.5-8 m away: a 7 m far cut or a ground plane raised
+        # above it leaves nothing to insert
+        scans = self.raster_scans(self.build_scene(), n_frames=10)
+        params = BackgroundBuildParams(bounds_lo=(-1, -5, -0.5), bounds_hi=(9, 5, 4))
+        assert len(build_background(scans, params, FilterParams(), 0.0)) > 100
+        assert len(build_background(scans, params, FilterParams(far_max=7.0), 0.0)) == 0
+        assert len(build_background(scans, params, FilterParams(), 3.5)) == 0
 
     def test_empty_scan_sequence_rejected(self):
         with pytest.raises(ValueError):
-            build_background([], BackgroundBuildParams())
+            build_background([], BackgroundBuildParams(), FilterParams(), 0.0)
 
 
 class TestQueryPerformance:

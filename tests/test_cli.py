@@ -118,6 +118,24 @@ class TestMetricsCommand:
         assert "error: invalid-input" in err
         assert "track log has a non-finite t" in err
 
+    def test_nan_scan_time_is_invalid_input(self, tmp_path, capsys):
+        # row 15 is indoor_lock's first frame with target returns, the one
+        # initial_lock_time starts from
+        out = tmp_path / "out"
+        cfg = str(CONFIG_DIR / "indoor_lock.cfg")
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        lines = (out / "scans.csv").read_text().splitlines()
+        assert int(lines[16].split(",")[1]) > 0
+        lines[16] = ",".join(["nan", *lines[16].split(",")[1:]])
+        (out / "scans.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["metrics", str(out / "track.csv"), str(out / "truth.csv"),
+                     "--scans", str(out / "scans.csv"), "--config", cfg])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: invalid-input" in err
+        assert "scan log has a non-finite t" in err
+
 
 class TestSweepCommand:
     def test_sweep_runs_values(self, small_cfg, tmp_path, capsys):

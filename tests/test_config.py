@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rosetrack.config import ConfigError, default_config, describe_schema, parse_config
+from rosetrack.scene import make_pattern
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -14,10 +16,15 @@ def write(tmp_path, text):
     return path
 
 
+def tracking_pattern(cfg, name, **kwargs):
+    """make_pattern(name, **kwargs) shifted to start with the tracking phase."""
+    return replace(make_pattern(name, **kwargs), start_time=cfg.turret.scan_duration)
+
+
 class TestParse:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[target]\npattern = vertical\n"))
-        assert cfg.pattern == "vertical"
+        assert cfg.scene.target.trajectory == tracking_pattern(cfg, "vertical")
         assert cfg.tracker.n_particles == 500
         assert cfg.tracker.sigma_pred == pytest.approx(0.1)
         assert cfg.filter_rate == 15.0 and cfg.lidar_rate == 10.0
@@ -26,7 +33,7 @@ class TestParse:
 
     def test_empty_file_is_all_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, "\n# nothing here\n"))
-        assert cfg.pattern == "vertical"
+        assert cfg.scene.target.trajectory == tracking_pattern(cfg, "vertical")
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = parse_config(write(tmp_path, """
@@ -85,12 +92,25 @@ seed = 11
 
     def test_obstacle_boxes_parse(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[scene]\nobstacles = 0,0,0,1,1,1 ; 2,2,2,3,3,3\n"))
-        assert len(cfg.obstacles) == 2
-        assert cfg.obstacles[1].lo == (2.0, 2.0, 2.0)
+        assert len(cfg.scene.obstacles) == 2
+        assert cfg.scene.obstacles[1].lo == (2.0, 2.0, 2.0)
 
     def test_zero_duration_allowed(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[run]\nduration = 0.0\n"))
         assert cfg.duration == 0.0
+
+    @pytest.mark.parametrize("key", ["near_min", "far_max", "ground_margin"])
+    def test_background_gate_keys_rejected(self, tmp_path, key):
+        # the background build gates with [filters]; it has no gate of its own
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, f"[background]\n{key} = 1\n"))
+        assert err.value.category == "config-unknown-key"
+        assert key in str(err.value)
+
+    def test_takeoff_delay_offsets_trajectory_start(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "[target]\ntakeoff_delay = 1.5\n"
+                                           "[turret]\nscan_duration = 3.0\n"))
+        assert cfg.scene.target.trajectory.start_time == 3.0 + 1.5
 
 
 class TestOverrides:
@@ -110,7 +130,7 @@ class TestOverrides:
 
     def test_default_config_accepts_overrides(self):
         cfg = default_config(["target.pattern=fast"])
-        assert cfg.pattern == "fast"
+        assert cfg.scene.target.trajectory == tracking_pattern(cfg, "fast")
 
 
 class TestBundledConfigs:
@@ -122,15 +142,16 @@ class TestBundledConfigs:
     def test_indoor_fast_has_reference_prediction_noise(self):
         cfg = parse_config(CONFIG_DIR / "indoor_fast.cfg")
         assert cfg.tracker.sigma_pred == pytest.approx(0.1)
-        assert cfg.pattern == "fast"
+        assert cfg.scene.target.trajectory == tracking_pattern(
+            cfg, "fast", center=(4.0, 0.0, 1.6), extent=1.8, wait=2.0)
         assert cfg.tracker.stability_threshold == pytest.approx(0.15)
 
     def test_sweep_configs_differ_only_in_weather(self):
         clear = parse_config(CONFIG_DIR / "outdoor_sweep_clear.cfg")
         foggy = parse_config(CONFIG_DIR / "outdoor_sweep_foggy.cfg")
-        assert clear.weather.extinction_beta == 0.0
-        assert foggy.weather.extinction_beta == pytest.approx(0.03)
-        assert clear.weather.saturation_range == foggy.weather.saturation_range
+        assert clear.scene.weather.extinction_beta == 0.0
+        assert foggy.scene.weather.extinction_beta == pytest.approx(0.03)
+        assert clear.scene.weather.saturation_range == foggy.scene.weather.saturation_range
 
 
 class TestDescribe:
@@ -143,5 +164,5 @@ class TestDescribe:
 
     def test_trajectory_build_matches_pattern(self):
         cfg = default_config(["target.pattern=fast"])
-        traj = cfg.build_trajectory()
+        traj = cfg.scene.target.trajectory
         assert traj.segment_duration == 2.25

@@ -78,14 +78,16 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics(track, truth, default_config())
 
-    @pytest.mark.parametrize("log_name", ["track", "truth"])
+    @pytest.mark.parametrize("log_name", ["track", "truth", "scan"])
     @pytest.mark.parametrize("bad_t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, log_name, bad_t):
-        # a NaN skew is not > the skew limit, so the time check must be explicit
+        # a NaN skew is not > the skew limit, so the time check must be
+        # explicit; a NaN frame time would turn initial_lock_time into NaN
         track, truth = synthetic_logs()
-        (track if log_name == "track" else truth)["t"][5] = bad_t
+        scans = np.array([(i * 0.1, 10, 5.0) for i in range(20)], dtype=SCAN_DTYPE)
+        {"track": track, "truth": truth, "scan": scans}[log_name]["t"][5] = bad_t
         with pytest.raises(ValueError, match=f"{log_name} log has a non-finite t"):
-            compute_metrics(track, truth, default_config())
+            compute_metrics(track, truth, default_config(), scans)
 
     def test_histogram_bins_monotone(self):
         track, truth = synthetic_logs()
@@ -269,7 +271,8 @@ class TestRunScenario:
         # takeoff + pipeline_latency: sigma keeps growing until then
         cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=3.5"])
         result = run_scenario(cfg)
-        takeoff = cfg.turret.scan_duration + cfg.target_takeoff_delay
+        takeoff = cfg.scene.target.trajectory.start_time
+        assert takeoff == cfg.turret.scan_duration + 1.5  # indoor_lock's takeoff_delay
         earliest_reaction = takeoff + cfg.pipeline_latency
         sig = result.track["sigma_particles"]
         t = result.track["t"]

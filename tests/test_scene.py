@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.scene import (Box, Scene, Surface, TargetModel, Trajectory, WeatherModel,
-                             make_pattern, ray_cast, ray_cast_arrays, return_probability)
+from rosetrack.scene import (Box, Scene, TargetModel, Trajectory, WeatherModel, make_pattern,
+                             ray_cast_arrays, return_probability_arrays)
+
+GROUND, OBSTACLE, TARGET = 0, 1, 2  # ray_cast_arrays surface codes; -1 is a miss
 
 
 def brute_force_ray_cast(scene, origin, direction, t):
-    """Exhaustive intersection over all primitives (slab method for boxes)."""
+    """Exhaustive intersection over all primitives (slab method for boxes);
+    (range, surface code) as ray_cast_arrays gives them, (inf, -1) on a miss."""
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    best, surface = math.inf, None
+    best, surface = math.inf, -1
     if direction[2] != 0.0:
         tg = (scene.ground_z - origin[2]) / direction[2]
         if 1e-9 < tg < best:
-            best, surface = tg, Surface.GROUND
+            best, surface = tg, GROUND
     for box in scene.obstacles:
         tmin, tmax = -math.inf, math.inf
         ok = True
@@ -34,7 +37,7 @@ def brute_force_ray_cast(scene, origin, direction, t):
         if ok and tmax >= max(tmin, 1e-9):
             thit = tmin if tmin > 1e-9 else tmax
             if 1e-9 < thit < best:
-                best, surface = thit, Surface.OBSTACLE
+                best, surface = thit, OBSTACLE
     if scene.target is not None:
         c = scene.target.trajectory.position(t)
         r = scene.target.diameter / 2
@@ -44,9 +47,15 @@ def brute_force_ray_cast(scene, origin, direction, t):
         if disc >= 0:
             for thit in (-b - math.sqrt(disc), -b + math.sqrt(disc)):
                 if 1e-9 < thit < best:
-                    best, surface = thit, Surface.TARGET
+                    best, surface = thit, TARGET
                     break
-    return None if surface is None else (best, surface)
+    return best, surface
+
+
+def cast(scene, origin, dirs, t=0.0):
+    """ray_cast_arrays for rays sharing one origin and one emission time."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    return ray_cast_arrays(scene, np.asarray(origin, dtype=float), dirs, np.full(len(dirs), t))
 
 
 def unculled_ray_cast_arrays(scene, origin, dirs, times, include_target=True):
@@ -176,6 +185,12 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             make_pattern("fast").position(t)
 
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan]), -1.0])
+    def test_speed_rejects_nan_or_negative_time(self, t):
+        # both used to fall into a hold phase and give speed 0.0
+        with pytest.raises(ValueError):
+            make_pattern("fast").speed(t)
+
     @given(traj=trajectories(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_bounding_ball_holds_every_position_in_window(self, traj, data):
@@ -197,29 +212,22 @@ class TestTrajectory:
 class TestRayCast:
     def test_straight_down_hits_ground(self):
         scene = Scene(0.0, [], None, WeatherModel())
-        hit = ray_cast(scene, (0, 0, 10.0), (0, 0, -1.0), 0.0)
-        assert hit == (10.0, Surface.GROUND)
+        ranges, surfaces = cast(scene, (0, 0, 10.0), (0, 0, -1.0))
+        assert (ranges[0], surfaces[0]) == (10.0, GROUND)
 
     def test_sphere_chord_range(self):
         target = TargetModel(0.35, 1.0, Trajectory([((5, 0, 1), 1.0)], 1.0))
         scene = Scene(-10.0, [], target, WeatherModel())
-        hit = ray_cast(scene, (0, 0, 1.0), (1.0, 0, 0), 0.0)
-        assert hit is not None
-        rng, surf = hit
-        assert surf is Surface.TARGET
-        assert abs(rng - (5.0 - 0.175)) < 1e-12
+        ranges, surfaces = cast(scene, (0, 0, 1.0), (1.0, 0, 0))
+        assert surfaces[0] == TARGET
+        assert abs(ranges[0] - (5.0 - 0.175)) < 1e-12
 
     def test_obstacle_occludes_target(self):
         target = TargetModel(0.35, 1.0, Trajectory([((6, 0, 1), 1.0)], 1.0))
         box = Box((3.0, -0.5, 0.0), (3.2, 0.5, 2.0))
         scene = Scene(-10.0, [box], target, WeatherModel())
-        hit = ray_cast(scene, (0, 0, 1.0), (1.0, 0, 0), 0.0)
-        assert hit == (3.0, Surface.OBSTACLE)
-
-    def test_requires_unit_direction(self):
-        scene = Scene(0.0, [], None, WeatherModel())
-        with pytest.raises(ValueError):
-            ray_cast(scene, (0, 0, 1), (0, 0, -2.0), 0.0)
+        ranges, surfaces = cast(scene, (0, 0, 1.0), (1.0, 0, 0))
+        assert (ranges[0], surfaces[0]) == (3.0, OBSTACLE)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -236,14 +244,13 @@ class TestRayCast:
         origin = rng.uniform([-5, -5, 1], [5, 5, 4])
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        got = ray_cast(scene, origin, d, 0.5)
-        want = brute_force_ray_cast(scene, origin, d, 0.5)
-        if want is None:
-            assert got is None
+        ranges, surfaces = cast(scene, origin, d, 0.5)
+        want_range, want_surface = brute_force_ray_cast(scene, origin, d, 0.5)
+        assert surfaces[0] == want_surface
+        if want_surface < 0:
+            assert ranges[0] == math.inf
         else:
-            assert got is not None
-            assert got[1] is want[1]
-            assert abs(got[0] - want[0]) < 1e-9
+            assert abs(ranges[0] - want_range) < 1e-9
 
 
 class TestTargetConeCull:
@@ -305,6 +312,9 @@ class TestTargetConeCull:
         assert surfaces.dtype == np.int8
 
 
+TARGET_HITS = np.array([True, True])
+
+
 class TestReturnProbability:
     def scene_with(self, beta=0.0, threshold=0.02, r_sat=90.0, refl=0.5):
         target = TargetModel(0.35, refl, Trajectory([((5, 0, 1), 1.0)], 1.0))
@@ -312,39 +322,39 @@ class TestReturnProbability:
 
     def test_near_field_saturation_equals_reflectivity(self):
         scene = self.scene_with(refl=0.5)
-        assert return_probability(10.0, True, scene) == pytest.approx(0.5)
-        assert return_probability(90.0, True, scene) == pytest.approx(0.5)
+        p = return_probability_arrays(np.array([10.0, 90.0]), TARGET_HITS, scene)
+        assert p == pytest.approx([0.5, 0.5])
 
     def test_clear_vs_fog_ratio_is_exp_three(self):
         # two-way extinction: exp(2 * 0.03 * 50) = e^3
         clear = self.scene_with(beta=0.0, threshold=1e-9, refl=0.9)
         foggy = self.scene_with(beta=0.03, threshold=1e-9, refl=0.9)
-        ratio = return_probability(50.0, True, clear) / return_probability(50.0, True, foggy)
+        r = np.array([50.0])
+        ratio = (return_probability_arrays(r, TARGET_HITS[:1], clear)[0]
+                 / return_probability_arrays(r, TARGET_HITS[:1], foggy)[0])
         assert ratio == pytest.approx(math.exp(3.0), rel=1e-12)
 
     def test_background_uses_unit_reflectivity(self):
         scene = self.scene_with(refl=0.25)
-        assert return_probability(50.0, False, scene) == pytest.approx(1.0)
-        assert return_probability(50.0, True, scene) == pytest.approx(0.25)
+        p = return_probability_arrays(np.array([50.0, 50.0]), np.array([False, True]), scene)
+        assert p == pytest.approx([1.0, 0.25])
 
     def test_threshold_zeroes_weak_returns(self):
         scene = self.scene_with(threshold=0.3, refl=0.9, r_sat=50.0)
-        assert return_probability(200.0, True, scene) == 0.0  # 0.9*(50/200)^2 ~ 0.056 < 0.3
-        assert return_probability(60.0, True, scene) > 0.0
+        p = return_probability_arrays(np.array([200.0, 60.0]), TARGET_HITS, scene)
+        assert p[0] == 0.0  # 0.9*(50/200)^2 ~ 0.056 < 0.3
+        assert p[1] > 0.0
 
     @given(r1=st.floats(1.0, 200.0), r2=st.floats(1.0, 200.0),
            beta=st.floats(0.0, 0.1))
     @settings(max_examples=100)
     def test_monotone_nonincreasing_in_range_and_beta(self, r1, r2, beta):
-        lo, hi = sorted((r1, r2))
+        lo_hi = np.array(sorted((r1, r2)))
         scene = self.scene_with(beta=beta, threshold=1e-9, refl=0.8)
-        assert return_probability(hi, True, scene) <= return_probability(lo, True, scene) + 1e-15
+        p_lo, p_hi = return_probability_arrays(lo_hi, TARGET_HITS, scene)
+        assert p_hi <= p_lo + 1e-15
         clearer = self.scene_with(beta=0.0, threshold=1e-9, refl=0.8)
-        assert return_probability(hi, True, scene) <= return_probability(hi, True, clearer) + 1e-15
-
-    def test_rejects_non_positive_range(self):
-        with pytest.raises(ValueError):
-            return_probability(0.0, True, self.scene_with())
+        assert p_hi <= return_probability_arrays(lo_hi, TARGET_HITS, clearer)[1] + 1e-15
 
 
 class TestMakePattern:
@@ -370,14 +380,10 @@ class TestMakePattern:
         target = TargetModel(0.1, 0.9, traj)
         scene = Scene(0.0, [box], target, WeatherModel())
         origin = np.array([0.0, 0.0, 1.0])
-        mids = {0: None, 1: None, 2: None}
-        for i, (wp, _) in enumerate(traj.waypoints):
-            d = np.asarray(wp) - origin
-            d /= np.linalg.norm(d)
-            hit = ray_cast(Scene(0.0, [box], None, WeatherModel()), origin, d, 0.0)
-            mids[i] = hit
-        assert mids[1] is not None and mids[1][1] is Surface.OBSTACLE
-        assert mids[0] is None and mids[2] is None
+        d = np.array([wp for wp, _ in traj.waypoints]) - origin
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        _, surfaces = cast(Scene(0.0, [box], None, WeatherModel()), origin, d)
+        assert surfaces.tolist() == [-1, OBSTACLE, -1]
 
     def test_range_sweep_speed_cap(self):
         traj = make_pattern("range_sweep", center=(8.0, 0.0, 3.0), max_range=150.0,

@@ -1,11 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rosetrack.config import parse_config
 from rosetrack.geometry import Frame, PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import RingScanParams, RosetteParams, scan
+from rosetrack.sensor import RingScanParams, RosetteParams, _frame_directions, _rays_per_frame, scan
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 NO_CUTOFF = WeatherModel(extinction_beta=0.0, detection_threshold=1e-6, saturation_range=1e6)
 
@@ -49,6 +53,26 @@ class TestRosetteDirection:
             RosetteParams(fov_h=0.0)
         with pytest.raises(ValueError):
             RosetteParams(point_rate=-1)
+
+
+class TestDirectionCache:
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_cached_directions_match_direct_evaluation(self, path):
+        # frames at the same pattern phase share one block keyed by the phase
+        # rounded to 1e-9 s; at every frame start of the raster and of the
+        # tracking phase that block must equal directions at the frame's own times
+        cfg = parse_config(path)
+        params = cfg.sensor
+        n = _rays_per_frame(params)
+        offsets = np.arange(n) * (params.integration_time / n)
+        t_track0 = cfg.turret.scan_duration
+        n_raster = int(math.floor(t_track0 * cfg.lidar_rate + 1e-9))
+        n_track = int(math.floor(cfg.duration * cfg.lidar_rate + 1e-9))
+        starts = ([k / cfg.lidar_rate for k in range(n_raster)]
+                  + [t_track0 + k / cfg.lidar_rate for k in range(n_track)])
+        worst = max(np.max(np.abs(_frame_directions(params, t0, offsets)
+                                  - params.directions(t0 + offsets))) for t0 in starts)
+        assert worst <= 1e-9
 
 
 class TestPatternDensity:
