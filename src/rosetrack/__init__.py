@@ -6,7 +6,7 @@ subtraction -> radius + statistical outlier removal -> particle filter ->
 turret centering commands.
 """
 
-from .background import BackgroundBuildParams, OccupancyOctree, build_background, inflate, insert_cloud
+from .background import BackgroundBuildParams, OccupancyOctree, build_background, inflate
 from .config import ConfigError, ScenarioConfig, default_config, describe_schema, parse_config
 from .filters import FilterParams, preprocess_cloud, radius_outlier_removal, range_filter, statistical_outlier_removal, subtract_background
 from .geometry import Frame, FrameMismatchError, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
@@ -14,6 +14,6 @@ from .harness import SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, RunRes
 from .scene import Box, Scene, TargetModel, Trajectory, WeatherModel, make_pattern
 from .sensor import RingScanParams, RosetteParams, scan
 from .tracker import ParticleSet, TrackEstimate, TrackStatus, TrackerParams, estimate, init_filter, predict, resample, step, systematic_indices, update
-from .turret import TurretMode, TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
+from .turret import TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
 
 __version__ = "0.1.0"

@@ -9,20 +9,15 @@ volume and points outside it are skipped on insert.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Frame, PointCloud, transform_cloud
+from .geometry import transform_cloud
 
 if TYPE_CHECKING:
     from .filters import FilterParams
-
-_MAGIC = b"ROCT"
-_VERSION = 1
-_HEADER = "<4sI7dQ"
 
 
 class OccupancyOctree:
@@ -97,52 +92,6 @@ class OccupancyOctree:
         other._keys = self._keys.copy()
         return other
 
-    # -- serialization ----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the documented binary format (round-trips bit-exactly).
-
-        Little-endian layout: magic b"ROCT", version uint32, resolution
-        float64, bounds lo/hi as 3 float64 each, voxel count uint64, then the
-        sorted packed voxel keys as int64.
-        """
-        header = struct.pack(_HEADER, _MAGIC, _VERSION, self.resolution,
-                             *self.lo.tolist(), *self.hi.tolist(), len(self._keys))
-        return header + self._keys.astype("<i8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "OccupancyOctree":
-        """Parse a to_bytes() blob; keys outside the bounds box are rejected,
-        unsorted or repeated keys are normalised."""
-        head_size = struct.calcsize(_HEADER)
-        if len(blob) < head_size:
-            raise ValueError(f"occupancy map blob of {len(blob)} bytes is shorter "
-                             f"than its {head_size}-byte header")
-        magic, version, res, *rest = struct.unpack(_HEADER, blob[:head_size])
-        if magic != _MAGIC:
-            raise ValueError("not an occupancy map blob (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported occupancy map version {version}")
-        lo, hi, count = rest[:3], rest[3:6], rest[6]
-        octree = cls(res, lo, hi)
-        if len(blob) - head_size != 8 * count:
-            raise ValueError("truncated occupancy map blob")
-        keys = np.frombuffer(blob, dtype="<i8", offset=head_size).astype(np.int64)
-        n_voxels = int(np.prod(octree._dims))
-        if len(keys) and (keys.min() < 0 or keys.max() >= n_voxels):
-            raise ValueError(f"occupancy map key outside [0, {n_voxels})")
-        octree._keys = np.unique(keys)
-        return octree
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "OccupancyOctree":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
 
 @dataclass(frozen=True)
 class BackgroundBuildParams:
@@ -156,17 +105,6 @@ class BackgroundBuildParams:
     def __post_init__(self):
         if self.inflation_radius < 0:
             raise ValueError("inflation_radius must be >= 0")
-
-
-def insert_cloud(octree: OccupancyOctree, cloud: PointCloud) -> OccupancyOctree:
-    """Mark the containing voxel of every in-bounds point occupied.
-
-    Mutates and returns the octree; repeated identical points are idempotent.
-    """
-    if cloud.frame_id is not Frame.WORLD:
-        raise ValueError("background insertion expects a world-frame cloud")
-    octree.insert_points(cloud.xyz)
-    return octree
 
 
 def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
@@ -210,5 +148,5 @@ def build_background(scans, params: BackgroundBuildParams, filters: FilterParams
     for cloud, pose in scans:
         world = transform_cloud(cloud, pose)
         kept = range_filter(world, filters, ground_z, sensor_origin=pose.origin)
-        insert_cloud(octree, kept)
+        octree.insert_points(kept.xyz)
     return inflate(octree, params.inflation_radius)

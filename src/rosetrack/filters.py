@@ -61,7 +61,11 @@ def range_filter(cloud: PointCloud, params: FilterParams, ground_z: float,
 
 
 def subtract_background(cloud: PointCloud, octree: "OccupancyOctree") -> PointCloud:
-    """Remove points whose voxel is occupied in the (inflated) background map."""
+    """Remove points whose voxel is occupied in the (inflated) background map.
+
+    The map holds only voxels inside its bounds box, so a point outside the
+    box is always kept, even where the static scene continues beyond it.
+    """
     if not len(cloud):
         return cloud.select(np.zeros(0, dtype=bool))
     return cloud.select(~octree.contains_points(cloud.xyz))

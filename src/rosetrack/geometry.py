@@ -28,43 +28,26 @@ class FrameMismatchError(ValueError):
 
 @dataclass
 class PointCloud:
-    """A batch of timed returns covering one integration window.
-
-    Point i is row i of the parallel arrays: emission time ``t[i]``,
-    position ``xyz[i]`` and intensity ``intensity[i]``.
-    """
+    """The returns of one frame: row i of ``xyz`` is point i, in meters."""
 
     frame_id: Frame
-    t: np.ndarray          # (n,) emission times, seconds
-    xyz: np.ndarray        # (n, 3) coordinates, meters
-    intensity: np.ndarray  # (n,) in [0, 1]
-    t_start: float
-    t_end: float
+    xyz: np.ndarray  # (n, 3)
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
         self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
-        self.intensity = np.asarray(self.intensity, dtype=float)
-        if self.t_start > self.t_end:
-            raise ValueError("t_start must not exceed t_end")
-        if len(self.t) != len(self.xyz) or len(self.t) != len(self.intensity):
-            raise ValueError("t, xyz, intensity must have equal lengths")
-        if len(self.t) and (self.t.min() < self.t_start - 1e-12 or self.t.max() > self.t_end + 1e-12):
-            raise ValueError("point timestamps must lie within [t_start, t_end]")
-        if len(self.xyz) and not np.all(np.isfinite(self.xyz)):
+        if not np.all(np.isfinite(self.xyz)):
             raise ValueError("point coordinates must be finite")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.xyz)
 
     @classmethod
-    def empty(cls, frame_id: Frame, t_start: float, t_end: float) -> "PointCloud":
-        return cls(frame_id, np.empty(0), np.empty((0, 3)), np.empty(0), t_start, t_end)
+    def empty(cls, frame_id: Frame) -> "PointCloud":
+        return cls(frame_id, np.empty((0, 3)))
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        """New cloud keeping the masked points; order and window preserved."""
-        return PointCloud(self.frame_id, self.t[mask], self.xyz[mask],
-                          self.intensity[mask], self.t_start, self.t_end)
+        """New cloud keeping the masked points in order."""
+        return PointCloud(self.frame_id, self.xyz[mask])
 
 
 @dataclass(frozen=True)
@@ -110,12 +93,10 @@ def pan_tilt_to_rotation(pose: PanTiltPose) -> np.ndarray:
 def transform_cloud(cloud: PointCloud, pose: SensorPose) -> PointCloud:
     """Transform a sensor-frame cloud into the world frame.
 
-    Each point maps to R @ p + origin; timestamps, intensities, ordering
-    and point count are preserved.
+    Each point maps to R @ p + origin; ordering and point count are preserved.
     """
     if cloud.frame_id is not Frame.SENSOR:
         raise FrameMismatchError(f"expected a sensor-frame cloud, got {cloud.frame_id}")
     rot = pan_tilt_to_rotation(pose.orientation)
     xyz = cloud.xyz @ rot.T + np.asarray(pose.origin, dtype=float)
-    return PointCloud(Frame.WORLD, cloud.t.copy(), xyz, cloud.intensity.copy(),
-                      cloud.t_start, cloud.t_end)
+    return PointCloud(Frame.WORLD, xyz)

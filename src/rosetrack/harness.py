@@ -19,11 +19,11 @@ import numpy as np
 from .background import OccupancyOctree, build_background
 from .config import ScenarioConfig
 from .filters import preprocess_cloud
-from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
+from .geometry import Frame, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
 from .scene import ray_cast_arrays
 from .sensor import scan
-from .tracker import TrackStatus, estimate, init_filter, step
-from .turret import TurretMode, TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
+from .tracker import TrackStatus, init_filter, step
+from .turret import TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
 
 # A track only counts as *sustained* stable (for detection distance) if the
 # Stable status holds for at least this long; isolated one-tick dips into
@@ -106,7 +106,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
 
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
-    state = TurretState(pose=scan_mode_command(0.0, tparams), mode=TurretMode.INITIALIZATION, t=0.0)
+    state = TurretState(pose=scan_mode_command(0.0, tparams), t=0.0)
     n_bg = int(math.floor(tparams.scan_duration * config.lidar_rate + 1e-9))
     bg_scans = []
     for k in range(n_bg):
@@ -118,7 +118,6 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
 
     # --- tracking phase ----------------------------------------------------
-    state = TurretState(pose=state.pose, mode=TurretMode.TRACKING, t=state.t)
     track_rng = np.random.default_rng(scan_ss)
     pset = init_filter(config.tracker, np.random.default_rng(pf_ss))
     n_frames = int(math.floor(config.duration * config.lidar_rate + 1e-9))
@@ -149,7 +148,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             pending = [(dt, c) for dt, c in pending if dt > ev_t + 1e-12]
             delivered = None
             if ready:
-                delivered = ready[0] if len(ready) == 1 else _merge_clouds(ready)
+                delivered = ready[0] if len(ready) == 1 else PointCloud(
+                    Frame.WORLD, np.vstack([c.xyz for c in ready]))
                 delivered = preprocess_cloud(delivered, config.filters, scene.ground_z,
                                              octree, sensor_origin=origin)
             pset, est = step(pset, delivered, ev_t, config.tracker)
@@ -167,17 +167,6 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     else:
         metrics = MetricsReport()
     return RunResult(track, truth, scans, metrics, octree)
-
-
-def _merge_clouds(clouds: list[PointCloud]) -> PointCloud:
-    return PointCloud(
-        clouds[0].frame_id,
-        np.concatenate([c.t for c in clouds]),
-        np.vstack([c.xyz for c in clouds]),
-        np.concatenate([c.intensity for c in clouds]),
-        min(c.t_start for c in clouds),
-        max(c.t_end for c in clouds),
-    )
 
 
 def _stats(err: np.ndarray):
@@ -378,7 +367,13 @@ def _read_log(path, dtype: np.dtype) -> np.ndarray:
 
 
 def read_track_log(path) -> np.ndarray:
-    return _read_log(path, TRACK_DTYPE)
+    log = _read_log(path, TRACK_DTYPE)
+    names = [s.value for s in TrackStatus]
+    bad = ~np.isin(log["status"], names)
+    if np.any(bad):
+        raise ValueError(f"{path}: column status: {str(log['status'][bad][0])!r} is not one of "
+                         f"{', '.join(names)}")
+    return log
 
 
 def read_truth_log(path) -> np.ndarray:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Frame, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation
+from .geometry import Frame, PointCloud, SensorPose, pan_tilt_to_rotation
 from .scene import Scene, ray_cast_arrays, return_probability_arrays
 
 
@@ -164,7 +164,6 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     if t0 < 0:
         raise ValueError("frame start time must be >= 0")
     n = _rays_per_frame(params)
-    t_end = t0 + params.integration_time
     offsets = np.arange(n) * (params.integration_time / n)
     dirs_sensor = _frame_directions(params, t0, offsets)
 
@@ -176,18 +175,16 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     ranges, surf = ray_cast_arrays(scene, origin, dirs_world, times, include_target)
     hit = (surf >= 0) & (ranges <= params.range_max)
     kept = np.nonzero(hit)[0]
-    p = np.empty(0)
     if len(kept):
         p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)
-        keep = rng.random(len(kept)) < p
-        kept, p = kept[keep], p[keep]
+        kept = kept[rng.random(len(kept)) < p]
     if len(kept) == 0:
-        cloud = PointCloud.empty(Frame.SENSOR, t0, t_end)
+        cloud = PointCloud.empty(Frame.SENSOR)
         return (cloud, np.empty(0, dtype=np.int8)) if return_surfaces else cloud
 
     r = ranges[kept]
     if params.range_noise_sigma > 0:
         r = r + rng.normal(0.0, params.range_noise_sigma, len(kept))
     xyz = dirs_sensor[kept] * r[:, None]
-    cloud = PointCloud(Frame.SENSOR, times[kept], xyz, p, t0, t_end)
+    cloud = PointCloud(Frame.SENSOR, xyz)
     return (cloud, surf[kept]) if return_surfaces else cloud

@@ -4,7 +4,6 @@ estimate-centering commands while tracking, and rate-limited dynamics.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -12,11 +11,6 @@ import numpy as np
 
 from .geometry import PanTiltPose
 from .tracker import TrackEstimate, TrackStatus
-
-
-class TurretMode(enum.Enum):
-    INITIALIZATION = "initialization"
-    TRACKING = "tracking"
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,6 @@ class TurretParams:
 @dataclass
 class TurretState:
     pose: PanTiltPose = field(default_factory=lambda: PanTiltPose(0.0, 0.0))
-    mode: TurretMode = TurretMode.INITIALIZATION
     t: float = 0.0
 
 
@@ -122,4 +115,4 @@ def step_dynamics(state: TurretState, command: PanTiltPose, dt: float,
         follow(state.pose.pan, command.pan, -math.pi, math.pi),
         follow(state.pose.tilt, command.tilt, -math.pi / 2, math.pi / 2),
     )
-    return TurretState(pose=pose, mode=state.mode, t=state.t + dt)
+    return TurretState(pose=pose, t=state.t + dt)

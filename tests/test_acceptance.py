@@ -37,11 +37,8 @@ def criterion(num, description, ok, detail):
     assert ok, line
 
 
-def world_cloud(xyz, rng=None):
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    n = len(xyz)
-    return PointCloud(Frame.WORLD, np.linspace(0, 0.1, n) if n else np.empty(0),
-                      xyz, np.zeros(n), 0.0, 0.1)
+def world_cloud(xyz):
+    return PointCloud(Frame.WORLD, xyz)
 
 
 def run(config_name, overrides=()):

@@ -1,5 +1,4 @@
 import math
-import struct
 import time
 
 import numpy as np
@@ -8,19 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from rosetrack.background import (BackgroundBuildParams, OccupancyOctree, build_background,
-                                  inflate, insert_cloud)
+from rosetrack.background import BackgroundBuildParams, OccupancyOctree, build_background, inflate
 from rosetrack.filters import FilterParams
-from rosetrack.geometry import Frame, PanTiltPose, PointCloud, SensorPose
-from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
+from rosetrack.geometry import SensorPose
+from rosetrack.scene import Box, Scene, WeatherModel
 from rosetrack.sensor import RosetteParams, scan
 from rosetrack.turret import TurretParams, scan_mode_command
-
-
-def world_cloud(xyz):
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    n = len(xyz)
-    return PointCloud(Frame.WORLD, np.zeros(n), xyz, np.zeros(n), 0.0, 0.1)
 
 
 def fresh_octree(resolution=0.1, lo=(-5, -5, -5), hi=(5, 5, 5)):
@@ -30,41 +22,35 @@ def fresh_octree(resolution=0.1, lo=(-5, -5, -5), hi=(5, 5, 5)):
 class TestInsertAndQuery:
     def test_empty_cloud_is_noop(self):
         octree = fresh_octree()
-        insert_cloud(octree, world_cloud(np.empty((0, 3))))
+        octree.insert_points(np.empty((0, 3)))
         assert len(octree) == 0
 
     def test_single_point_voxel_index(self):
         octree = fresh_octree(resolution=0.1)
-        insert_cloud(octree, world_cloud([[1.05, 2.03, 0.98]]))
+        octree.insert_points([[1.05, 2.03, 0.98]])
         assert len(octree) == 1
         assert octree.occupied_indices().tolist() == [[10, 20, 9]]
 
     def test_insert_query_round_trip(self):
         octree = fresh_octree()
         assert not octree.contains_points((0.33, 0.33, 0.33))[0]
-        insert_cloud(octree, world_cloud([[0.33, 0.33, 0.33]]))
+        octree.insert_points([[0.33, 0.33, 0.33]])
         assert octree.contains_points((0.33, 0.33, 0.33))[0]
         assert octree.contains_points((0.39, 0.31, 0.36))[0]  # same voxel
         assert not octree.contains_points((0.45, 0.33, 0.33))[0]  # neighbor voxel
 
     def test_out_of_bounds_points_skipped(self):
         octree = fresh_octree(lo=(0, 0, 0), hi=(1, 1, 1))
-        insert_cloud(octree, world_cloud([[5.0, 5.0, 5.0], [0.5, 0.5, 0.5]]))
+        octree.insert_points([[5.0, 5.0, 5.0], [0.5, 0.5, 0.5]])
         assert len(octree) == 1
         assert not octree.contains_points((5.0, 5.0, 5.0))[0]
 
     def test_idempotent_for_repeated_points(self):
         octree = fresh_octree()
-        cloud = world_cloud([[1.0, 1.0, 1.0]] * 7)
-        insert_cloud(octree, cloud)
-        insert_cloud(octree, cloud)
+        pts = [[1.0, 1.0, 1.0]] * 7
+        octree.insert_points(pts)
+        octree.insert_points(pts)
         assert len(octree) == 1
-
-    def test_rejects_sensor_frame_cloud(self):
-        octree = fresh_octree()
-        bad = PointCloud(Frame.SENSOR, np.zeros(1), np.zeros((1, 3)), np.zeros(1), 0.0, 0.1)
-        with pytest.raises(ValueError):
-            insert_cloud(octree, bad)
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
@@ -72,7 +58,7 @@ class TestInsertAndQuery:
         rng = np.random.default_rng(seed)
         octree = fresh_octree(resolution=0.25)
         pts = rng.uniform(-4.9, 4.9, (1000, 3))
-        insert_cloud(octree, world_cloud(pts))
+        octree.insert_points(pts)
         oracle = {tuple(v) for v in np.floor(pts / 0.25).astype(int).tolist()}
         queries = np.vstack([pts[:200], rng.uniform(-4.9, 4.9, (300, 3))])
         got = octree.contains_points(queries)
@@ -83,9 +69,9 @@ class TestInsertAndQuery:
     def test_monotonicity_of_insert(self):
         octree = fresh_octree()
         rng = np.random.default_rng(0)
-        insert_cloud(octree, world_cloud(rng.uniform(-4, 4, (100, 3))))
+        octree.insert_points(rng.uniform(-4, 4, (100, 3)))
         before = set(map(tuple, octree.occupied_indices().tolist()))
-        insert_cloud(octree, world_cloud(rng.uniform(-4, 4, (100, 3))))
+        octree.insert_points(rng.uniform(-4, 4, (100, 3)))
         after = set(map(tuple, octree.occupied_indices().tolist()))
         assert before <= after
 
@@ -93,19 +79,19 @@ class TestInsertAndQuery:
 class TestInflate:
     def test_radius_zero_is_identity(self):
         octree = fresh_octree()
-        insert_cloud(octree, world_cloud([[0.5, 0.5, 0.5], [2.0, 2.0, 2.0]]))
+        octree.insert_points([[0.5, 0.5, 0.5], [2.0, 2.0, 2.0]])
         out = inflate(octree, 0)
         assert np.array_equal(out.occupied_indices(), octree.occupied_indices())
 
     def test_single_voxel_inflates_to_27(self):
         octree = fresh_octree()
-        insert_cloud(octree, world_cloud([[0.55, 0.55, 0.55]]))
+        octree.insert_points([[0.55, 0.55, 0.55]])
         out = inflate(octree, 1)
         assert len(out) == 27
 
     def test_neighbor_query_after_inflation(self):
         octree = fresh_octree(resolution=0.1)
-        insert_cloud(octree, world_cloud([[1.0, 1.0, 1.0]]))
+        octree.insert_points([[1.0, 1.0, 1.0]])
         out = inflate(octree, 1)
         assert out.contains_points((1.0 + 0.1, 1.0, 1.0))[0]
         assert not out.contains_points((1.0 + 0.25, 1.0, 1.0))[0]
@@ -116,7 +102,7 @@ class TestInflate:
         rng = np.random.default_rng(seed)
         octree = OccupancyOctree(1.0, (0, 0, 0), (19.999, 19.999, 19.999))
         pts = rng.uniform(0.0, 19.95, (40, 3))
-        insert_cloud(octree, world_cloud(pts))
+        octree.insert_points(pts)
         out = inflate(octree, radius)
         grid = np.zeros((20, 20, 20), dtype=bool)
         for i, j, k in octree.occupied_indices():
@@ -132,65 +118,23 @@ class TestInflate:
     def test_composition_property(self, a, b, seed):
         rng = np.random.default_rng(seed)
         octree = fresh_octree(resolution=0.5)
-        insert_cloud(octree, world_cloud(rng.uniform(-4.5, 4.5, (30, 3))))
+        octree.insert_points(rng.uniform(-4.5, 4.5, (30, 3)))
         lhs = inflate(inflate(octree, a), b)
         rhs = inflate(octree, a + b)
         assert np.array_equal(lhs.occupied_indices(), rhs.occupied_indices())
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        octree = fresh_octree(resolution=0.07)
-        rng = np.random.default_rng(11)
-        insert_cloud(octree, world_cloud(rng.uniform(-4.9, 4.9, (500, 3))))
-        path = tmp_path / "bg.bin"
-        octree.save(path)
-        loaded = OccupancyOctree.load(path)
-        assert loaded.resolution == octree.resolution
-        assert np.array_equal(loaded.lo, octree.lo) and np.array_equal(loaded.hi, octree.hi)
-        assert np.array_equal(loaded.occupied_indices(), octree.occupied_indices())
-        assert loaded.to_bytes() == octree.to_bytes()
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            OccupancyOctree.from_bytes(b"NOPE" + b"\x00" * 80)
-
-    @staticmethod
-    def blob_3x3x3(keys):
-        # unit voxels over [0, 2.5]^3: dims 3 x 3 x 3, packed keys 0..26
-        header = struct.pack("<4sI7dQ", b"ROCT", 1, 1.0, 0.0, 0.0, 0.0, 2.5, 2.5, 2.5, len(keys))
-        return header + np.asarray(keys, dtype="<i8").tobytes()
-
-    def test_blob_shorter_than_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            OccupancyOctree.from_bytes(b"ROCT")
-        with pytest.raises(ValueError, match="header"):
-            OccupancyOctree.from_bytes(self.blob_3x3x3([])[:-1])
-
-    def test_truncated_keys_rejected(self):
-        with pytest.raises(ValueError, match="truncated"):
-            OccupancyOctree.from_bytes(self.blob_3x3x3([1, 2])[:-3])
-
-    @pytest.mark.parametrize("key", [10**6, 27, -1])
-    def test_key_outside_map_rejected(self, key):
-        with pytest.raises(ValueError, match="outside"):
-            OccupancyOctree.from_bytes(self.blob_3x3x3([0, key]))
-
-    @pytest.mark.parametrize("field, value", [(2, math.nan), (2, math.inf), (3, math.nan),
-                                              (6, math.inf)])
-    def test_non_finite_resolution_or_bounds_rejected(self, field, value):
-        blob = bytearray(self.blob_3x3x3([0]))
-        struct.pack_into("<d", blob, 8 + 8 * (field - 2), value)  # after magic and version
+class TestConstruction:
+    # resolution 1.0 over [0, 2.5]^3, with one value made non-finite
+    @pytest.mark.parametrize("resolution, lo, hi", [
+        (math.nan, (0.0, 0.0, 0.0), (2.5, 2.5, 2.5)),
+        (math.inf, (0.0, 0.0, 0.0), (2.5, 2.5, 2.5)),
+        (1.0, (math.nan, 0.0, 0.0), (2.5, 2.5, 2.5)),
+        (1.0, (0.0, 0.0, 0.0), (math.inf, 2.5, 2.5)),
+    ], ids=["res-nan", "res-inf", "lo-nan", "hi-inf"])
+    def test_non_finite_resolution_or_bounds_rejected(self, resolution, lo, hi):
         with pytest.raises(ValueError, match="finite"):
-            OccupancyOctree.from_bytes(bytes(blob))
-
-    def test_unsorted_and_duplicate_keys_normalised(self):
-        octree = OccupancyOctree.from_bytes(self.blob_3x3x3([26, 5, 0, 5]))
-        assert len(octree) == 3
-        assert octree.occupied_indices().tolist() == [[0, 0, 0], [0, 1, 2], [2, 2, 2]]
-        queries = np.array([[0.5, 0.5, 0.5], [0.5, 1.5, 2.5], [2.5, 2.5, 2.5], [1.5, 1.5, 1.5]])
-        assert octree.contains_points(queries).tolist() == [True, True, True, False]
-        assert octree.to_bytes() == self.blob_3x3x3([0, 5, 26])
+            OccupancyOctree(resolution, lo, hi)
 
 
 class TestBuildBackground:

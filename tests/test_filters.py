@@ -3,17 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.background import OccupancyOctree, inflate, insert_cloud
+from rosetrack.background import OccupancyOctree, inflate
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
                                range_filter, statistical_outlier_removal, subtract_background)
 from rosetrack.geometry import Frame, PointCloud
 
 
 def world_cloud(xyz):
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    n = len(xyz)
-    return PointCloud(Frame.WORLD, np.linspace(0, 0.1, n) if n else np.empty(0),
-                      xyz, np.zeros(n), 0.0, 0.1)
+    return PointCloud(Frame.WORLD, xyz)
 
 
 def kept_ids(cloud, out):
@@ -47,7 +44,7 @@ class TestRangeFilter:
         assert kept_ids(cloud, out) == want
 
     def test_requires_world_frame(self):
-        bad = PointCloud(Frame.SENSOR, np.zeros(1), np.ones((1, 3)), np.zeros(1), 0.0, 0.1)
+        bad = PointCloud(Frame.SENSOR, np.ones((1, 3)))
         with pytest.raises(ValueError):
             range_filter(bad, self.PARAMS, 0.0)
 
@@ -55,7 +52,7 @@ class TestRangeFilter:
 class TestSubtractBackground:
     def octree_with(self, pts, radius=0):
         octree = OccupancyOctree(0.1, (-5, -5, -5), (5, 5, 5))
-        insert_cloud(octree, world_cloud(pts))
+        octree.insert_points(pts)
         return inflate(octree, radius) if radius else octree
 
     def test_cloud_inside_occupied_voxels_vanishes(self):
@@ -81,6 +78,14 @@ class TestSubtractBackground:
         out = subtract_background(world_cloud(np.vstack([wall_noisy, target])), octree)
         assert len(out) >= 1
         assert np.all(out.xyz[:, 0] < 2.5)
+
+    def test_point_outside_map_bounds_is_kept(self):
+        # the map covers [-5, 5]^3: a static return at x = 6 was never
+        # inserted, so it passes subtraction while the in-bounds one does not
+        static = [[6.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+        octree = self.octree_with(static)
+        out = subtract_background(world_cloud(static), octree)
+        assert out.xyz.tolist() == [[6.0, 0.0, 1.0]]
 
 
 class TestRadiusOutlierRemoval:
@@ -169,10 +174,9 @@ class TestChainProperties:
         pts = rng.uniform([-2, -2, 0], [8, 2, 3], (200, 3))
         cloud = world_cloud(pts)
         octree = OccupancyOctree(0.25, (-5, -5, -5), (10, 5, 5))
-        insert_cloud(octree, world_cloud(rng.uniform([-2, -2, 0], [8, 2, 3], (50, 3))))
+        octree.insert_points(rng.uniform([-2, -2, 0], [8, 2, 3], (50, 3)))
         out = preprocess_cloud(cloud, FilterParams(), ground_z=0.0, octree=octree)
         ids = kept_ids(cloud, out)
         assert ids == sorted(ids)
         idx = np.array(ids, dtype=int)
         assert np.array_equal(out.xyz, cloud.xyz[idx])
-        assert np.array_equal(out.t, cloud.t[idx])

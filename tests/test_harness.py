@@ -196,6 +196,10 @@ class TestExportCsv:
     @pytest.mark.parametrize("reader, header, row, column", [
         (read_track_log, "t,est_x,est_y,est_z,sigma_particles,status,pan,tilt",
          "0,4,-1,1.2,0.05,stabilized,0,0", "status"),   # wider than any TrackStatus
+        (read_track_log, "t,est_x,est_y,est_z,sigma_particles,status,pan,tilt",
+         "0,4,-1,1.2,0.05,banana,0,0", "status"),       # not a TrackStatus
+        (read_track_log, "t,est_x,est_y,est_z,sigma_particles,status,pan,tilt",
+         "0,4,-1,1.2,0.05,,0,0", "status"),             # empty
         (read_scan_log, "t,n_points,target_range", "0,99999999999999999999,5", "n_points"),
         (read_truth_log, "t,x,y,z,speed", "0,4,abc,1.2,0", "y"),
     ])

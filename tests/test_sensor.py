@@ -123,15 +123,13 @@ class TestScan:
         assert len(cloud) == 0
         assert cloud.frame_id is Frame.SENSOR
 
-    def test_ray_count_and_window(self):
+    def test_ray_count_bound(self):
         p = RosetteParams(point_rate=5000, integration_time=0.1)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
         cloud = scan(scene, SensorPose((0, 0, 0)), 0.5, p,
                      np.random.default_rng(0))
-        assert cloud.t_start == 0.5 and cloud.t_end == 0.6
         assert len(cloud) <= int(p.point_rate * p.integration_time)
-        assert cloud.t.min() >= 0.5 and cloud.t.max() <= 0.6
 
     def test_ray_count_not_truncated_by_float_error(self):
         # 100 * 0.29 == 28.999999999999996 in floating point; the frame still
@@ -188,7 +186,7 @@ class TestScan:
         pose = SensorPose((0, 0, 1.0))
         a = scan(scene, pose, 0.2, p, np.random.default_rng(123))
         b = scan(scene, pose, 0.2, p, np.random.default_rng(123))
-        assert np.array_equal(a.xyz, b.xyz) and np.array_equal(a.t, b.t)
+        assert np.array_equal(a.xyz, b.xyz)
 
     def test_range_noise_perturbs_along_ray(self):
         p = RosetteParams(point_rate=20000, range_noise_sigma=0.05, range_max=100.0)

@@ -14,9 +14,7 @@ PARAMS = TrackerParams()
 
 
 def cloud_at(points):
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    return PointCloud(Frame.WORLD, np.zeros(n), pts, np.zeros(n), 0.0, 0.1)
+    return PointCloud(Frame.WORLD, points)
 
 
 EMPTY = cloud_at(np.empty((0, 3)))

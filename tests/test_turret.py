@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rosetrack.geometry import PanTiltPose, pan_tilt_to_rotation
 from rosetrack.tracker import TrackEstimate, TrackStatus
-from rosetrack.turret import (TurretMode, TurretParams, TurretState, scan_mode_command,
+from rosetrack.turret import (TurretParams, TurretState, scan_mode_command,
                               step_dynamics, tracking_command)
 
 PARAMS = TurretParams(scan_pan_min=-0.6, scan_pan_max=0.6,
@@ -77,18 +77,18 @@ def est_at(position, status=TrackStatus.STABLE):
 
 class TestTrackingCommand:
     def test_centered_target_holds_pose(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         cmd = tracking_command(state, est_at((10.0, 0.0, 0.0)), (0, 0, 0), PARAMS)
         assert cmd == state.pose
 
     def test_diagonal_target_geometry(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         cmd = tracking_command(state, est_at((10.0, 10.0, 0.0)), (0, 0, 0), PARAMS)
         assert cmd.pan == pytest.approx(math.pi / 4)
         assert cmd.tilt == pytest.approx(0.0)
 
     def test_forty_five_degree_tilt_round_trips_through_rotation(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         cmd = tracking_command(state, est_at((3.0, 0.0, 3.0)), (0, 0, 0), PARAMS)
         assert cmd.tilt == pytest.approx(math.pi / 4)
         # forward kinematics: the commanded boresight passes through the target
@@ -97,7 +97,7 @@ class TestTrackingCommand:
         assert np.allclose(boresight, target_dir, atol=1e-12)
 
     def test_deadband_requires_both_axes_small(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         small = math.radians(0.2)
         big = math.radians(2.0)
         near = est_at((10.0, 10.0 * math.tan(small), 0.0))
@@ -106,21 +106,21 @@ class TestTrackingCommand:
         assert tracking_command(state, far, (0, 0, 0), PARAMS) != state.pose
 
     def test_deadband_idempotent(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         est = est_at((8.0, 1.5, 0.5))
         cmd1 = tracking_command(state, est, (0, 0, 0), PARAMS)
-        state2 = TurretState(cmd1, TurretMode.TRACKING, 0.1)
+        state2 = TurretState(cmd1, 0.1)
         cmd2 = tracking_command(state2, est, (0, 0, 0), PARAMS)
         assert cmd2 == cmd1
 
     def test_gimbal_singularity_straight_above(self):
-        state = TurretState(PanTiltPose(0.7, 0.1), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.7, 0.1), 0.0)
         cmd = tracking_command(state, est_at((0.0, 0.0, 5.0)), (0, 0, 0), PARAMS)
         assert cmd.pan == 0.7
         assert cmd.tilt == pytest.approx(math.pi / 2)
 
     def test_lost_estimate_rejected(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             tracking_command(state, est_at((5, 0, 0), TrackStatus.LOST), (0, 0, 0), PARAMS)
 
@@ -137,14 +137,14 @@ def follower_oracle(start, commands, dt, rate):
 
 class TestStepDynamics:
     def test_holding_at_command(self):
-        state = TurretState(PanTiltPose(0.3, 0.1), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.3, 0.1), 0.0)
         out = step_dynamics(state, state.pose, 0.1, PARAMS)
         assert out.pose == state.pose
         assert out.t == pytest.approx(0.1)
 
     def test_rate_limit_exactness(self):
         params = TurretParams(max_slew_rate=1.0)
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         out = step_dynamics(state, PanTiltPose(0.5, 0.0), 0.1, params)
         assert out.pose.pan == pytest.approx(0.1)
         out2 = step_dynamics(out, PanTiltPose(0.12, 0.0), 0.1, params)
@@ -155,7 +155,7 @@ class TestStepDynamics:
         dt = 1.0 / 50.0
         ts = np.arange(0, 4.0, dt)
         commands = 0.5 * np.sin(2 * math.pi * 0.7 * ts)
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         got = []
         for c in commands:
             state = step_dynamics(state, PanTiltPose(float(c), 0.0), dt, params)
@@ -168,18 +168,25 @@ class TestStepDynamics:
     @settings(max_examples=150)
     def test_slew_bound_per_step(self, pan0, cmd, dt, rate):
         params = TurretParams(max_slew_rate=rate)
-        state = TurretState(PanTiltPose(pan0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(pan0, 0.0), 0.0)
         out = step_dynamics(state, PanTiltPose(cmd, 0.0), dt, params)
         assert abs(out.pose.pan - pan0) <= rate * dt + 1e-12
 
     def test_pose_limits_clamped(self):
         params = TurretParams(max_slew_rate=100.0)
-        state = TurretState(PanTiltPose(0.0, 1.5), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 1.5), 0.0)
         out = step_dynamics(state, PanTiltPose(0.0, math.pi / 2), 1.0, params)
         assert out.pose.tilt <= math.pi / 2
 
+    def test_hard_stop_slews_the_long_way_round(self):
+        # pan does not wrap: from 3.0 toward -3.0 the turret turns down through
+        # 0, about 6 rad and 2 s at pi rad/s, not 0.28 rad up across +-pi
+        state = TurretState(PanTiltPose(3.0, 0.0), 0.0)
+        out = step_dynamics(state, PanTiltPose(-3.0, 0.0), 0.1, PARAMS)
+        assert out.pose.pan == pytest.approx(3.0 - PARAMS.max_slew_rate * 0.1)
+
     def test_rejects_non_positive_dt(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), TurretMode.TRACKING, 0.0)
+        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             step_dynamics(state, state.pose, 0.0, PARAMS)
 
