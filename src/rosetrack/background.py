@@ -44,8 +44,12 @@ class OccupancyOctree:
     # -- indexing ---------------------------------------------------------
 
     def voxel_indices(self, pts: np.ndarray) -> np.ndarray:
-        """(n, 3) absolute voxel indices of the given world points."""
-        return np.floor(np.asarray(pts, dtype=float).reshape(-1, 3) / self.resolution).astype(np.int64)
+        """(n, 3) absolute voxel indices of the given world points: an
+        (n, 3) array or a single (3,) point."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1:] != (3,):
+            raise ValueError(f"points need a last axis of 3, got shape {pts.shape}")
+        return np.floor(pts.reshape(-1, 3) / self.resolution).astype(np.int64)
 
     def _in_bounds(self, idx: np.ndarray) -> np.ndarray:
         rel = idx - self._ilo
@@ -77,10 +81,9 @@ class OccupancyOctree:
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorised occupancy query; (n,) bool for world points."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         idx = self.voxel_indices(pts)
         ok = self._in_bounds(idx)
-        out = np.zeros(len(pts), dtype=bool)
+        out = np.zeros(len(idx), dtype=bool)
         if np.any(ok) and len(self._keys):
             keys = self._pack(idx[ok])
             pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)

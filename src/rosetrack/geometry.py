@@ -34,7 +34,10 @@ class PointCloud:
     xyz: np.ndarray  # (n, 3)
 
     def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
+        xyz = np.asarray(self.xyz, dtype=float)
+        if xyz.shape[-1:] != (3,):
+            raise ValueError(f"point coordinates need a last axis of 3, got shape {xyz.shape}")
+        self.xyz = xyz.reshape(-1, 3)
         if not np.all(np.isfinite(self.xyz)):
             raise ValueError("point coordinates must be finite")
 

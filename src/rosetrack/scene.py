@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = 1e-9
+# Rays per block of ray_cast_arrays. A block's temporaries (32 KB per axis
+# row) stay in cache and below the allocator's mmap threshold, so they are
+# reused from its free lists; whole-frame temporaries were mapped and handed
+# back to the kernel on every frame, and their page faults cost more than
+# the arithmetic.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -196,49 +202,37 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     """Nearest intersection for a batch of rays sharing one origin.
 
     dirs is (n, 3) and each row must be a unit vector: the sphere test
-    measures range along the ray in units of |d|. times holds the n emission
-    times; the target sphere is evaluated at each ray's own time.
+    measures range along the ray in units of |d|. times is (n,) and holds
+    the emission times; the target sphere is evaluated at each ray's own
+    time. Any other shape raises ValueError.
     Returns (ranges, surfaces) where surfaces is int8 coded
     (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
 
-    Only rays inside the cone from the origin around a ball that holds the
-    target over the whole batch window get the per-ray trajectory lookup and
-    sphere test; the ball is padded so that rounding can only let extra rays
-    through, and every other ray misses the target exactly.
+    The rays are walked in blocks of _BLOCK: each block is transposed once
+    into a contiguous (3, m) array, and the ground and box slab tests run on
+    its axis rows, so every temporary stays block-sized. Only rays inside the
+    cone from the origin around a ball that holds the target over the whole
+    batch window get the per-ray trajectory lookup and sphere test, once over
+    the candidates of all blocks; the ball is padded so that rounding can
+    only let extra rays through, and every other ray misses the target
+    exactly.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
+    times = np.asarray(times, dtype=float)
     n = len(dirs)
+    if dirs.shape != (n, 3) or times.shape != (n,):
+        raise ValueError(f"ray_cast_arrays needs dirs (n, 3) and times (n,), "
+                         f"got {dirs.shape} and {times.shape}")
     best = np.full(n, np.inf)
     surf = np.full(n, -1, dtype=np.int8)
+    slabs = [(np.asarray(box.lo) - origin, np.asarray(box.hi) - origin)
+             for box in scene.obstacles]
+    ground = scene.ground_z - origin[2]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs  # +-inf on axis-parallel rays; the slab arithmetic stays exact
-
-    dz = dirs[:, 2]
-    tg = (scene.ground_z - origin[2]) * inv[:, 2]
-    hit = (dz != 0.0) & (tg > _EPS) & (tg < best)
-    best[hit] = tg[hit]
-    surf[hit] = 0
-
-    for box in scene.obstacles:
-        lo = np.asarray(box.lo) - origin
-        hi = np.asarray(box.hi) - origin
-        with np.errstate(invalid="ignore"):
-            t1 = lo[None, :] * inv
-            t2 = hi[None, :] * inv
-        near = np.fmin(t1, t2)
-        far = np.fmax(t1, t2)
-        tmin = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
-        tmax = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
-        thit = np.where(tmin > _EPS, tmin, tmax)  # tmax covers an origin inside the box
-        hit = (tmax >= np.maximum(tmin, _EPS)) & (thit > _EPS) & (thit < best)
-        best[hit] = thit[hit]
-        surf[hit] = 1
-
-    if include_target and scene.target is not None and n:
+    target = include_target and scene.target is not None and n > 0
+    if target:
         traj = scene.target.trajectory
-        times = np.asarray(times, dtype=float)
         r = scene.target.diameter / 2.0
         centre, radius = traj.bounding_ball(times.min(), times.max())
         w = centre - origin
@@ -247,11 +241,44 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
         # padding far above the rounding of the cull and of the sphere test,
         # so that rounding can only add candidates, never drop a hit
         reach += 1e-6 * (1.0 + reach + dist + float(np.linalg.norm(origin)))
-        if dist > reach:
-            dw = dirs @ w
-            cand = np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach))
-        else:  # the origin is inside the ball: any ray can hit
-            cand = np.arange(n)
+        culled = dist > reach  # else the origin is inside the ball: any ray can hit
+    cands = []
+
+    for s in range(0, n, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        rows = np.ascontiguousarray(dirs[blk].T)  # (3, m): one row per axis
+        blk_best = best[blk]
+        blk_surf = surf[blk]
+        # inv is +-inf on axis-parallel rays, and 0 * inf is NaN where the
+        # origin lies on a slab plane; the fmin / fmax / maximum chain keeps
+        # the slab arithmetic exact
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / rows
+            tg = ground * inv[2]
+            hit = (rows[2] != 0.0) & (tg > _EPS) & (tg < blk_best)
+            blk_best[hit] = tg[hit]
+            blk_surf[hit] = 0
+
+            for lo, hi in slabs:
+                near, far = [], []
+                for k in range(3):
+                    t1 = lo[k] * inv[k]
+                    t2 = hi[k] * inv[k]
+                    near.append(np.fmin(t1, t2))
+                    far.append(np.fmax(t1, t2))
+                tmin = np.maximum(np.maximum(near[0], near[1]), near[2])
+                tmax = np.minimum(np.minimum(far[0], far[1]), far[2])
+                thit = np.where(tmin > _EPS, tmin, tmax)  # tmax covers an origin inside the box
+                hit = (tmax >= np.maximum(tmin, _EPS)) & (thit > _EPS) & (thit < blk_best)
+                blk_best[hit] = thit[hit]
+                blk_surf[hit] = 1
+
+        if target and culled:
+            dw = dirs[blk] @ w
+            cands.append(s + np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach)))
+
+    if target:
+        cand = np.concatenate(cands) if culled else np.arange(n)
         oc = origin[None, :] - traj.position(times[cand])
         d = dirs[cand]
         b = np.einsum("ij,ij->i", oc, d)

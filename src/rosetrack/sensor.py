@@ -129,7 +129,8 @@ def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
 
 
 # Pattern directions repeat with the pattern period, so frames whose start
-# times share a phase reuse one precomputed direction block.
+# times share a phase reuse one precomputed direction block. Every frame at
+# that phase gets the same array, so the blocks are stored read-only.
 _DIR_CACHE: dict[tuple, np.ndarray] = {}
 _DIR_CACHE_MAX = 32
 
@@ -143,6 +144,7 @@ def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
     dirs = _DIR_CACHE.get(key)
     if dirs is None:
         dirs = params.directions(phase + offsets)
+        dirs.flags.writeable = False
         if len(_DIR_CACHE) >= _DIR_CACHE_MAX:
             _DIR_CACHE.clear()
         _DIR_CACHE[key] = dirs

@@ -39,6 +39,14 @@ class TestInsertAndQuery:
         assert octree.contains_points((0.39, 0.31, 0.36))[0]  # same voxel
         assert not octree.contains_points((0.45, 0.33, 0.33))[0]  # neighbor voxel
 
+    def test_last_axis_must_be_three(self):
+        octree = fresh_octree()
+        with pytest.raises(ValueError, match="last axis"):
+            octree.contains_points(np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="last axis"):
+            octree.insert_points(np.zeros((6, 2)))
+        assert octree.voxel_indices((0.33, 0.33, 0.33)).tolist() == [[3, 3, 3]]
+
     def test_out_of_bounds_points_skipped(self):
         octree = fresh_octree(lo=(0, 0, 0), hi=(1, 1, 1))
         octree.insert_points([[5.0, 5.0, 5.0], [0.5, 0.5, 0.5]])

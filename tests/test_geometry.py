@@ -120,6 +120,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             PointCloud(Frame.SENSOR, [[math.nan, 0.0, 0.0]])
 
+    def test_last_axis_must_be_three(self):
+        with pytest.raises(ValueError, match="last axis"):
+            PointCloud(Frame.WORLD, np.zeros((6, 2)))
+        assert len(PointCloud(Frame.WORLD, np.zeros(3))) == 1
+
     def test_sensor_pose_requires_finite_origin(self):
         with pytest.raises(ValueError):
             SensorPose((math.inf, 0, 0))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.scene import (Box, Scene, TargetModel, Trajectory, WeatherModel, make_pattern,
-                             ray_cast_arrays, return_probability_arrays)
+from rosetrack.scene import (_BLOCK, Box, Scene, TargetModel, Trajectory, WeatherModel,
+                             make_pattern, ray_cast_arrays, return_probability_arrays)
 
 GROUND, OBSTACLE, TARGET = 0, 1, 2  # ray_cast_arrays surface codes; -1 is a miss
 
@@ -70,7 +70,7 @@ def unculled_ray_cast_arrays(scene, origin, dirs, times, include_target=True):
     surf = np.full(n, -1, dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / dirs
-    tg = (scene.ground_z - origin[2]) * inv[:, 2]
+        tg = (scene.ground_z - origin[2]) * inv[:, 2]  # NaN for a level ray at ground height
     hit = (dirs[:, 2] != 0.0) & (tg > eps) & (tg < best)
     best[hit] = tg[hit]
     surf[hit] = 0
@@ -252,6 +252,14 @@ class TestRayCast:
         else:
             assert abs(ranges[0] - want_range) < 1e-9
 
+    @pytest.mark.parametrize("dirs_shape, n_times", [((5, 3), 2), ((4, 3), 5), ((5, 2), 5)],
+                             ids=["5-rays-2-times", "4-rays-5-times", "2-column-dirs"])
+    def test_mismatched_shapes_rejected(self, dirs_shape, n_times):
+        dirs = np.zeros(dirs_shape)
+        dirs[:, 0] = 1.0
+        with pytest.raises(ValueError, match="dirs"):
+            ray_cast_arrays(Scene(0.0), np.zeros(3), dirs, np.zeros(n_times))
+
 
 class TestTargetConeCull:
     """ray_cast_arrays sphere-tests only the rays in the cone around the
@@ -296,6 +304,47 @@ class TestTargetConeCull:
         inside = r * rng.uniform(0.0, 1.0, n_rays)
         dirs = np.where((kind == 0)[:, None], rng.normal(size=(n_rays, 3)),
                         to_centre + perp * np.where(kind == 1, inside, grazing)[:, None])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+
+        got = ray_cast_arrays(scene, origin, dirs, times)
+        want = unculled_ray_cast_arrays(scene, origin, dirs, times)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("origin_inside", [False, True])
+    @pytest.mark.parametrize("n_rays", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @given(traj=trajectories(), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           n_boxes=st.integers(0, 3))
+    @settings(max_examples=3, deadline=None)
+    def test_matches_unculled_oracle_across_blocks(self, traj, data, seed, n_boxes,
+                                                    origin_inside, n_rays):
+        # batches that end inside, at and just past a block boundary, with
+        # direction components that are exactly 0.0 or -0.0 (1/d = +-inf)
+        # and box faces and ground through the origin (0 * inf = NaN)
+        rng = np.random.default_rng(seed)
+        t_lo, t_hi = data.draw(frame_windows(traj))
+        times = rng.uniform(t_lo, t_hi, n_rays)
+        diameter = 0.3
+        if origin_inside:
+            centre, radius = traj.bounding_ball(t_lo, t_hi)
+            origin = centre + rng.uniform(-1.0, 1.0, 3) * (radius + diameter / 2.0) / 2.0
+        else:
+            origin = rng.uniform([-8.0, -8.0, 0.5], [8.0, 8.0, 4.0])
+        boxes = []
+        for _ in range(n_boxes):
+            lo = rng.uniform([-8.0, -8.0, 0.0], [8.0, 8.0, 3.0])
+            on_plane = rng.random(3) < 0.5
+            lo[on_plane] = origin[on_plane]
+            boxes.append(Box(tuple(lo), tuple(lo + rng.uniform(0.2, 3.0, 3))))
+        ground_z = float(origin[2]) if rng.random() < 0.25 else float(rng.uniform(-1.0, 0.3))
+        scene = Scene(ground_z, boxes, TargetModel(diameter, 1.0, traj), WeatherModel())
+
+        aimed = rng.random(n_rays) < 0.5
+        dirs = np.where(aimed[:, None], traj.position(times) - origin, 0.0)
+        dirs += rng.normal(scale=np.where(aimed, 0.05, 1.0)[:, None], size=(n_rays, 3))
+        zeroed = rng.random((n_rays, 3)) < 0.3
+        dirs[zeroed] = np.where(rng.random(int(zeroed.sum())) < 0.5, 0.0, -0.0)
+        dirs[~dirs.any(axis=1), 2] = -1.0
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
         got = ray_cast_arrays(scene, origin, dirs, times)

@@ -74,6 +74,18 @@ class TestDirectionCache:
                                   - params.directions(t0 + offsets))) for t0 in starts)
         assert worst <= 1e-9
 
+    def test_cached_blocks_are_read_only(self):
+        # every frame at one phase shares the block: an in-place write must
+        # raise instead of changing the directions of later frames
+        params = RosetteParams()
+        offsets = np.arange(8) * (params.integration_time / 8)
+        dirs = _frame_directions(params, 0.0, offsets)
+        assert _frame_directions(params, params.period, offsets) is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            dirs *= 2.0
+
 
 class TestPatternDensity:
     def test_coverage_grows_over_successive_frames(self):
