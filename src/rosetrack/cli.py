@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import ConfigError, describe_schema, parse_config
 from .harness import (compute_metrics, export_csv, export_run, read_scan_log, read_track_log,
-                      read_truth_log, run_scenario)
+                      read_truth_log, run_many, run_scenario)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -91,13 +91,11 @@ def _sweep(args) -> int:
         raise ConfigError("config-value", "--values must list at least one value")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = args.out_dir / "sweep.csv"
+    seed = [f"run.seed={args.seed}"] if args.seed is not None else []
+    configs = [parse_config(args.config, list(args.override) + [f"{args.param}={value}"] + seed)
+               for value in values]
     rows = []
-    for value in values:
-        overrides = list(args.override) + [f"{args.param}={value}"]
-        if args.seed is not None:
-            overrides.append(f"run.seed={args.seed}")
-        config = parse_config(args.config, overrides)
-        result = run_scenario(config)
+    for value, result in zip(values, run_many(configs)):
         tag = value.replace("/", "_")
         export_run(result, args.out_dir / f"{args.param.replace('.', '_')}_{tag}")
         m = result.metrics

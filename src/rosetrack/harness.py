@@ -11,7 +11,10 @@ deterministic under the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +172,29 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     return RunResult(track, truth, scans, metrics, octree)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_many(configs) -> list[RunResult]:
+    """run_scenario on each config; the results come back in input order.
+
+    Runs overlap on min(len(configs), usable CPUs) spawned worker processes,
+    or run in this process when that is 1. Each run is seeded by its config
+    alone, so the results do not depend on where it ran, and an exception
+    raised by a run is raised here.
+    """
+    configs = list(configs)
+    workers = min(len(configs), _usable_cpus())
+    if workers <= 1:
+        return [run_scenario(config) for config in configs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(run_scenario, configs))
+
+
 def _stats(err: np.ndarray):
     if len(err) == 0:
         return math.nan, math.nan, math.nan
@@ -186,7 +212,6 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     if len(track) != len(truth):
         raise ValueError(f"track and truth logs must be aligned row for row "
                          f"({len(track)} vs {len(truth)} rows)")
-    static = replace(config.scene, target=None)
     origin = np.asarray(config.turret_origin, dtype=float)
     d = positions(truth) - origin
     dist = np.linalg.norm(d, axis=1)
@@ -203,7 +228,8 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     if fov_h is not None:
         in_fov &= np.abs(a_h) <= fov_h / 2.0
     ticks, u = ticks[in_fov], u[in_fov]
-    rng_hit, surf = ray_cast_arrays(static, origin, u, track["t"][ticks], include_target=False)
+    rng_hit, surf = ray_cast_arrays(config.scene, origin, u, track["t"][ticks],
+                                    include_target=False)
     out = np.zeros(len(track), dtype=bool)
     out[ticks] = ~((surf >= 0) & (rng_hit < dist[ticks] - config.scene.target.diameter / 2.0))
     return out

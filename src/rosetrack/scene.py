@@ -90,10 +90,6 @@ class Trajectory:
         self._b = np.vstack(ends)
         self.total_duration = t
 
-    @property
-    def start_position(self) -> np.ndarray:
-        return self._a[0].copy()
-
     def _phase(self, t_arr: np.ndarray) -> np.ndarray:
         """Index of the phase each time falls in; times before the first
         phase map to phase 0, which starts by holding the first waypoint.
@@ -108,11 +104,6 @@ class Trajectory:
         if len(t_arr) == 0:
             return np.empty((0, 3))
         idx = self._phase(t_arr)
-        lo_idx, hi_idx = int(idx.min()), int(idx.max())
-        if lo_idx == hi_idx and np.all(self._a[lo_idx] == self._b[lo_idx]):
-            # whole batch inside one hold phase (the common case while waiting)
-            pos = np.broadcast_to(self._a[lo_idx], (len(t_arr), 3))
-            return pos[0].copy() if np.isscalar(t) or np.ndim(t) == 0 else pos.copy()
         u = (t_arr - self._t0[idx]) / self._dur[idx]
         u = np.clip(np.nan_to_num(u, nan=0.0, posinf=1.0), 0.0, 1.0)
         s = 0.5 * (1.0 - np.cos(np.pi * u))
@@ -207,6 +198,11 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     time. Any other shape raises ValueError.
     Returns (ranges, surfaces) where surfaces is int8 coded
     (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
+
+    Box faces are open to rays that lie in their plane: a ray parallel to a
+    face (its component along that axis +0.0 or -0.0) whose origin lies
+    exactly on the face plane misses the box, on every face. A level ray
+    never hits the ground, whether or not it lies in the ground plane.
 
     The rays are walked in blocks of _BLOCK: each block is transposed once
     into a contiguous (3, m) array, and the ground and box slab tests run on

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live. The
-heavy criteria (1 and 5) run 100 seeded scenarios each; the whole module
-stays within a few minutes on a laptop.
+heavy criteria (1 and 5) run 100 seeded scenarios each; harness.run_many
+spreads every batch of runs over the usable CPUs, and the whole module stays
+within a few minutes on a laptop.
 """
 
 import math
@@ -18,7 +19,7 @@ from rosetrack.config import default_config, parse_config
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
                                statistical_outlier_removal)
 from rosetrack.geometry import Frame, PointCloud, SensorPose
-from rosetrack.harness import export_csv, positions, run_scenario, target_visibility
+from rosetrack.harness import export_csv, positions, run_many, run_scenario, target_visibility
 from rosetrack.scene import Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import RingScanParams, RosetteParams, scan
 from rosetrack.tracker import ParticleSet, TrackerParams, init_filter, step, systematic_indices
@@ -41,17 +42,17 @@ def world_cloud(xyz):
     return PointCloud(Frame.WORLD, xyz)
 
 
-def run(config_name, overrides=()):
-    return run_scenario(parse_config(CONFIG_DIR / config_name, list(overrides)))
+def config(config_name, overrides=()):
+    return parse_config(CONFIG_DIR / config_name, list(overrides))
 
 
 class TestCriterion01InitialLock:
     def test_initial_lock(self):
         passes = 0
         lock_fail = pre_fail = 0
-        for seed in range(100):
-            res = run("indoor_lock.cfg", [f"run.seed={seed}", "run.duration=2.8"])
-            cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg")
+        cfg = config("indoor_lock.cfg")
+        for res in run_many([config("indoor_lock.cfg", [f"run.seed={seed}", "run.duration=2.8"])
+                             for seed in range(100)]):
             tt = res.track["t"]
             sig = res.track["sigma_particles"]
             frame_t = res.scans["t"]
@@ -83,8 +84,8 @@ class TestCriterion01InitialLock:
 class TestCriterion02StaticAccuracy:
     def test_static_accuracy(self):
         worst_static, worst_gap = 0.0, math.inf
-        for seed in (0, 1):
-            m = run("indoor_vertical.cfg", [f"run.seed={seed}"]).metrics
+        for res in run_many([config("indoor_vertical.cfg", [f"run.seed={seed}"]) for seed in (0, 1)]):
+            m = res.metrics
             worst_static = max(worst_static, m.mean_error_stationary)
             worst_gap = min(worst_gap, m.mean_error_moving - m.mean_error_stationary)
         ok = worst_static <= 0.10 and worst_gap > 0
@@ -94,7 +95,7 @@ class TestCriterion02StaticAccuracy:
 
 class TestCriterion03DynamicError:
     def test_dynamic_error(self):
-        res = run("indoor_fast.cfg")
+        res = run_scenario(config("indoor_fast.cfg"))
         err = np.linalg.norm(positions(res.track) - positions(res.truth), axis=1)
         speed = res.truth["speed"]
         stable = res.track["status"] == "stable"
@@ -108,9 +109,9 @@ class TestCriterion03DynamicError:
 
 class TestCriterion04RmseParity:
     def test_rmse_parity(self):
-        rmse = {}
-        for name in ("indoor_vertical", "indoor_horizontal"):
-            rmse[name] = run(f"{name}.cfg").metrics.rmse
+        names = ("indoor_vertical", "indoor_horizontal")
+        rmse = {name: res.metrics.rmse
+                for name, res in zip(names, run_many([config(f"{name}.cfg") for name in names]))}
         ok = all(v <= 0.09 for v in rmse.values())
         criterion(4, "vertical/horizontal RMSE <= 0.09 m", ok,
                   ", ".join(f"{k} {v:.4f}" for k, v in rmse.items()))
@@ -122,8 +123,8 @@ class TestCriterion05LossAndRegain:
         passes = 0
         curves = []
         redetects = []
-        for seed in range(100):
-            res = run("lost_and_found.cfg", [f"run.seed={seed}", "run.duration=9.5"])
+        for res in run_many([config("lost_and_found.cfg", [f"run.seed={seed}", "run.duration=9.5"])
+                             for seed in range(100)]):
             tt = res.track["t"]
             sig = res.track["sigma_particles"]
             in_window = (tt >= window[0]) & (tt <= window[1])
@@ -143,10 +144,11 @@ class TestCriterion05LossAndRegain:
 
 class TestCriterion06DetectionDistance:
     def test_detection_distance_ordering(self):
-        clear, foggy = [], []
-        for seed in (0, 1, 2):
-            clear.append(run("outdoor_sweep_clear.cfg", [f"run.seed={seed}"]).metrics.detection_distance)
-            foggy.append(run("outdoor_sweep_foggy.cfg", [f"run.seed={seed}"]).metrics.detection_distance)
+        results = run_many([config(name, [f"run.seed={seed}"])
+                            for name in ("outdoor_sweep_clear.cfg", "outdoor_sweep_foggy.cfg")
+                            for seed in (0, 1, 2)])
+        distances = [res.metrics.detection_distance for res in results]
+        clear, foggy = distances[:3], distances[3:]
         ok = (all(100.0 <= v <= 150.0 for v in clear)
               and all(40.0 <= v <= 70.0 for v in foggy)
               and all(f < c for f, c in zip(foggy, clear)))
@@ -271,11 +273,14 @@ class TestCriterion09Determinism:
     def test_byte_identical_tracklogs(self, tmp_path):
         ok = True
         details = []
-        for name, overrides in (("indoor_lock.cfg", ["run.duration=2.0"]),
-                                ("indoor_fast.cfg", ["run.duration=3.0", "turret.scan_duration=2.0"])):
+        cases = (("indoor_lock.cfg", ["run.duration=2.0"]),
+                 ("indoor_fast.cfg", ["run.duration=3.0", "turret.scan_duration=2.0"]))
+        # each config twice; the two runs may land in two fresh worker processes
+        results = run_many([config(name, overrides) for name, overrides in cases for _ in range(2)])
+        for (name, _), first, second in zip(cases, results[0::2], results[1::2]):
             a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-            export_csv(run(name, overrides).track, a)
-            export_csv(run(name, overrides).track, b)
+            export_csv(first.track, a)
+            export_csv(second.track, b)
             same = a.read_bytes() == b.read_bytes()
             ok &= same
             details.append(f"{name}: {'identical' if same else 'DIFFER'}")

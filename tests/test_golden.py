@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from rosetrack.config import parse_config
-from rosetrack.harness import export_csv, run_scenario
+from rosetrack.harness import export_csv, run_many
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -22,9 +22,10 @@ NAMES = ("track", "truth", "scans", "metrics")
 
 def golden_lines(out_dir: Path) -> list[str]:
     """One ``sha256sum``-style line per CSV, configs in sorted order."""
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    results = run_many([parse_config(path, ["run.seed=0"]) for path in paths])
     lines = []
-    for path in sorted(CONFIG_DIR.glob("*.cfg")):
-        result = run_scenario(parse_config(path, ["run.seed=0"]))
+    for path, result in zip(paths, results):
         for name in NAMES:
             csv = out_dir / f"{path.stem}_{name}.csv"
             export_csv(getattr(result, name), csv)

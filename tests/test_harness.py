@@ -1,13 +1,16 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rosetrack.harness as harness
 from rosetrack.config import default_config, parse_config
 from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport,
-                               compute_metrics, export_csv, positions, read_scan_log,
-                               read_track_log, read_truth_log, run_scenario, target_visibility)
+                               compute_metrics, export_csv, export_run, positions, read_scan_log,
+                               read_track_log, read_truth_log, run_many, run_scenario,
+                               target_visibility)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -338,6 +341,76 @@ class TestRunScenario:
         half_fov = min(cfg.sensor.fov_h, cfg.sensor.fov_v) / 2
         assert np.max(offsets) < 0.15 * half_fov
         assert vis[settled].all()
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """Three short indoor_lock runs of different lengths through run_many,
+    once in this process (one usable CPU faked) and once on its worker pool
+    (two faked, so the pool runs on any host)."""
+    configs = [parse_config(CONFIG_DIR / "indoor_lock.cfg", [f"run.seed={seed}", f"run.duration={d}"])
+               for seed, d in ((0, 2.8), (1, 1.6), (2, 2.2))]
+    pools = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        mp.setattr(harness, "_usable_cpus", lambda: 1)
+        serial = run_many(configs)
+        assert pools == []
+        mp.setattr(harness, "_usable_cpus", lambda: 2)
+        pooled = run_many(configs)
+        assert pools == [2]
+    return configs, serial, pooled
+
+
+class TestRunMany:
+    def test_pool_gives_byte_equal_csvs_to_serial_runs(self, runs, tmp_path):
+        _, serial, pooled = runs
+        for k, (a, b) in enumerate(zip(serial, pooled)):
+            export_run(a, tmp_path / f"serial{k}")
+            export_run(b, tmp_path / f"pool{k}")
+            for name in ("track", "truth", "scans", "metrics"):
+                csv = f"{name}.csv"
+                assert (tmp_path / f"serial{k}" / csv).read_bytes() == \
+                    (tmp_path / f"pool{k}" / csv).read_bytes(), (k, csv)
+
+    def test_results_in_input_order(self, runs):
+        configs, serial, pooled = runs
+        ticks = [int(c.duration * c.filter_rate + 1e-9) for c in configs]
+        assert [len(r.track) for r in serial] == ticks
+        assert [len(r.track) for r in pooled] == ticks
+
+    def test_empty_list_returns_empty_list(self):
+        assert run_many([]) == []
+
+    def test_one_config_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one config")
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        cfg = default_config(QUICK)
+        [result] = run_many([cfg])
+        assert len(result.track) == int(2.0 * cfg.filter_rate)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(AttributeError):
+            run_many([None, None])
+
+    def test_usable_cpus_follows_affinity_then_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert harness._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
 
 
 class TestSpeedErrorCoupling:

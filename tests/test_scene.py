@@ -13,7 +13,9 @@ GROUND, OBSTACLE, TARGET = 0, 1, 2  # ray_cast_arrays surface codes; -1 is a mis
 
 def brute_force_ray_cast(scene, origin, direction, t):
     """Exhaustive intersection over all primitives (slab method for boxes);
-    (range, surface code) as ray_cast_arrays gives them, (inf, -1) on a miss."""
+    (range, surface code) as ray_cast_arrays gives them, (inf, -1) on a miss.
+    A ray parallel to a slab must start strictly inside it: box faces are
+    open to rays that lie in their plane."""
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
     best, surface = math.inf, -1
@@ -26,7 +28,7 @@ def brute_force_ray_cast(scene, origin, direction, t):
         ok = True
         for ax in range(3):
             if direction[ax] == 0.0:
-                if not box.lo[ax] <= origin[ax] <= box.hi[ax]:
+                if not box.lo[ax] < origin[ax] < box.hi[ax]:
                     ok = False
                     break
             else:
@@ -252,6 +254,30 @@ class TestRayCast:
         else:
             assert abs(ranges[0] - want_range) < 1e-9
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("face", ["lo", "hi"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0.0", "-0.0"])
+    def test_ray_in_face_plane_misses(self, axis, face, zero):
+        # the ray travels along the next axis through the box's middle, lying
+        # in one face plane; the other two direction components are +-0.0
+        box = Box((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
+        scene = Scene(-10.0, [box])
+        along = (axis + 1) % 3
+        origin = np.full(3, 2.0)
+        origin[along] = -5.0
+        origin[axis] = getattr(box, face)[axis]
+        d = np.full(3, zero)
+        d[along] = 1.0
+        miss = (math.inf, -1)
+        for ranges, surfaces in (cast(scene, origin, d),
+                                 unculled_ray_cast_arrays(scene, origin, d[None], np.zeros(1))):
+            assert (ranges[0], surfaces[0]) == miss
+        assert brute_force_ray_cast(scene, origin, d, 0.0) == miss
+        origin[axis] = 2.0  # the same ray inside the slab hits the near face
+        ranges, surfaces = cast(scene, origin, d)
+        assert (ranges[0], surfaces[0]) == (6.0, OBSTACLE)
+        assert brute_force_ray_cast(scene, origin, d, 0.0) == (6.0, OBSTACLE)
+
     @pytest.mark.parametrize("dirs_shape, n_times", [((5, 3), 2), ((4, 3), 5), ((5, 2), 5)],
                              ids=["5-rays-2-times", "4-rays-5-times", "2-column-dirs"])
     def test_mismatched_shapes_rejected(self, dirs_shape, n_times):
@@ -414,7 +440,7 @@ class TestMakePattern:
         per_pass = 4 * 2.0 + 3 * 3.0
         expected = per_pass * 3 + 3.0 * 2  # 2 closing segments
         assert traj.total_duration == pytest.approx(expected)
-        assert np.allclose(traj.start_position, traj.waypoints[0][0])
+        assert np.allclose(traj.position(0.0), traj.waypoints[0][0])
 
     def test_fast_segment_duration(self):
         traj = make_pattern("fast")
