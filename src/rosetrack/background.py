@@ -108,6 +108,10 @@ class BackgroundBuildParams:
     def __post_init__(self):
         if self.inflation_radius < 0:
             raise ValueError("inflation_radius must be >= 0")
+        self.empty_map()  # the map's own resolution and bounds rule
+
+    def empty_map(self) -> OccupancyOctree:
+        return OccupancyOctree(self.resolution, self.bounds_lo, self.bounds_hi)
 
 
 def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
@@ -147,7 +151,7 @@ def build_background(scans, params: BackgroundBuildParams, filters: FilterParams
     scans = list(scans)
     if not scans:
         raise ValueError("cannot bootstrap a background model from zero scans")
-    octree = OccupancyOctree(params.resolution, params.bounds_lo, params.bounds_hi)
+    octree = params.empty_map()
     for cloud, pose in scans:
         world = transform_cloud(cloud, pose)
         kept = range_filter(world, filters, ground_z, sensor_origin=pose.origin)

@@ -9,8 +9,9 @@ together describe the indoor arena scenario.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .background import BackgroundBuildParams
@@ -26,6 +27,9 @@ class ConfigError(ValueError):
         super().__init__(message)
         self.category = category
 
+    def __reduce__(self):
+        return type(self), (self.category, str(self))
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -35,74 +39,78 @@ class FieldSpec:
     choices: tuple = ()
 
 
+# Defaults are owned by the parameter classes and by make_pattern's signature;
+# a key sets the class field of the same name (a *_deg key: its radian field).
+_PATTERN = inspect.signature(make_pattern).parameters
+
 SCHEMA: dict[str, dict[str, FieldSpec]] = {
     "scene": {
         "ground_z": FieldSpec("float", 0.0, "ground plane height, m"),
         "obstacles": FieldSpec("boxes", [], "axis-aligned boxes 'x0,y0,z0,x1,y1,z1', ';'-separated"),
-        "extinction_beta": FieldSpec("float", 0.0, "atmospheric extinction, 1/m (0 = clear air)"),
-        "detection_threshold": FieldSpec("float", 0.02, "returns with keep probability below this are dropped"),
-        "saturation_range": FieldSpec("float", 90.0, "near-field saturation range of the return model, m"),
+        "extinction_beta": FieldSpec("float", WeatherModel.extinction_beta, "atmospheric extinction, 1/m (0 = clear air)"),
+        "detection_threshold": FieldSpec("float", WeatherModel.detection_threshold, "returns with keep probability below this are dropped"),
+        "saturation_range": FieldSpec("float", WeatherModel.saturation_range, "near-field saturation range of the return model, m"),
     },
     "target": {
         "diameter": FieldSpec("float", 0.10, "target sphere diameter, m"),
         "reflectivity": FieldSpec("float", 0.9, "target reflectivity in (0, 1]"),
         "pattern": FieldSpec("choice", "vertical", "flight pattern", PATTERN_NAMES),
-        "center": FieldSpec("vec3", (4.0, 0.0, 1.2), "pattern center, m (sweeps start here)"),
-        "extent": FieldSpec("float", 1.8, "pattern segment extent, m"),
-        "wait": FieldSpec("float", 2.0, "hold time at each waypoint, s"),
-        "max_range": FieldSpec("float", 160.0, "range_sweep outbound distance, m"),
-        "sweep_speed": FieldSpec("float", 6.0, "range_sweep peak speed cap, m/s"),
+        "center": FieldSpec("vec3", _PATTERN["center"].default, "pattern center, m (sweeps start here)"),
+        "extent": FieldSpec("float", _PATTERN["extent"].default, "pattern segment extent, m"),
+        "wait": FieldSpec("float", _PATTERN["wait"].default, "hold time at each waypoint, s"),
+        "max_range": FieldSpec("float", _PATTERN["max_range"].default, "range_sweep outbound distance, m"),
+        "sweep_speed": FieldSpec("float", _PATTERN["sweep_speed"].default, "range_sweep peak speed cap, m/s"),
         "takeoff_delay": FieldSpec("float", 0.0, "tracking-phase seconds before the target appears, s"),
     },
     "sensor": {
         "pattern": FieldSpec("choice", "rosette", "sampling pattern", ("rosette", "ring")),
-        "f1": FieldSpec("float", 50.0, "first prism frequency, Hz"),
-        "f2": FieldSpec("float", 31.0, "second prism frequency, Hz"),
-        "fov_h_deg": FieldSpec("float", 70.4, "horizontal field of view, degrees (full angle)"),
-        "fov_v_deg": FieldSpec("float", 77.2, "vertical field of view, degrees (full angle)"),
-        "point_rate": FieldSpec("float", 240000.0, "emitted rays per second"),
-        "integration_time": FieldSpec("float", 0.1, "frame integration window, s"),
-        "range_max": FieldSpec("float", 260.0, "maximum measurable range, m"),
-        "range_noise_sigma": FieldSpec("float", 0.02, "Gaussian range noise sigma, m"),
-        "n_rings": FieldSpec("int", 16, "ring mode: number of elevation rings"),
-        "spin_rate": FieldSpec("float", 10.0, "ring mode: azimuth spin rate, Hz"),
+        "f1": FieldSpec("float", RosetteParams.f1, "first prism frequency, Hz"),
+        "f2": FieldSpec("float", RosetteParams.f2, "second prism frequency, Hz"),
+        "fov_h_deg": FieldSpec("float", math.degrees(RosetteParams.fov_h), "horizontal field of view, degrees (full angle)"),
+        "fov_v_deg": FieldSpec("float", math.degrees(RosetteParams.fov_v), "vertical field of view, degrees (full angle)"),
+        "point_rate": FieldSpec("float", RosetteParams.point_rate, "emitted rays per second"),
+        "integration_time": FieldSpec("float", RosetteParams.integration_time, "frame integration window, s"),
+        "range_max": FieldSpec("float", RosetteParams.range_max, "maximum measurable range, m"),
+        "range_noise_sigma": FieldSpec("float", RosetteParams.range_noise_sigma, "Gaussian range noise sigma, m"),
+        "n_rings": FieldSpec("int", RingScanParams.n_rings, "ring mode: number of elevation rings"),
+        "spin_rate": FieldSpec("float", RingScanParams.spin_rate, "ring mode: azimuth spin rate, Hz"),
     },
     "filters": {
-        "near_min": FieldSpec("float", 0.5, "minimum sensor range kept, m"),
-        "far_max": FieldSpec("float", 200.0, "maximum sensor range kept, m"),
-        "ground_margin": FieldSpec("float", 0.3, "keep points above ground_z + margin, m"),
-        "ror_radius": FieldSpec("float", 0.5, "radius outlier removal: neighborhood radius, m"),
-        "ror_min_neighbors": FieldSpec("int", 2, "radius outlier removal: required neighbors"),
-        "sor_k": FieldSpec("int", 8, "statistical outlier removal: neighbors averaged"),
-        "sor_alpha": FieldSpec("float", 1.0, "statistical outlier removal: std-dev multiplier"),
+        "near_min": FieldSpec("float", FilterParams.near_min, "minimum sensor range kept, m"),
+        "far_max": FieldSpec("float", FilterParams.far_max, "maximum sensor range kept, m"),
+        "ground_margin": FieldSpec("float", FilterParams.ground_margin, "keep points above ground_z + margin, m"),
+        "ror_radius": FieldSpec("float", FilterParams.ror_radius, "radius outlier removal: neighborhood radius, m"),
+        "ror_min_neighbors": FieldSpec("int", FilterParams.ror_min_neighbors, "radius outlier removal: required neighbors"),
+        "sor_k": FieldSpec("int", FilterParams.sor_k, "statistical outlier removal: neighbors averaged"),
+        "sor_alpha": FieldSpec("float", FilterParams.sor_alpha, "statistical outlier removal: std-dev multiplier"),
     },
     "background": {
-        "resolution": FieldSpec("float", 0.1, "voxel edge length, m"),
-        "inflation_radius": FieldSpec("int", 1, "Chebyshev dilation radius, voxels"),
-        "bounds_lo": FieldSpec("vec3", (-1.0, -5.0, -0.5), "surveillance volume lower corner, m"),
-        "bounds_hi": FieldSpec("vec3", (9.0, 5.0, 4.0), "surveillance volume upper corner, m"),
+        "resolution": FieldSpec("float", BackgroundBuildParams.resolution, "voxel edge length, m"),
+        "inflation_radius": FieldSpec("int", BackgroundBuildParams.inflation_radius, "Chebyshev dilation radius, voxels"),
+        "bounds_lo": FieldSpec("vec3", BackgroundBuildParams.bounds_lo, "surveillance volume lower corner, m"),
+        "bounds_hi": FieldSpec("vec3", BackgroundBuildParams.bounds_hi, "surveillance volume upper corner, m"),
     },
     "tracker": {
-        "n_particles": FieldSpec("int", 500, "particle count"),
-        "sigma_pred": FieldSpec("float", 0.1, "predict-step noise sigma per axis, m"),
-        "sigma_meas": FieldSpec("float", 0.15, "measurement kernel sigma, m"),
-        "sigma_threshold": FieldSpec("opt_float", None, "stability cutoff, m (default: 1.5 * sigma_pred)"),
-        "lost_after_misses": FieldSpec("int", 10, "consecutive missing measurements before Lost"),
-        "likelihood": FieldSpec("choice", "centroid", "measurement model", ("centroid", "nearest")),
-        "surveillance_lo": FieldSpec("vec3", (1.0, -4.0, 0.2), "initial particle volume lower corner, m"),
-        "surveillance_hi": FieldSpec("vec3", (8.0, 4.0, 3.0), "initial particle volume upper corner, m"),
+        "n_particles": FieldSpec("int", TrackerParams.n_particles, "particle count"),
+        "sigma_pred": FieldSpec("float", TrackerParams.sigma_pred, "predict-step noise sigma per axis, m"),
+        "sigma_meas": FieldSpec("float", TrackerParams.sigma_meas, "measurement kernel sigma, m"),
+        "sigma_threshold": FieldSpec("opt_float", TrackerParams.sigma_threshold, "stability cutoff, m (default: 1.5 * sigma_pred)"),
+        "lost_after_misses": FieldSpec("int", TrackerParams.lost_after_misses, "consecutive missing measurements before Lost"),
+        "likelihood": FieldSpec("choice", TrackerParams.likelihood, "measurement model", ("centroid", "nearest")),
+        "surveillance_lo": FieldSpec("vec3", TrackerParams.surveillance_lo, "initial particle volume lower corner, m"),
+        "surveillance_hi": FieldSpec("vec3", TrackerParams.surveillance_hi, "initial particle volume upper corner, m"),
     },
     "turret": {
         "origin": FieldSpec("vec3", (0.0, 0.0, 1.0), "sensor mounting point, world frame, m"),
-        "max_slew_rate": FieldSpec("float", math.pi, "max angular rate per axis, rad/s"),
-        "command_rate": FieldSpec("float", 15.0, "command sampling rate, Hz"),
-        "deadband_deg": FieldSpec("float", 0.5, "hold commands below this angular change, degrees"),
-        "scan_pan_min": FieldSpec("float", -0.6, "raster pan start, rad"),
-        "scan_pan_max": FieldSpec("float", 0.6, "raster pan end, rad"),
-        "scan_tilt_min": FieldSpec("float", 0.0, "raster tilt start, rad"),
-        "scan_tilt_max": FieldSpec("float", 0.25, "raster tilt end, rad"),
-        "scan_line_spacing": FieldSpec("float", 0.25, "raster row spacing, rad"),
-        "scan_duration": FieldSpec("float", 5.0, "background build phase length, s"),
+        "max_slew_rate": FieldSpec("float", TurretParams.max_slew_rate, "max angular rate per axis, rad/s"),
+        "command_rate": FieldSpec("float", TurretParams.command_rate, "command sampling rate, Hz"),
+        "deadband_deg": FieldSpec("float", math.degrees(TurretParams.deadband), "hold commands below this angular change, degrees"),
+        "scan_pan_min": FieldSpec("float", TurretParams.scan_pan_min, "raster pan start, rad"),
+        "scan_pan_max": FieldSpec("float", TurretParams.scan_pan_max, "raster pan end, rad"),
+        "scan_tilt_min": FieldSpec("float", TurretParams.scan_tilt_min, "raster tilt start, rad"),
+        "scan_tilt_max": FieldSpec("float", TurretParams.scan_tilt_max, "raster tilt end, rad"),
+        "scan_line_spacing": FieldSpec("float", TurretParams.scan_line_spacing, "raster row spacing, rad"),
+        "scan_duration": FieldSpec("float", TurretParams.scan_duration, "background build phase length, s"),
     },
     "timing": {
         "lidar_rate": FieldSpec("float", 10.0, "LiDAR frame rate, Hz"),
@@ -138,30 +146,38 @@ class ScenarioConfig:
     seed: int
 
 
+def _number(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("NaN is not allowed")
+    return value
+
+
 def _convert(spec: FieldSpec, text: str, where: str):
     try:
         if spec.kind == "float":
-            return float(text)
+            return _number(text)
         if spec.kind == "opt_float":
-            return None if text == "" else float(text)
+            return None if text == "" else _number(text)
         if spec.kind == "int":
-            if float(text) != int(float(text)):
+            value = _number(text)
+            if not math.isfinite(value) or value != int(value):
                 raise ValueError("not an integer")
-            return int(float(text))
+            return int(value)
         if spec.kind == "choice":
             value = text.strip()
             if value not in spec.choices:
                 raise ValueError(f"must be one of {', '.join(spec.choices)}")
             return value
         if spec.kind == "vec3":
-            parts = [float(p) for p in text.split(",")]
+            parts = [_number(p) for p in text.split(",")]
             if len(parts) != 3:
                 raise ValueError("expected three comma-separated numbers")
             return tuple(parts)
         if spec.kind == "boxes":
             boxes = []
             for chunk in filter(None, (c.strip() for c in text.split(";"))):
-                parts = [float(p) for p in chunk.split(",")]
+                parts = [_number(p) for p in chunk.split(",")]
                 if len(parts) != 6:
                     raise ValueError("each box needs six numbers x0,y0,z0,x1,y1,z1")
                 boxes.append(Box(tuple(parts[:3]), tuple(parts[3:])))
@@ -210,6 +226,9 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     }
     for (section, key), (text, where) in values.items():
         cfg[section][key] = _convert(SCHEMA[section][key], text, f"{where}: [{section}] {key}")
+    for keys in cfg.values():
+        for key in [k for k in keys if k.endswith("_deg")]:
+            keys[key[:-len("_deg")]] = math.radians(keys.pop(key))
 
     def domain(section: str, builder):
         try:
@@ -217,42 +236,17 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         except ValueError as exc:
             raise ConfigError("config-domain", f"section [{section}]: {exc}") from exc
 
-    s, tg, sn, fl, bg, tk, tu, tm, rn = (cfg[k] for k in
-                                         ("scene", "target", "sensor", "filters",
-                                          "background", "tracker", "turret", "timing", "run"))
-    weather = domain("scene", lambda: WeatherModel(s["extinction_beta"],
-                                                   s["detection_threshold"],
-                                                   s["saturation_range"]))
-    if sn["pattern"] == "rosette":
-        sensor = domain("sensor", lambda: RosetteParams(
-            f1=sn["f1"], f2=sn["f2"],
-            fov_h=math.radians(sn["fov_h_deg"]), fov_v=math.radians(sn["fov_v_deg"]),
-            point_rate=sn["point_rate"], integration_time=sn["integration_time"],
-            range_max=sn["range_max"], range_noise_sigma=sn["range_noise_sigma"]))
-    else:
-        sensor = domain("sensor", lambda: RingScanParams(
-            n_rings=sn["n_rings"], spin_rate=sn["spin_rate"],
-            fov_v=math.radians(sn["fov_v_deg"]),
-            point_rate=sn["point_rate"], integration_time=sn["integration_time"],
-            range_max=sn["range_max"], range_noise_sigma=sn["range_noise_sigma"]))
-    filters = domain("filters", lambda: FilterParams(
-        near_min=fl["near_min"], far_max=fl["far_max"], ground_margin=fl["ground_margin"],
-        ror_radius=fl["ror_radius"], ror_min_neighbors=fl["ror_min_neighbors"],
-        sor_k=fl["sor_k"], sor_alpha=fl["sor_alpha"]))
-    background = domain("background", lambda: BackgroundBuildParams(
-        resolution=bg["resolution"], inflation_radius=bg["inflation_radius"],
-        bounds_lo=bg["bounds_lo"], bounds_hi=bg["bounds_hi"]))
-    tracker = domain("tracker", lambda: TrackerParams(
-        n_particles=tk["n_particles"], sigma_pred=tk["sigma_pred"], sigma_meas=tk["sigma_meas"],
-        sigma_threshold=tk["sigma_threshold"], lost_after_misses=tk["lost_after_misses"],
-        surveillance_lo=tk["surveillance_lo"], surveillance_hi=tk["surveillance_hi"],
-        likelihood=tk["likelihood"]))
-    turret = domain("turret", lambda: TurretParams(
-        max_slew_rate=tu["max_slew_rate"], command_rate=tu["command_rate"],
-        deadband=math.radians(tu["deadband_deg"]),
-        scan_pan_min=tu["scan_pan_min"], scan_pan_max=tu["scan_pan_max"],
-        scan_tilt_min=tu["scan_tilt_min"], scan_tilt_max=tu["scan_tilt_max"],
-        scan_line_spacing=tu["scan_line_spacing"], scan_duration=tu["scan_duration"]))
+    def params(cls, section: str):
+        names = {f.name for f in fields(cls)}
+        return domain(section, lambda: cls(**{k: v for k, v in cfg[section].items() if k in names}))
+
+    s, tg, sn, tu, tm, rn = (cfg[k] for k in ("scene", "target", "sensor", "turret", "timing", "run"))
+    weather = params(WeatherModel, "scene")
+    sensor = params(RosetteParams if sn["pattern"] == "rosette" else RingScanParams, "sensor")
+    filters = params(FilterParams, "filters")
+    background = params(BackgroundBuildParams, "background")
+    tracker = params(TrackerParams, "tracker")
+    turret = params(TurretParams, "turret")
 
     if tm["filter_rate"] < tm["lidar_rate"]:
         raise ConfigError("config-domain",
@@ -272,8 +266,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
                           f"timing.lidar_rate period ({1.0 / tm['lidar_rate']:g})")
 
     target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
-        make_pattern(tg["pattern"], tg["center"], tg["extent"], tg["wait"],
-                     tg["max_range"], tg["sweep_speed"]),
+        make_pattern(tg["pattern"], **{k: v for k, v in tg.items() if k in _PATTERN}),
         start_time=tu["scan_duration"] + tg["takeoff_delay"])))
     return ScenarioConfig(
         scene=Scene(s["ground_z"], list(s["obstacles"]), target, weather),

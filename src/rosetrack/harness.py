@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import OccupancyOctree, build_background
+from .background import build_background
 from .config import ScenarioConfig
 from .filters import preprocess_cloud
 from .geometry import Frame, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
@@ -77,7 +77,6 @@ class RunResult:
     truth: np.ndarray  # TRUTH_DTYPE, one row per filter tick
     scans: np.ndarray  # SCAN_DTYPE, one row per LiDAR frame
     metrics: MetricsReport
-    background: OccupancyOctree
 
 
 def _advance_turret(state: TurretState, t_target: float, command, params: TurretParams,
@@ -95,9 +94,9 @@ def _advance_turret(state: TurretState, t_target: float, command, params: Turret
 def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     """Execute one scenario: background build, then the tracking loop.
 
-    Returns the per-tick track/truth logs, the per-frame scan log, computed
-    metrics (NaN-filled when the tracking phase is empty), and the background
-    map. Fully deterministic under config.seed.
+    Returns the per-tick track/truth logs, the per-frame scan log and computed
+    metrics (NaN-filled when the tracking phase is empty). Fully deterministic
+    under config.seed.
     """
     bg_ss, scan_ss, pf_ss = np.random.SeedSequence(config.seed).spawn(3)
     t_track0 = config.turret.scan_duration
@@ -169,7 +168,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         metrics = compute_metrics(track, truth, config, scans)
     else:
         metrics = MetricsReport()
-    return RunResult(track, truth, scans, metrics, octree)
+    return RunResult(track, truth, scans, metrics)
 
 
 def _usable_cpus() -> int:

@@ -45,6 +45,8 @@ class TrackerParams:
             raise ValueError("lost_after_misses must be >= 1")
         if self.likelihood not in ("centroid", "nearest"):
             raise ValueError("likelihood must be 'centroid' or 'nearest'")
+        if not np.all(np.greater(self.surveillance_hi, self.surveillance_lo)):
+            raise ValueError("surveillance volume must have positive extent")
 
     @property
     def stability_threshold(self) -> float:
@@ -73,12 +75,9 @@ class TrackEstimate:
 
 def init_filter(params: TrackerParams, seed) -> ParticleSet:
     """Particles uniform over the surveillance volume with uniform weights."""
-    lo = np.asarray(params.surveillance_lo, dtype=float)
-    hi = np.asarray(params.surveillance_hi, dtype=float)
-    if not np.all(hi > lo):
-        raise ValueError("surveillance volume must have positive extent")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    positions = rng.uniform(lo, hi, size=(params.n_particles, 3))
+    positions = rng.uniform(params.surveillance_lo, params.surveillance_hi,
+                            size=(params.n_particles, 3))
     weights = np.full(params.n_particles, 1.0 / params.n_particles)
     return ParticleSet(positions, weights, rng)
 

@@ -28,6 +28,8 @@ class TurretParams:
     def __post_init__(self):
         if self.max_slew_rate <= 0:
             raise ValueError("max_slew_rate must be positive")
+        if not 0 < self.command_rate < math.inf:
+            raise ValueError("command_rate must be positive and finite")
         if self.deadband < 0:
             raise ValueError("deadband must be >= 0")
         if self.scan_pan_min >= self.scan_pan_max or self.scan_tilt_min > self.scan_tilt_max:

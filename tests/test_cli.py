@@ -82,6 +82,27 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
     assert "error: config-syntax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, category", [
+    # NaN in any numeric kind would otherwise run a different scenario or fail mid-run
+    *((o, "config-value") for o in (
+        "filters.far_max=nan", "sensor.range_max=nan", "timing.pipeline_latency=nan",
+        "target.center=nan,0,1", "filters.sor_alpha=nan", "scene.ground_z=nan",
+        "tracker.sigma_pred=nan", "turret.origin=0,0,nan", "tracker.sigma_threshold=nan",
+        "run.seed=inf", "tracker.n_particles=inf")),
+    # domain rules of the parameter classes apply at parse time, not mid-run
+    *((o, "config-domain") for o in (
+        "turret.command_rate=0", "turret.command_rate=-5", "turret.command_rate=inf",
+        "tracker.surveillance_lo=9,0,0", "background.resolution=0",
+        "background.bounds_lo=10,10,10")),
+])
+def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
+    code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"), "--out-dir", str(tmp_path),
+                 "--override", "run.duration=0.5", "--override", override])
+    assert code == 2
+    assert f"error: {category}" in capsys.readouterr().err
+    assert not (tmp_path / "track.csv").exists()
+
+
 class TestMetricsCommand:
     def test_metrics_roundtrip(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"

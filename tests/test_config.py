@@ -1,10 +1,11 @@
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from rosetrack.config import ConfigError, default_config, describe_schema, parse_config
+from rosetrack.config import SCHEMA, ConfigError, default_config, describe_schema, parse_config
 from rosetrack.scene import make_pattern
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -131,6 +132,46 @@ class TestOverrides:
     def test_default_config_accepts_overrides(self):
         cfg = default_config(["target.pattern=fast"])
         assert cfg.scene.target.trajectory == tracking_pattern(cfg, "fast")
+
+    def test_infinite_slew_rate_is_an_instant_turret(self):
+        assert default_config(["turret.max_slew_rate=inf"]).turret.max_slew_rate == math.inf
+
+
+# keys that a pattern other than the default one reads
+PATTERN_FOR_KEY = {("sensor", "n_rings"): "sensor.pattern=ring",
+                   ("sensor", "spin_rate"): "sensor.pattern=ring",
+                   ("target", "max_range"): "target.pattern=range_sweep",
+                   ("target", "sweep_speed"): "target.pattern=range_sweep"}
+
+
+def other_value(spec) -> str:
+    """A valid value of `spec`'s kind that differs from its default."""
+    if spec.kind == "choice":
+        return next(c for c in spec.choices if c != spec.default)
+    if spec.kind == "boxes":
+        return "0,0,0,1,1,1"
+    if spec.kind == "int":
+        return str(spec.default + 1)
+    if spec.kind == "vec3":
+        return ",".join(str(v + 0.1) for v in spec.default)
+    if spec.default is None:
+        return "0.2"
+    return str(0.9 * spec.default if spec.default else 0.05)
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
+def test_every_key_reaches_the_built_config(section, key):
+    # a key whose name no longer matches a field would be silently ignored
+    base = [PATTERN_FOR_KEY[(section, key)]] if (section, key) in PATTERN_FOR_KEY else []
+    changed = default_config([*base, f"{section}.{key}={other_value(SCHEMA[section][key])}"])
+    assert repr(changed) != repr(default_config(base))
+
+
+def test_config_error_survives_pickling():
+    # run_many workers send exceptions back pickled
+    err = pickle.loads(pickle.dumps(ConfigError("config-domain", "x")))
+    assert isinstance(err, ConfigError)
+    assert (err.category, str(err)) == ("config-domain", "x")
 
 
 class TestBundledConfigs:

@@ -48,9 +48,8 @@ class TestInitFilter:
         assert np.allclose(pset.weights, 0.002)
 
     def test_degenerate_volume_rejected(self):
-        params = TrackerParams(surveillance_lo=(0, 0, 0), surveillance_hi=(0, 1, 1))
         with pytest.raises(ValueError):
-            init_filter(params, seed=1)
+            TrackerParams(surveillance_lo=(0, 0, 0), surveillance_hi=(0, 1, 1))
 
     def test_zero_particles_rejected(self):
         with pytest.raises(ValueError):
