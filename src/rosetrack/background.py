@@ -20,80 +20,105 @@ if TYPE_CHECKING:
     from .filters import FilterParams
 
 
-class OccupancyOctree:
-    """Occupied voxels as one sorted, unique int64 array of packed indices.
+# A map of more cells is refused: 2**32 cells are 512 MiB of bits.
+MAX_CELLS = 2**32
 
-    Inserts merge into the array, so lookups are a binary search at any time.
+
+def grid_shape(resolution: float, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(lowest absolute voxel index, cells per axis) of the bounds box.
+
+    Raises ValueError for a non-finite or non-positive resolution, bounds
+    that are not finite with positive extent, voxel indices that int64 key
+    arithmetic could overflow, or more than MAX_CELLS cells; nothing is
+    allocated, so it also serves as the parse-time check.
+    """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be positive and finite")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+        raise ValueError("bounds must be finite with positive extent")
+    ilo = np.floor(lo / resolution)
+    ihi = np.floor(hi / resolution)
+    if not np.all((np.abs(ilo) < 2**62) & (np.abs(ihi) < 2**62)):
+        raise ValueError("bounds/resolution give voxel indices beyond 2**62")
+    dims = ihi - ilo + 1
+    cells = float(np.prod(dims))
+    if not cells <= MAX_CELLS:
+        raise ValueError(f"bounds/resolution give {cells:.4g} voxels, "
+                         f"more than the {MAX_CELLS} the map holds")
+    return ilo.astype(np.int64), dims.astype(np.int64)
+
+
+class OccupancyOctree:
+    """Occupied voxels as a dense 1-bit grid over the bounds box.
+
+    Cell key (x * ny + y) * nz + z, with (x, y, z) counted from the box's
+    lowest voxel, is bit key % 8 of byte key // 8, so a lookup is one gather.
     """
 
     def __init__(self, resolution: float, lo, hi):
-        if not (math.isfinite(resolution) and resolution > 0):
-            raise ValueError("resolution must be positive and finite")
+        self._ilo, self._dims = grid_shape(resolution, lo, hi)
         self.resolution = float(resolution)
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if not np.all(np.isfinite(self.lo) & np.isfinite(self.hi) & (self.hi > self.lo)):
-            raise ValueError("bounds must be finite with positive extent")
-        self._ilo = np.floor(self.lo / self.resolution).astype(np.int64)
-        ihi = np.floor(self.hi / self.resolution).astype(np.int64)
-        self._dims = ihi - self._ilo + 1
-        if int(np.prod(self._dims.astype(object))) >= 2**62:
-            raise ValueError("bounds/resolution produce too many voxels to index")
-        self._keys = np.empty(0, dtype=np.int64)
+        self._bits = np.zeros(-(-int(np.prod(self._dims)) // 8), dtype=np.uint8)
 
     # -- indexing ---------------------------------------------------------
 
-    def voxel_indices(self, pts: np.ndarray) -> np.ndarray:
-        """(n, 3) absolute voxel indices of the given world points: an
-        (n, 3) array or a single (3,) point."""
+    def _cell_keys(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, in-bounds mask) of world points, an (n, 3) array or a (3,)
+        point; keys of points outside the box are meaningless."""
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1:] != (3,):
             raise ValueError(f"points need a last axis of 3, got shape {pts.shape}")
-        return np.floor(pts.reshape(-1, 3) / self.resolution).astype(np.int64)
+        # in place where it can be: the build holds every raster scan in
+        # memory, so each temporary here adds to the run's peak
+        cols = np.divide(pts.reshape(-1, 3).T, self.resolution, order="C")
+        rel = np.floor(cols, out=cols).astype(np.int64)
+        del cols
+        rel -= self._ilo[:, None]
+        nx, ny, nz = self._dims
+        x, y, z = rel
+        ok = (x >= 0) & (x < nx) & (y >= 0) & (y < ny) & (z >= 0) & (z < nz)
+        keys = x * ny
+        keys += y
+        keys *= nz
+        keys += z
+        return keys, ok
 
-    def _in_bounds(self, idx: np.ndarray) -> np.ndarray:
-        rel = idx - self._ilo
-        return np.all((rel >= 0) & (rel < self._dims), axis=1)
+    def _occupied_keys(self) -> np.ndarray:
+        """Sorted keys of the occupied cells."""
+        nonzero = np.flatnonzero(self._bits)
+        bits = np.unpackbits(self._bits[nonzero], bitorder="little").reshape(-1, 8)
+        return ((nonzero[:, None] << 3) + np.arange(8))[bits.astype(bool)]
 
-    def _pack(self, idx: np.ndarray) -> np.ndarray:
-        rel = idx - self._ilo
-        return (rel[:, 0] * self._dims[1] + rel[:, 1]) * self._dims[2] + rel[:, 2]
-
-    def _unpack(self, keys: np.ndarray) -> np.ndarray:
-        k, z = np.divmod(keys, self._dims[2])
-        x, y = np.divmod(k, self._dims[1])
-        return np.stack([x, y, z], axis=1) + self._ilo
+    def _set(self, keys: np.ndarray) -> None:
+        np.bitwise_or.at(self._bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
 
     # -- occupancy --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._occupied_keys())
 
     def occupied_indices(self) -> np.ndarray:
-        """(n, 3) absolute indices of occupied voxels, sorted by packed key."""
-        return self._unpack(self._keys)
+        """(n, 3) absolute indices of occupied voxels, sorted by key."""
+        k, z = np.divmod(self._occupied_keys(), self._dims[2])
+        x, y = np.divmod(k, self._dims[1])
+        return np.stack([x, y, z], axis=1) + self._ilo
 
     def insert_points(self, pts: np.ndarray) -> None:
-        idx = self.voxel_indices(pts)
-        idx = idx[self._in_bounds(idx)]
-        if len(idx):
-            self._keys = np.union1d(self._keys, self._pack(idx))
+        """Occupy the voxels of world points; points outside the box are skipped."""
+        keys, ok = self._cell_keys(pts)
+        self._set(keys[ok])
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorised occupancy query; (n,) bool for world points."""
-        idx = self.voxel_indices(pts)
-        ok = self._in_bounds(idx)
-        out = np.zeros(len(idx), dtype=bool)
-        if np.any(ok) and len(self._keys):
-            keys = self._pack(idx[ok])
-            pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-            out[ok] = self._keys[pos] == keys
-        return out
-
-    def copy(self) -> "OccupancyOctree":
-        other = OccupancyOctree(self.resolution, self.lo, self.hi)
-        other._keys = self._keys.copy()
-        return other
+        keys, ok = self._cell_keys(pts)
+        # a point outside the box may have a key outside the grid: clip the
+        # gather into range and let `ok` drop it
+        byte = np.take(self._bits, keys >> 3, mode="clip")
+        return ok & ((byte >> (keys & 7)) & 1).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -108,7 +133,7 @@ class BackgroundBuildParams:
     def __post_init__(self):
         if self.inflation_radius < 0:
             raise ValueError("inflation_radius must be >= 0")
-        self.empty_map()  # the map's own resolution and bounds rule
+        grid_shape(self.resolution, self.bounds_lo, self.bounds_hi)  # the map's own rule
 
     def empty_map(self) -> OccupancyOctree:
         return OccupancyOctree(self.resolution, self.bounds_lo, self.bounds_hi)
@@ -118,23 +143,22 @@ def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
     """Chebyshev dilation: occupy every voxel within `radius` of an occupied one.
 
     Returns a new octree; the dilation is applied separably per axis (exact
-    for the Chebyshev ball) and clipped to the bounds box.
+    for the Chebyshev ball) to the occupied keys, clipped to the bounds box.
     """
     if radius < 0:
         raise ValueError("inflation radius must be >= 0")
-    out = octree.copy()
-    keys = out._keys
-    if radius == 0 or not len(keys):
-        return out
-    shifts = np.arange(-radius, radius + 1, dtype=np.int64)
-    dims = octree._dims
-    for axis in range(3):
-        stride = int(np.prod(dims[axis + 1:]))
-        coord = (keys // stride) % dims[axis]
-        grown = keys[None, :] + shifts[:, None] * stride
-        moved = coord[None, :] + shifts[:, None]
-        keys = np.unique(grown[(moved >= 0) & (moved < dims[axis])])
-    out._keys = keys
+    keys = octree._occupied_keys()
+    if radius and len(keys):
+        shifts = np.arange(-radius, radius + 1, dtype=np.int64)
+        dims = octree._dims
+        for axis in range(3):
+            stride = int(np.prod(dims[axis + 1:]))
+            coord = (keys // stride) % dims[axis]
+            grown = keys[None, :] + shifts[:, None] * stride
+            moved = coord[None, :] + shifts[:, None]
+            keys = np.unique(grown[(moved >= 0) & (moved < dims[axis])])
+    out = OccupancyOctree(octree.resolution, octree.lo, octree.hi)
+    out._set(keys)
     return out
 
 

@@ -219,6 +219,26 @@ def _parse_lines(lines, source: str) -> dict[tuple[str, str], tuple[str, str]]:
     return values
 
 
+# target keys that only the range_sweep pattern reads
+_RANGE_SWEEP_KEYS = ("max_range", "sweep_speed")
+
+
+def _reject_unread_pattern_keys(values: dict[tuple[str, str], tuple[str, str]],
+                                cfg: dict[str, dict[str, Any]]) -> None:
+    """A key set for a pattern other than the chosen one would have no effect."""
+    sensor_fields = {f.name for f in fields(
+        RosetteParams if cfg["sensor"]["pattern"] == "rosette" else RingScanParams)}
+    unread = [("sensor", key) for key in SCHEMA["sensor"]
+              if key != "pattern" and key.removesuffix("_deg") not in sensor_fields]
+    if cfg["target"]["pattern"] != "range_sweep":
+        unread += [("target", key) for key in _RANGE_SWEEP_KEYS]
+    for section, key in unread:
+        if (section, key) in values:
+            raise ConfigError("config-domain",
+                              f"{values[(section, key)][1]}: [{section}] {key} has no effect "
+                              f"with {section}.pattern = {cfg[section]['pattern']}")
+
+
 def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioConfig:
     cfg: dict[str, dict[str, Any]] = {
         section: {key: spec.default for key, spec in keys.items()}
@@ -226,6 +246,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     }
     for (section, key), (text, where) in values.items():
         cfg[section][key] = _convert(SCHEMA[section][key], text, f"{where}: [{section}] {key}")
+    _reject_unread_pattern_keys(values, cfg)
     for keys in cfg.values():
         for key in [k for k in keys if k.endswith("_deg")]:
             keys[key[:-len("_deg")]] = math.radians(keys.pop(key))

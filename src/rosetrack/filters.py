@@ -54,7 +54,9 @@ def range_filter(cloud: PointCloud, params: FilterParams, ground_z: float,
         raise ValueError("range_filter expects a world-frame cloud")
     if not len(cloud):
         return cloud.select(np.zeros(0, dtype=bool))
-    d = np.linalg.norm(cloud.xyz - np.asarray(sensor_origin, dtype=float), axis=1)
+    sq = np.subtract(cloud.xyz.T, np.asarray(sensor_origin, dtype=float)[:, None], order="C")
+    sq *= sq
+    d = np.sqrt(sq[0] + sq[1] + sq[2])
     keep = (cloud.xyz[:, 2] > ground_z + params.ground_margin) \
         & (d >= params.near_min) & (d <= params.far_max)
     return cloud.select(keep)

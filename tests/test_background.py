@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from rosetrack.background import BackgroundBuildParams, OccupancyOctree, build_background, inflate
+from rosetrack.background import (MAX_CELLS, BackgroundBuildParams, OccupancyOctree,
+                                  build_background, grid_shape, inflate)
 from rosetrack.filters import FilterParams
 from rosetrack.geometry import SensorPose
 from rosetrack.scene import Box, Scene, WeatherModel
@@ -17,6 +18,21 @@ from rosetrack.turret import TurretParams, scan_mode_command
 
 def fresh_octree(resolution=0.1, lo=(-5, -5, -5), hi=(5, 5, 5)):
     return OccupancyOctree(resolution, lo, hi)
+
+
+def assert_matches_hash_set_oracle(octree, inserted, queries, ilo, ihi):
+    """The octree holds exactly the voxels floor(p / resolution) of the
+    inserted points that lie in [ilo, ihi], and answers queries from them."""
+    def cells(pts):
+        idx = np.floor(pts / octree.resolution).astype(int)
+        inside = np.all((idx >= ilo) & (idx <= ihi), axis=1)
+        return [tuple(v) if ok else None for v, ok in zip(idx.tolist(), inside)]
+
+    oracle = {c for c in cells(inserted) if c is not None}
+    want = np.array([c in oracle for c in cells(queries)])
+    assert np.array_equal(octree.contains_points(queries), want)
+    assert len(octree) == len(oracle)
+    assert set(map(tuple, octree.occupied_indices().tolist())) == oracle
 
 
 class TestInsertAndQuery:
@@ -45,7 +61,8 @@ class TestInsertAndQuery:
             octree.contains_points(np.zeros((6, 2)))
         with pytest.raises(ValueError, match="last axis"):
             octree.insert_points(np.zeros((6, 2)))
-        assert octree.voxel_indices((0.33, 0.33, 0.33)).tolist() == [[3, 3, 3]]
+        octree.insert_points((0.33, 0.33, 0.33))  # a single (3,) point
+        assert octree.occupied_indices().tolist() == [[3, 3, 3]]
 
     def test_out_of_bounds_points_skipped(self):
         octree = fresh_octree(lo=(0, 0, 0), hi=(1, 1, 1))
@@ -67,12 +84,52 @@ class TestInsertAndQuery:
         octree = fresh_octree(resolution=0.25)
         pts = rng.uniform(-4.9, 4.9, (1000, 3))
         octree.insert_points(pts)
-        oracle = {tuple(v) for v in np.floor(pts / 0.25).astype(int).tolist()}
         queries = np.vstack([pts[:200], rng.uniform(-4.9, 4.9, (300, 3))])
-        got = octree.contains_points(queries)
-        want = np.array([tuple(v) in oracle
-                         for v in np.floor(queries / 0.25).astype(int).tolist()])
-        assert np.array_equal(got, want)
+        assert_matches_hash_set_oracle(octree, pts, queries, (-20, -20, -20), (20, 20, 20))
+
+    # 3 x 5 x 7 = 105 cells (not a multiple of 8) from a negative corner:
+    # absolute voxels -2..0, -4..0, -3..3; the grid's far faces are at
+    # 0.5, 0.5 and 2.0, one voxel past `hi` on each axis
+    EDGE_LO, EDGE_HI, EDGE_FAR = (-1.0, -2.0, -1.5), (0.25, 0.4, 1.5), (0.5, 0.5, 2.0)
+
+    def edge_points(self):
+        """Points on the lo and hi faces, on the grid's far faces, and one
+        ulp either side of each, with the other coordinates inside."""
+        mid = (-0.4, -0.9, 0.3)
+        out = []
+        for axis in range(3):
+            for face in (self.EDGE_LO[axis], self.EDGE_HI[axis], self.EDGE_FAR[axis]):
+                for v in (face, np.nextafter(face, -np.inf), np.nextafter(face, np.inf)):
+                    p = list(mid)
+                    p[axis] = v
+                    out.append(p)
+        return np.array(out)
+
+    @given(seed=st.integers(0, 5000))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_edges_match_hash_set_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        octree = OccupancyOctree(0.5, self.EDGE_LO, self.EDGE_HI)
+        edges = self.edge_points()
+        pts = np.vstack([edges[rng.random(len(edges)) < 0.5],
+                         rng.uniform(-1.6, 2.6, (40, 3))])
+        octree.insert_points(pts)
+        queries = np.vstack([edges, rng.uniform(-1.6, 2.6, (200, 3))])
+        assert_matches_hash_set_oracle(octree, pts, queries, (-2, -4, -3), (0, 0, 3))
+
+    def test_last_cell_of_the_grid(self):
+        octree = OccupancyOctree(0.5, self.EDGE_LO, self.EDGE_HI)
+        corner = np.nextafter(np.array(self.EDGE_FAR), -np.inf)  # voxel (0, 0, 3)
+        octree.insert_points(corner)
+        assert octree.occupied_indices().tolist() == [[0, 0, 3]]
+        assert octree.contains_points([corner, (0.25, 0.25, 1.5)]).tolist() == [True, True]
+        # one ulp further is outside the grid on each axis, and never occupied
+        for axis in range(3):
+            beyond = corner.copy()
+            beyond[axis] = self.EDGE_FAR[axis]
+            assert not octree.contains_points(beyond)[0]
+            octree.insert_points(beyond)
+        assert len(octree) == 1
 
     def test_monotonicity_of_insert(self):
         octree = fresh_octree()
@@ -121,6 +178,27 @@ class TestInflate:
         got = set(map(tuple, out.occupied_indices().tolist()))
         assert got == want
 
+    @given(seed=st.integers(0, 5000), radius=st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_odd_dims_with_every_face_touched_match_dilation_oracle(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        # 5 x 7 x 9 voxels from a negative corner: absolute -3..1, -2..4, -4..4
+        octree = OccupancyOctree(1.0, (-3, -2, -4), (1.5, 4.5, 4.5))
+        shape = np.array([5, 7, 9])
+        idx = rng.integers(0, shape, (12, 3))
+        for axis in range(3):  # one voxel on each of the six faces
+            idx[2 * axis, axis] = 0
+            idx[2 * axis + 1, axis] = shape[axis] - 1
+        octree.insert_points(idx + np.array([-3, -2, -4]) + 0.5)
+        grid = np.zeros(shape, dtype=bool)
+        grid[tuple(idx.T)] = True
+        size = 2 * radius + 1
+        dil = ndimage.binary_dilation(grid, structure=np.ones((size, size, size), dtype=bool))
+        want = {tuple(v) for v in (np.argwhere(dil) + np.array([-3, -2, -4])).tolist()}
+        out = inflate(octree, radius)
+        assert set(map(tuple, out.occupied_indices().tolist())) == want
+        assert len(out) == len(want)
+
     @given(a=st.integers(0, 2), b=st.integers(0, 2), seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_composition_property(self, a, b, seed):
@@ -143,6 +221,32 @@ class TestConstruction:
     def test_non_finite_resolution_or_bounds_rejected(self, resolution, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             OccupancyOctree(resolution, lo, hi)
+
+
+class TestSizeCap:
+    def test_cell_count_above_the_cap_rejected(self):
+        # 10^4 x 10^4 x 4.5 * 10^3 cells: far above the cap, far below int64
+        with pytest.raises(ValueError, match="voxels"):
+            OccupancyOctree(0.001, (-1, -5, -0.5), (9, 5, 4))
+        with pytest.raises(ValueError, match="voxels"):
+            BackgroundBuildParams(resolution=0.001)
+
+    def test_cap_is_inclusive(self):
+        # 2^11 x 2^11 x 2^10 = 2^32 cells exactly, without building the map
+        assert MAX_CELLS == 2**32
+        _, dims = grid_shape(1.0, (0, 0, 0), (2047.5, 2047.5, 1023.5))
+        assert int(np.prod(dims)) == MAX_CELLS
+        with pytest.raises(ValueError, match="voxels"):
+            grid_shape(1.0, (0, 0, 0), (2048.5, 2047.5, 1023.5))
+
+    def test_box_far_from_the_origin_rejected(self):
+        # a small box whose absolute voxel indices int64 arithmetic cannot hold
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            OccupancyOctree(1.0, (1e19, 0, 0), (1e19 + 4096, 1, 1))
+
+    def test_bundled_sized_map_is_bit_packed(self):
+        octree = OccupancyOctree(0.1, (-1, -5, -0.5), (9, 5, 4))
+        assert octree._bits.nbytes == -(-101 * 101 * 46 // 8)
 
 
 class TestBuildBackground:

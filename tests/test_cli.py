@@ -93,7 +93,7 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
     *((o, "config-domain") for o in (
         "turret.command_rate=0", "turret.command_rate=-5", "turret.command_rate=inf",
         "tracker.surveillance_lo=9,0,0", "background.resolution=0",
-        "background.bounds_lo=10,10,10")),
+        "background.bounds_lo=10,10,10", "background.resolution=0.001")),
 ])
 def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
     code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"), "--out-dir", str(tmp_path),
@@ -101,6 +101,35 @@ def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
     assert code == 2
     assert f"error: {category}" in capsys.readouterr().err
     assert not (tmp_path / "track.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, key, pattern", [
+    (["sensor.pattern=ring", "sensor.f1=150"], "f1", "ring"),
+    (["sensor.pattern=ring", "sensor.f2=30"], "f2", "ring"),
+    (["sensor.pattern=ring", "sensor.fov_h_deg=60"], "fov_h_deg", "ring"),
+    (["sensor.n_rings=8"], "n_rings", "rosette"),
+    (["sensor.spin_rate=5"], "spin_rate", "rosette"),
+    (["target.max_range=100"], "max_range", "fast"),
+    (["target.sweep_speed=3"], "sweep_speed", "fast"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_key_the_pattern_does_not_read_is_config_domain(overrides, key, pattern, small_cfg,
+                                                        tmp_path, capsys):
+    args = [a for o in overrides for a in ("--override", o)]
+    code = main(["run", str(small_cfg), "--out-dir", str(tmp_path), *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: config-domain" in err and key in err and f"pattern = {pattern}" in err
+    assert not (tmp_path / "track.csv").exists()
+
+
+def test_key_the_pattern_does_not_read_is_located_in_the_file(tmp_path, capsys):
+    path = tmp_path / "ring.cfg"
+    text = FAST_SMALL + "\n[sensor]\npattern = ring\nf1 = 150\n"
+    path.write_text(text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lineno = text.splitlines().index("f1 = 150") + 1
+    assert "error: config-domain" in err and f"{path}:{lineno}" in err and "f1" in err
 
 
 class TestMetricsCommand:

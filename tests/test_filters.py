@@ -43,6 +43,34 @@ class TestRangeFilter:
                 want.append(i)
         assert kept_ids(cloud, out) == want
 
+    @pytest.mark.parametrize("ground_z", [0.0, 0.1, -0.7])
+    def test_boundaries_match_per_point_predicate(self, ground_z):
+        origin = np.array([0.5, -0.25, 1.0])
+        floor = ground_z + self.PARAMS.ground_margin
+        # points exactly near_min (0.5) or far_max (20) away, then the same
+        # with the largest offset coordinate one ulp lower and one ulp higher
+        offsets = [(0.0, 0.0, 0.5), (0.0, -0.5, 0.0), (12.0, 16.0, 0.0), (0.0, 20.0, 0.0)]
+        pts = []
+        for off in offsets:
+            exact = origin + off
+            axis = int(np.argmax(np.abs(off)))
+            for v in (exact[axis], np.nextafter(exact[axis], -np.inf),
+                      np.nextafter(exact[axis], np.inf)):
+                p = exact.copy()
+                p[axis] = v
+                pts.append(p)
+        # exactly on the ground cut and one ulp either side, inside the range window
+        for z in (floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf)):
+            pts.append((3.0, 0.0, z))
+        pts = np.array(pts)
+        cloud = world_cloud(pts)
+        out = range_filter(cloud, self.PARAMS, ground_z=ground_z, sensor_origin=origin)
+        want = [i for i, p in enumerate(pts)
+                if p[2] > floor and 0.5 <= np.linalg.norm(p - origin) <= 20.0]
+        assert kept_ids(cloud, out) == want
+        assert {0, 3, 6, 9} <= set(want)  # exactly near_min or far_max away is kept
+        assert 12 not in want and 14 in want  # on the ground cut is dropped, above it kept
+
     def test_requires_world_frame(self):
         bad = PointCloud(Frame.SENSOR, np.ones((1, 3)))
         with pytest.raises(ValueError):
