@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +79,13 @@ class RunResult:
     metrics: MetricsReport
 
 
-def _advance_turret(state: TurretState, t_target: float, command, params: TurretParams,
-                    raster: bool) -> TurretState:
-    """Step the turret forward to t_target following either the raster
-    schedule (resampled at command_rate) or a held tracking command."""
+def _raster_turret(state: TurretState, t_target: float, params: TurretParams) -> TurretState:
+    """Step the turret forward to t_target along the raster schedule,
+    resampled at command_rate."""
     step_dt = 1.0 / params.command_rate
     while state.t + 1e-12 < t_target:
-        dt = min(step_dt, t_target - state.t) if raster else t_target - state.t
-        cmd = scan_mode_command(state.t, params) if raster else command
-        state = step_dynamics(state, cmd, dt, params)
+        state = step_dynamics(state, scan_mode_command(state.t, params),
+                              min(step_dt, t_target - state.t), params)
     return state
 
 
@@ -96,7 +94,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
 
     Returns the per-tick track/truth logs, the per-frame scan log and computed
     metrics (NaN-filled when the tracking phase is empty). Fully deterministic
-    under config.seed.
+    under config.seed. The truth log and the scan log's target_range feed
+    nothing back, so they are evaluated from the trajectory after the loop.
     """
     bg_ss, scan_ss, pf_ss = np.random.SeedSequence(config.seed).spawn(3)
     t_track0 = config.turret.scan_duration
@@ -113,9 +112,9 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     bg_scans = []
     for k in range(n_bg):
         t0 = k / config.lidar_rate
-        state = _advance_turret(state, t0, None, tparams, raster=True)
+        state = _raster_turret(state, t0, tparams)
         pose = SensorPose(origin, state.pose)
-        cloud = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
+        cloud, _ = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
         bg_scans.append((cloud, pose))
     octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
 
@@ -125,7 +124,6 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     n_frames = int(math.floor(config.duration * config.lidar_rate + 1e-9))
     n_ticks = int(math.floor(config.duration * config.filter_rate + 1e-9))
     track = np.zeros(n_ticks, TRACK_DTYPE)
-    truth = np.zeros(n_ticks, TRUTH_DTYPE)
     scans = np.zeros(n_frames, SCAN_DTYPE)
     events = sorted(
         [(t_track0 + k / config.lidar_rate, 0, k) for k in range(n_frames)]
@@ -135,16 +133,14 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     last_cmd = state.pose
 
     for ev_t, kind, i in events:
-        state = _advance_turret(state, ev_t, last_cmd, tparams, raster=False)
+        if state.t + 1e-12 < ev_t:  # hold the last command up to the event
+            state = step_dynamics(state, last_cmd, ev_t - state.t, tparams)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
             cloud, surfaces = scan(scene, pose, ev_t, config.sensor, track_rng,
-                                   include_target=ev_t + 1e-12 >= spawn_t,
-                                   return_surfaces=True)
-            world = transform_cloud(cloud, pose)
-            pending.append((ev_t + config.pipeline_latency, world))
-            mid = traj.position(ev_t + config.sensor.integration_time / 2.0)
-            scans[i] = (ev_t, np.sum(surfaces == 2), np.linalg.norm(mid - np.asarray(origin)))
+                                   include_target=ev_t + 1e-12 >= spawn_t)
+            pending.append((ev_t + config.pipeline_latency, transform_cloud(cloud, pose)))
+            scans["t"][i], scans["n_points"][i] = ev_t, np.sum(surfaces == 2)
         else:  # filter tick
             ready = [c for dt, c in pending if dt <= ev_t + 1e-12]
             pending = [(dt, c) for dt, c in pending if dt > ev_t + 1e-12]
@@ -155,8 +151,6 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
                 delivered = preprocess_cloud(delivered, config.filters, scene.ground_z,
                                              octree, sensor_origin=origin)
             pset, est = step(pset, delivered, ev_t, config.tracker)
-            pos = traj.position(ev_t)
-            truth[i] = (ev_t, *pos, traj.speed(ev_t))
             track[i] = (ev_t, *est.position, est.sigma_particles, est.status.value,
                         state.pose.pan, state.pose.tilt)
             if est.status is not TrackStatus.LOST:
@@ -164,6 +158,12 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         if progress is not None:
             progress(ev_t)
 
+    mid = traj.position(scans["t"] + config.sensor.integration_time / 2.0)
+    scans["target_range"] = np.linalg.norm(mid - np.asarray(origin), axis=1)
+    truth = np.zeros(n_ticks, TRUTH_DTYPE)
+    truth["t"] = track["t"]
+    truth["x"], truth["y"], truth["z"] = traj.position(track["t"]).T
+    truth["speed"] = traj.speed(track["t"])
     if len(track):
         metrics = compute_metrics(track, truth, config, scans)
     else:
@@ -335,10 +335,7 @@ def export_csv(obj, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if isinstance(obj, MetricsReport):
                 fh.write("metric,range_lo,range_hi,value\n")
-                for name in ("mean_error", "sigma_error", "rmse",
-                             "mean_error_stationary", "sigma_error_stationary", "rmse_stationary",
-                             "mean_error_moving", "sigma_error_moving", "rmse_moving",
-                             "detection_distance", "redetect_latency", "initial_lock_time"):
+                for name in (f.name for f in fields(obj) if f.name != "points_per_scan"):
                     fh.write(f"{name},,,{_fmt(getattr(obj, name))}\n")
                 for lo, hi, mean_pts in obj.points_per_scan:
                     fh.write(f"points_per_scan,{_fmt(lo)},{_fmt(hi)},{_fmt(mean_pts)}\n")

@@ -66,20 +66,19 @@ class Trajectory:
         t = float(self.start_time)
         wps = [(np.asarray(p, dtype=float), float(w)) for p, w in self.waypoints]
         for rep in range(self.repeat_count):
-            seq = wps if rep == 0 else wps[:]
             if rep > 0 and np.any(wps[-1][0] != wps[0][0]):
                 # closing segment back to the start of the next pass
                 t0s.append(t); durs.append(self.segment_duration)
                 starts.append(wps[-1][0]); ends.append(wps[0][0])
                 t += self.segment_duration
-            for i, (pos, wait) in enumerate(seq):
+            for i, (pos, wait) in enumerate(wps):
                 if wait > 0:
                     t0s.append(t); durs.append(wait)
                     starts.append(pos); ends.append(pos)
                     t += wait
-                if i + 1 < len(seq):
+                if i + 1 < len(wps):
                     t0s.append(t); durs.append(self.segment_duration)
-                    starts.append(pos); ends.append(seq[i + 1][0])
+                    starts.append(pos); ends.append(wps[i + 1][0])
                     t += self.segment_duration
         # terminal hold
         t0s.append(t); durs.append(math.inf)
@@ -90,25 +89,22 @@ class Trajectory:
         self._b = np.vstack(ends)
         self.total_duration = t
 
-    def _phase(self, t_arr: np.ndarray) -> np.ndarray:
-        """Index of the phase each time falls in; times before the first
-        phase map to phase 0, which starts by holding the first waypoint.
-        Negative and NaN times are rejected."""
-        if not np.all(t_arr >= 0):
-            raise ValueError("trajectory time must be >= 0 and not NaN")
-        return np.clip(np.searchsorted(self._t0, t_arr, side="right") - 1, 0, len(self._t0) - 1)
+    def _phase(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Phase index of each time and the fraction of that phase done,
+        clipped to [0, 1]; times before the first phase map to phase 0, which
+        starts by holding the first waypoint. Negative and non-finite times
+        are rejected."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all((t >= 0) & (t < math.inf)):
+            raise ValueError("trajectory time must be finite and >= 0")
+        idx = np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0, len(self._t0) - 1)
+        return idx, np.clip((t - self._t0[idx]) / self._dur[idx], 0.0, 1.0)
 
     def position(self, t) -> np.ndarray:
-        """Target position at time(s) t; scalar in, (3,) out; array in, (n, 3) out."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if len(t_arr) == 0:
-            return np.empty((0, 3))
-        idx = self._phase(t_arr)
-        u = (t_arr - self._t0[idx]) / self._dur[idx]
-        u = np.clip(np.nan_to_num(u, nan=0.0, posinf=1.0), 0.0, 1.0)
+        """(n, 3) target positions at the n times t."""
+        idx, u = self._phase(t)
         s = 0.5 * (1.0 - np.cos(np.pi * u))
-        pos = self._a[idx] + (self._b[idx] - self._a[idx]) * s[:, None]
-        return pos[0] if np.isscalar(t) or np.ndim(t) == 0 else pos
+        return self._a[idx] + (self._b[idx] - self._a[idx]) * s[:, None]
 
     def bounding_ball(self, t_lo: float, t_hi: float) -> tuple[np.ndarray, float]:
         """(centre, radius) of a ball that holds position(t) for every t in
@@ -123,22 +119,17 @@ class Trajectory:
         ends = self.position(window)
         if not t_lo <= t_hi:
             raise ValueError("bounding_ball needs t_lo <= t_hi")
-        k_lo, k_hi = self._phase(window)
+        (k_lo, k_hi), _ = self._phase(window)
         pts = np.vstack([ends, self._b[k_lo:k_hi], self._a[k_lo + 1:k_hi + 1]])
         centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         return centre, float(np.sqrt(np.max(np.sum((pts - centre) ** 2, axis=1))))
 
     def speed(self, t) -> np.ndarray:
-        """Target speed magnitude at time(s) t (analytic profile derivative)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = self._phase(t_arr)
-        u = (t_arr - self._t0[idx]) / self._dur[idx]
-        u = np.clip(np.nan_to_num(u, nan=0.0, posinf=1.0), 0.0, 1.0)
+        """(n,) target speed magnitudes at the n times t (analytic profile
+        derivative)."""
+        idx, u = self._phase(t)
         length = np.linalg.norm(self._b[idx] - self._a[idx], axis=1)
-        with np.errstate(invalid="ignore"):
-            v = length * np.pi / (2.0 * self._dur[idx]) * np.sin(np.pi * u)
-        v = np.nan_to_num(v, nan=0.0)
-        return float(v[0]) if np.isscalar(t) or np.ndim(t) == 0 else v
+        return length * np.pi / (2.0 * self._dur[idx]) * np.sin(np.pi * u)
 
 
 @dataclass

@@ -152,16 +152,14 @@ def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
 
 
 def scan(scene: Scene, pose: SensorPose, t0: float, params,
-         rng: np.random.Generator, include_target: bool = True,
-         return_surfaces: bool = False):
-    """Simulate one integration frame; returns a sensor-frame cloud.
+         rng: np.random.Generator, include_target: bool = True):
+    """Simulate one integration frame; returns (sensor-frame cloud, surface
+    codes), the codes as in scene.ray_cast_arrays, one per kept point.
 
     Emits floor(point_rate * integration_time + 1e-9) rays at uniform time steps,
     casts each into the scene, keeps hits within range_max with the
     range/weather keep probability, and perturbs kept ranges with Gaussian
-    noise along the ray. An empty cloud is a valid result. With
-    return_surfaces=True a (cloud, surface-code array) pair comes back
-    (codes as in scene.ray_cast_arrays, one per kept point).
+    noise along the ray. An empty cloud is a valid result.
     """
     if t0 < 0:
         raise ValueError("frame start time must be >= 0")
@@ -181,12 +179,9 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
         p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)
         kept = kept[rng.random(len(kept)) < p]
     if len(kept) == 0:
-        cloud = PointCloud.empty(Frame.SENSOR)
-        return (cloud, np.empty(0, dtype=np.int8)) if return_surfaces else cloud
+        return PointCloud.empty(Frame.SENSOR), np.empty(0, dtype=np.int8)
 
     r = ranges[kept]
     if params.range_noise_sigma > 0:
         r = r + rng.normal(0.0, params.range_noise_sigma, len(kept))
-    xyz = dirs_sensor[kept] * r[:, None]
-    cloud = PointCloud(Frame.SENSOR, xyz)
-    return (cloud, surf[kept]) if return_surfaces else cloud
+    return PointCloud(Frame.SENSOR, dirs_sensor[kept] * r[:, None]), surf[kept]

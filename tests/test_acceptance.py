@@ -190,8 +190,7 @@ class TestCriterion07CenteringGain:
         rng = np.random.default_rng(0)
         frames = 50
         static_hits = sum(
-            int((scan(scene_off, SensorPose(origin), k * 0.1, sensor, rng,
-                      return_surfaces=True)[1] == 2).sum())
+            int((scan(scene_off, SensorPose(origin), k * 0.1, sensor, rng)[1] == 2).sum())
             for k in range(frames))
         static_rate = static_hits / (frames * 0.1)
 
@@ -201,8 +200,7 @@ class TestCriterion07CenteringGain:
         pos_ring = (50.0 * math.cos(elev), 0.0, 1.5 + 50.0 * math.sin(elev))
         scene_ring = Scene(0.0, [], TargetModel(0.35, 0.95, Trajectory([(pos_ring, 1.0)], 1.0)), weather)
         ring_hits = sum(
-            int((scan(scene_ring, SensorPose(origin), k * 0.1, ring, rng,
-                      return_surfaces=True)[1] == 2).sum())
+            int((scan(scene_ring, SensorPose(origin), k * 0.1, ring, rng)[1] == 2).sum())
             for k in range(frames))
         ring_rate = ring_hits / (frames * 0.1)
 
@@ -312,11 +310,12 @@ class TestCriterion10PerformanceEnvelope:
         scans = []
         for k in range(20):
             pose = SensorPose(cfg.turret_origin, scan_mode_command(k / 10.0, tp))
-            scans.append((scan(scene, pose, k / 10.0, cfg.sensor, rng, include_target=False), pose))
+            scans.append((scan(scene, pose, k / 10.0, cfg.sensor, rng, include_target=False)[0],
+                          pose))
         octree = build_background(scans, cfg.background, cfg.filters, cfg.scene.ground_z)
         from rosetrack.geometry import transform_cloud
         pose = SensorPose(cfg.turret_origin)
-        frames = [transform_cloud(scan(scene, pose, 2.0 + k / 10.0, cfg.sensor, rng), pose)
+        frames = [transform_cloud(scan(scene, pose, 2.0 + k / 10.0, cfg.sensor, rng)[0], pose)
                   for k in range(15)]
         preprocess_cloud(frames[0], cfg.filters, cfg.scene.ground_z, octree, cfg.turret_origin)
         start = time.perf_counter()

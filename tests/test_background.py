@@ -261,7 +261,7 @@ class TestBuildBackground:
         out = []
         for k in range(n_frames):
             pose = SensorPose((0, 0, 1.0), scan_mode_command(k / 10.0, tp))
-            out.append((scan(scene, pose, k / 10.0, params, rng), pose))
+            out.append((scan(scene, pose, k / 10.0, params, rng)[0], pose))
         return out
 
     def test_static_scene_builds_target_free_octree(self):

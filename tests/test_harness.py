@@ -318,6 +318,20 @@ class TestRunScenario:
         # locked within two measurement updates of the first target return
         assert result.metrics.initial_lock_time <= 2.0 / cfg.lidar_rate + 1e-9
 
+    def test_truth_and_target_range_come_from_the_trajectory(self):
+        # neither log feeds the loop: both are the trajectory evaluated at the
+        # logged tick times and at each frame's mid-time
+        cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=2"])
+        result = run_scenario(cfg)
+        traj = cfg.scene.target.trajectory
+        tick_t = result.track["t"]
+        assert len(tick_t) and np.array_equal(result.truth["t"], tick_t)
+        assert np.array_equal(positions(result.truth), traj.position(tick_t))
+        assert np.array_equal(result.truth["speed"], traj.speed(tick_t))
+        mid = traj.position(result.scans["t"] + cfg.sensor.integration_time / 2.0)
+        assert np.array_equal(result.scans["target_range"],
+                              np.linalg.norm(mid - np.asarray(cfg.turret_origin), axis=1))
+
     def test_closed_loop_keeps_target_near_center(self):
         # a target moving at <= 1.2 m/s at >= 3 m stays well inside the FoV
         cfg = default_config(["turret.scan_duration=2.0", "run.duration=10.0",

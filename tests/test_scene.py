@@ -41,7 +41,7 @@ def brute_force_ray_cast(scene, origin, direction, t):
             if 1e-9 < thit < best:
                 best, surface = thit, OBSTACLE
     if scene.target is not None:
-        c = scene.target.trajectory.position(t)
+        c = scene.target.trajectory.position(t)[0]
         r = scene.target.diameter / 2
         oc = origin - c
         b = float(oc @ direction)
@@ -181,13 +181,16 @@ class TestTrajectory:
         traj = make_pattern("fast")
         assert traj.position(np.empty(0)).shape == (0, 3)
 
-    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan]), -0.1])
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan]), -0.1,
+                                   math.inf, np.array([0.5, math.inf])])
     def test_nan_or_negative_time_rejected(self, t):
-        # NaN used to fall through every phase test and return the terminal hold
+        # NaN used to fall through every phase test and return the terminal
+        # hold, and so did inf
         with pytest.raises(ValueError):
             make_pattern("fast").position(t)
 
-    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan]), -1.0])
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan]), -1.0,
+                                   math.inf, np.array([0.5, math.inf])])
     def test_speed_rejects_nan_or_negative_time(self, t):
         # both used to fall into a hold phase and give speed 0.0
         with pytest.raises(ValueError):

@@ -117,7 +117,7 @@ class TestPatternDensity:
     def test_every_point_inside_fov_and_range(self):
         p = RosetteParams(range_noise_sigma=0.01)
         scene = Scene(0.0, [], static_target((6.0, 0.5, 1.0)), NO_CUTOFF)
-        cloud = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(1))
+        cloud, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(1))
         assert len(cloud)
         u = cloud.xyz / np.linalg.norm(cloud.xyz, axis=1, keepdims=True)
         a_h = np.arctan2(u[:, 1], u[:, 0])
@@ -131,7 +131,7 @@ class TestScan:
     def test_empty_scene_empty_cloud(self):
         scene = Scene(-100.0, [], None, NO_CUTOFF)  # ground far below every ray
         p = RosetteParams(range_max=50.0)
-        cloud = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
+        cloud, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
         assert len(cloud) == 0
         assert cloud.frame_id is Frame.SENSOR
 
@@ -139,7 +139,7 @@ class TestScan:
         p = RosetteParams(point_rate=5000, integration_time=0.1)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud = scan(scene, SensorPose((0, 0, 0)), 0.5, p,
+        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.5, p,
                      np.random.default_rng(0))
         assert len(cloud) <= int(p.point_rate * p.integration_time)
 
@@ -149,7 +149,7 @@ class TestScan:
         p = RosetteParams(point_rate=100.0, integration_time=0.29)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
+        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
         assert len(cloud) == 29
 
     @pytest.mark.parametrize("params", [RosetteParams, RingScanParams])
@@ -164,7 +164,7 @@ class TestScan:
                           range_noise_sigma=0.0, range_max=100.0)
         wall = Box((10.0, -60.0, -60.0), (10.5, 60.0, 60.0))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
+        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
         assert len(cloud) > 1000
         ranges = np.linalg.norm(cloud.xyz, axis=1)
         cos_off = cloud.xyz[:, 0] / ranges
@@ -186,7 +186,7 @@ class TestScan:
         def target_hits(scene):
             total = 0
             for k in range(100):
-                _, surf = scan(scene, pose, k * 0.1, p, rng, return_surfaces=True)
+                _, surf = scan(scene, pose, k * 0.1, p, rng)
                 total += int(np.sum(surf == 2))
             return total
 
@@ -196,15 +196,15 @@ class TestScan:
         p = RosetteParams(point_rate=10000)
         scene = Scene(0.0, [], static_target((5, 0, 1)), WeatherModel())
         pose = SensorPose((0, 0, 1.0))
-        a = scan(scene, pose, 0.2, p, np.random.default_rng(123))
-        b = scan(scene, pose, 0.2, p, np.random.default_rng(123))
+        a, _ = scan(scene, pose, 0.2, p, np.random.default_rng(123))
+        b, _ = scan(scene, pose, 0.2, p, np.random.default_rng(123))
         assert np.array_equal(a.xyz, b.xyz)
 
     def test_range_noise_perturbs_along_ray(self):
         p = RosetteParams(point_rate=20000, range_noise_sigma=0.05, range_max=100.0)
         wall = Box((10.0, -60.0, -60.0), (10.5, 60.0, 60.0))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(5))
+        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(5))
         ranges = np.linalg.norm(cloud.xyz, axis=1)
         cos_off = cloud.xyz[:, 0] / ranges
         resid = ranges - 10.0 / cos_off
@@ -230,5 +230,5 @@ class TestRingPattern:
     def test_ring_scan_produces_cloud(self):
         p = RingScanParams(point_rate=20000)
         scene = Scene(0.0, [], static_target((5, 0, 1)), NO_CUTOFF)
-        cloud = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
+        cloud, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
         assert len(cloud) > 0
