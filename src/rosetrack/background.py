@@ -142,23 +142,25 @@ class BackgroundBuildParams:
 def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
     """Chebyshev dilation: occupy every voxel within `radius` of an occupied one.
 
-    Returns a new octree; the dilation is applied separably per axis (exact
-    for the Chebyshev ball) to the occupied keys, clipped to the bounds box.
+    Returns a new octree. The dilation is separable (exact for the Chebyshev
+    ball): per axis, the occupied keys are shifted along it, clipped to the
+    bounds box, and set into the cleared grid, whose bits absorb duplicates.
     """
     if radius < 0:
         raise ValueError("inflation radius must be >= 0")
-    keys = octree._occupied_keys()
-    if radius and len(keys):
+    out = OccupancyOctree(octree.resolution, octree.lo, octree.hi)
+    out._bits[:] = octree._bits
+    if radius and out._bits.any():
         shifts = np.arange(-radius, radius + 1, dtype=np.int64)
         dims = octree._dims
         for axis in range(3):
+            keys = out._occupied_keys()
             stride = int(np.prod(dims[axis + 1:]))
             coord = (keys // stride) % dims[axis]
             grown = keys[None, :] + shifts[:, None] * stride
             moved = coord[None, :] + shifts[:, None]
-            keys = np.unique(grown[(moved >= 0) & (moved < dims[axis])])
-    out = OccupancyOctree(octree.resolution, octree.lo, octree.hi)
-    out._set(keys)
+            out._bits[:] = 0
+            out._set(grown[(moved >= 0) & (moved < dims[axis])])
     return out
 
 
@@ -166,7 +168,7 @@ def build_background(scans, params: BackgroundBuildParams, filters: FilterParams
                      ground_z: float) -> OccupancyOctree:
     """Transform, range/ground gate, and insert raster scans; inflate last.
 
-    `scans` is a sequence of (sensor-frame cloud, sensor pose) pairs from the
+    `scans` is a sequence of (sensor-frame points, sensor pose) pairs from the
     turret's initialization raster. The gate is the tracking phase's range
     gate: `filters` near_min, far_max and ground_margin over `ground_z`.
     """
@@ -176,8 +178,8 @@ def build_background(scans, params: BackgroundBuildParams, filters: FilterParams
     if not scans:
         raise ValueError("cannot bootstrap a background model from zero scans")
     octree = params.empty_map()
-    for cloud, pose in scans:
-        world = transform_cloud(cloud, pose)
+    for points, pose in scans:
+        world = transform_cloud(points, pose)
         kept = range_filter(world, filters, ground_z, sensor_origin=pose.origin)
         octree.insert_points(kept.xyz)
     return inflate(octree, params.inflation_radius)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Frame, PointCloud
+from .geometry import PointCloud
 
 if TYPE_CHECKING:
     from .background import OccupancyOctree
@@ -50,10 +50,6 @@ def range_filter(cloud: PointCloud, params: FilterParams, ground_z: float,
     Keeps points with z above ground_z + ground_margin whose distance from
     the sensor origin lies in the range window.
     """
-    if cloud.frame_id is not Frame.WORLD:
-        raise ValueError("range_filter expects a world-frame cloud")
-    if not len(cloud):
-        return cloud.select(np.zeros(0, dtype=bool))
     sq = np.subtract(cloud.xyz.T, np.asarray(sensor_origin, dtype=float)[:, None], order="C")
     sq *= sq
     d = np.sqrt(sq[0] + sq[1] + sq[2])
@@ -68,8 +64,6 @@ def subtract_background(cloud: PointCloud, octree: "OccupancyOctree") -> PointCl
     The map holds only voxels inside its bounds box, so a point outside the
     box is always kept, even where the static scene continues beyond it.
     """
-    if not len(cloud):
-        return cloud.select(np.zeros(0, dtype=bool))
     return cloud.select(~octree.contains_points(cloud.xyz))
 
 
@@ -78,9 +72,6 @@ def radius_outlier_removal(cloud: PointCloud, radius: float, min_neighbors: int,
     """Keep a point iff at least min_neighbors other points lie within radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    n = len(cloud)
-    if n == 0:
-        return cloud.select(np.zeros(0, dtype=bool))
     if brute_force:
         d = np.linalg.norm(cloud.xyz[:, None, :] - cloud.xyz[None, :, :], axis=2)
         counts = np.sum(d <= radius, axis=1) - 1  # drop self

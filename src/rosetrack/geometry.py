@@ -1,4 +1,4 @@
-"""Shared geometric types and sensor/world frame transforms.
+"""Shared geometric types and the sensor-to-world transform.
 
 Conventions used throughout the package:
 
@@ -10,27 +10,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-class Frame(enum.Enum):
-    SENSOR = "sensor"
-    WORLD = "world"
-
-
-class FrameMismatchError(ValueError):
-    """Raised when a cloud is supplied in the wrong coordinate frame."""
-
-
 @dataclass
 class PointCloud:
-    """The returns of one frame: row i of ``xyz`` is point i, in meters."""
+    """World-frame returns: row i of ``xyz`` is point i, in meters."""
 
-    frame_id: Frame
     xyz: np.ndarray  # (n, 3)
 
     def __post_init__(self):
@@ -44,13 +33,9 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.xyz)
 
-    @classmethod
-    def empty(cls, frame_id: Frame) -> "PointCloud":
-        return cls(frame_id, np.empty((0, 3)))
-
     def select(self, mask: np.ndarray) -> "PointCloud":
         """New cloud keeping the masked points in order."""
-        return PointCloud(self.frame_id, self.xyz[mask])
+        return PointCloud(self.xyz[mask])
 
 
 @dataclass(frozen=True)
@@ -93,13 +78,10 @@ def pan_tilt_to_rotation(pose: PanTiltPose) -> np.ndarray:
     return rz @ ry
 
 
-def transform_cloud(cloud: PointCloud, pose: SensorPose) -> PointCloud:
-    """Transform a sensor-frame cloud into the world frame.
+def transform_cloud(points: np.ndarray, pose: SensorPose) -> PointCloud:
+    """World-frame cloud of sensor-frame points, an (n, 3) array.
 
     Each point maps to R @ p + origin; ordering and point count are preserved.
     """
-    if cloud.frame_id is not Frame.SENSOR:
-        raise FrameMismatchError(f"expected a sensor-frame cloud, got {cloud.frame_id}")
     rot = pan_tilt_to_rotation(pose.orientation)
-    xyz = cloud.xyz @ rot.T + np.asarray(pose.origin, dtype=float)
-    return PointCloud(Frame.WORLD, xyz)
+    return PointCloud(points @ rot.T + np.asarray(pose.origin, dtype=float))

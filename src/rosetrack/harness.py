@@ -22,7 +22,7 @@ import numpy as np
 from .background import build_background
 from .config import ScenarioConfig
 from .filters import preprocess_cloud
-from .geometry import Frame, PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
+from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
 from .scene import ray_cast_arrays
 from .sensor import scan
 from .tracker import TrackStatus, init_filter, step
@@ -114,8 +114,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         t0 = k / config.lidar_rate
         state = _raster_turret(state, t0, tparams)
         pose = SensorPose(origin, state.pose)
-        cloud, _ = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
-        bg_scans.append((cloud, pose))
+        points, _ = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
+        bg_scans.append((points, pose))
     octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
 
     # --- tracking phase ----------------------------------------------------
@@ -137,9 +137,9 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             state = step_dynamics(state, last_cmd, ev_t - state.t, tparams)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
-            cloud, surfaces = scan(scene, pose, ev_t, config.sensor, track_rng,
-                                   include_target=ev_t + 1e-12 >= spawn_t)
-            pending.append((ev_t + config.pipeline_latency, transform_cloud(cloud, pose)))
+            points, surfaces = scan(scene, pose, ev_t, config.sensor, track_rng,
+                                    include_target=ev_t + 1e-12 >= spawn_t)
+            pending.append((ev_t + config.pipeline_latency, transform_cloud(points, pose)))
             scans["t"][i], scans["n_points"][i] = ev_t, np.sum(surfaces == 2)
         else:  # filter tick
             ready = [c for dt, c in pending if dt <= ev_t + 1e-12]
@@ -147,7 +147,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             delivered = None
             if ready:
                 delivered = ready[0] if len(ready) == 1 else PointCloud(
-                    Frame.WORLD, np.vstack([c.xyz for c in ready]))
+                    np.vstack([c.xyz for c in ready]))
                 delivered = preprocess_cloud(delivered, config.filters, scene.ground_z,
                                              octree, sensor_origin=origin)
             pset, est = step(pset, delivered, ev_t, config.tracker)

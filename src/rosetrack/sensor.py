@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Frame, PointCloud, SensorPose, pan_tilt_to_rotation
+from .geometry import SensorPose, pan_tilt_to_rotation
 from .scene import Scene, ray_cast_arrays, return_probability_arrays
 
 
@@ -153,13 +153,14 @@ def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
 
 def scan(scene: Scene, pose: SensorPose, t0: float, params,
          rng: np.random.Generator, include_target: bool = True):
-    """Simulate one integration frame; returns (sensor-frame cloud, surface
-    codes), the codes as in scene.ray_cast_arrays, one per kept point.
+    """Simulate one integration frame; returns (points, surface codes): the
+    kept points as an (n, 3) sensor-frame array, and per point its code as in
+    scene.ray_cast_arrays.
 
     Emits floor(point_rate * integration_time + 1e-9) rays at uniform time steps,
     casts each into the scene, keeps hits within range_max with the
     range/weather keep probability, and perturbs kept ranges with Gaussian
-    noise along the ray. An empty cloud is a valid result.
+    noise along the ray. Zero points is a valid result.
     """
     if t0 < 0:
         raise ValueError("frame start time must be >= 0")
@@ -175,13 +176,10 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     ranges, surf = ray_cast_arrays(scene, origin, dirs_world, times, include_target)
     hit = (surf >= 0) & (ranges <= params.range_max)
     kept = np.nonzero(hit)[0]
-    if len(kept):
-        p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)
-        kept = kept[rng.random(len(kept)) < p]
-    if len(kept) == 0:
-        return PointCloud.empty(Frame.SENSOR), np.empty(0, dtype=np.int8)
+    p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)
+    kept = kept[rng.random(len(kept)) < p]
 
     r = ranges[kept]
     if params.range_noise_sigma > 0:
         r = r + rng.normal(0.0, params.range_noise_sigma, len(kept))
-    return PointCloud(Frame.SENSOR, dirs_sensor[kept] * r[:, None]), surf[kept]
+    return dirs_sensor[kept] * r[:, None], surf[kept]

@@ -18,7 +18,7 @@ from rosetrack.background import OccupancyOctree, build_background
 from rosetrack.config import default_config, parse_config
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
                                statistical_outlier_removal)
-from rosetrack.geometry import Frame, PointCloud, SensorPose
+from rosetrack.geometry import PointCloud, SensorPose
 from rosetrack.harness import export_csv, positions, run_many, run_scenario, target_visibility
 from rosetrack.scene import Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import RingScanParams, RosetteParams, scan
@@ -39,7 +39,7 @@ def criterion(num, description, ok, detail):
 
 
 def world_cloud(xyz):
-    return PointCloud(Frame.WORLD, xyz)
+    return PointCloud(xyz)
 
 
 def config(config_name, overrides=()):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from rosetrack.background import OccupancyOctree, inflate
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
                                range_filter, statistical_outlier_removal, subtract_background)
-from rosetrack.geometry import Frame, PointCloud
+from rosetrack.geometry import PointCloud
 
 
 def world_cloud(xyz):
-    return PointCloud(Frame.WORLD, xyz)
+    return PointCloud(xyz)
 
 
 def kept_ids(cloud, out):
@@ -70,11 +70,6 @@ class TestRangeFilter:
         assert kept_ids(cloud, out) == want
         assert {0, 3, 6, 9} <= set(want)  # exactly near_min or far_max away is kept
         assert 12 not in want and 14 in want  # on the ground cut is dropped, above it kept
-
-    def test_requires_world_frame(self):
-        bad = PointCloud(Frame.SENSOR, np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            range_filter(bad, self.PARAMS, 0.0)
 
 
 class TestSubtractBackground:
@@ -208,3 +203,27 @@ class TestChainProperties:
         assert ids == sorted(ids)
         idx = np.array(ids, dtype=int)
         assert np.array_equal(out.xyz, cloud.xyz[idx])
+
+
+def _occupied_map():
+    octree = OccupancyOctree(0.25, (-5, -5, -5), (10, 5, 5))
+    octree.insert_points([[3.0, 0.0, 1.0]])
+    return octree
+
+
+ZERO_POINT_STAGES = {
+    "range": lambda c: range_filter(c, FilterParams(), 0.0),
+    "background": lambda c: subtract_background(c, _occupied_map()),
+    "ror": lambda c: radius_outlier_removal(c, 0.5, 2),
+    "ror_brute_force": lambda c: radius_outlier_removal(c, 0.5, 2, brute_force=True),
+    "sor": lambda c: statistical_outlier_removal(c, 8, 1.0),
+    "sor_brute_force": lambda c: statistical_outlier_removal(c, 8, 1.0, brute_force=True),
+    "preprocess": lambda c: preprocess_cloud(c, FilterParams(), 0.0, octree=_occupied_map()),
+}
+
+
+@pytest.mark.parametrize("stage", list(ZERO_POINT_STAGES))
+def test_zero_points_in_zero_points_out(stage):
+    out = ZERO_POINT_STAGES[stage](world_cloud(np.empty((0, 3))))
+    assert isinstance(out, PointCloud)
+    assert out.xyz.shape == (0, 3)

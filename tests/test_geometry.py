@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.geometry import (Frame, FrameMismatchError, PanTiltPose, PointCloud,
-                                SensorPose, pan_tilt_to_rotation, transform_cloud)
+from rosetrack.geometry import (PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation,
+                                transform_cloud)
 
 
 def rot_z(a):
@@ -19,10 +19,6 @@ def rot_y(a):
 
 angles_pan = st.floats(-math.pi, math.pi, allow_nan=False)
 angles_tilt = st.floats(-math.pi / 2, math.pi / 2, allow_nan=False)
-
-
-def make_cloud(xyz, frame=Frame.SENSOR):
-    return PointCloud(frame, xyz)
 
 
 class TestPanTiltRotation:
@@ -64,66 +60,60 @@ class TestPanTiltRotation:
 
 class TestTransformCloud:
     def test_identity_pose_keeps_coordinates(self):
-        cloud = make_cloud([[1, 2, 3], [-4, 0, 2]])
-        out = transform_cloud(cloud, SensorPose((0, 0, 0)))
-        assert out.frame_id is Frame.WORLD
-        assert np.allclose(out.xyz, cloud.xyz)
+        pts = np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 2.0]])
+        out = transform_cloud(pts, SensorPose((0, 0, 0)))
+        assert isinstance(out, PointCloud)
+        assert np.allclose(out.xyz, pts)
 
     def test_pure_translation(self):
-        cloud = make_cloud([[0, 0, 0]])
-        out = transform_cloud(cloud, SensorPose((1, 2, 3)))
+        out = transform_cloud(np.zeros((1, 3)), SensorPose((1, 2, 3)))
         assert np.allclose(out.xyz, [[1, 2, 3]])
 
     def test_quarter_pan_against_matrix_oracle(self):
         origin = (0.5, -0.25, 2.0)
-        cloud = make_cloud([[1, 0, 0]])
-        out = transform_cloud(cloud, SensorPose(origin, PanTiltPose(math.pi / 2, 0.0)))
+        out = transform_cloud(np.array([[1.0, 0.0, 0.0]]),
+                              SensorPose(origin, PanTiltPose(math.pi / 2, 0.0)))
         oracle = rot_z(math.pi / 2) @ np.array([1.0, 0.0, 0.0]) + np.array(origin)
         assert np.allclose(out.xyz[0], oracle, atol=1e-12)
         assert np.allclose(out.xyz[0], np.array([0, 1, 0]) + origin, atol=1e-12)
-
-    def test_wrong_frame_rejected(self):
-        world = make_cloud([[1, 2, 3]], frame=Frame.WORLD)
-        with pytest.raises(FrameMismatchError):
-            transform_cloud(world, SensorPose((0, 0, 0)))
 
     @given(pan=angles_pan, tilt=angles_tilt,
            ox=st.floats(-50, 50), oy=st.floats(-50, 50), oz=st.floats(-50, 50))
     @settings(max_examples=60)
     def test_round_trip_within_tolerance(self, pan, tilt, ox, oy, oz):
         rng = np.random.default_rng(7)
-        cloud = make_cloud(rng.uniform(-20, 20, (25, 3)))
+        pts = rng.uniform(-20, 20, (25, 3))
         pose = SensorPose((ox, oy, oz), PanTiltPose(pan, tilt))
-        out = transform_cloud(cloud, pose)
+        out = transform_cloud(pts, pose)
         # the rotation is orthonormal, so R^T undoes it
         back = (out.xyz - np.asarray(pose.origin)) @ pan_tilt_to_rotation(pose.orientation)
-        assert np.max(np.abs(back - cloud.xyz)) < 1e-9
+        assert np.max(np.abs(back - pts)) < 1e-9
 
     @given(pan=angles_pan, tilt=angles_tilt)
     @settings(max_examples=60)
     def test_pairwise_distances_preserved(self, pan, tilt):
         rng = np.random.default_rng(3)
-        cloud = make_cloud(rng.uniform(-10, 10, (15, 3)))
-        out = transform_cloud(cloud, SensorPose((4, -2, 1), PanTiltPose(pan, tilt)))
-        d_in = np.linalg.norm(cloud.xyz[:, None] - cloud.xyz[None, :], axis=2)
+        pts = rng.uniform(-10, 10, (15, 3))
+        out = transform_cloud(pts, SensorPose((4, -2, 1), PanTiltPose(pan, tilt)))
+        d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         d_out = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=2)
         assert np.max(np.abs(d_in - d_out)) < 1e-9
 
     def test_point_count_preserved(self):
-        cloud = make_cloud(np.arange(30).reshape(10, 3))
-        out = transform_cloud(cloud, SensorPose((1, 1, 1), PanTiltPose(0.4, 0.1)))
-        assert len(out) == len(cloud)
+        pts = np.arange(30.0).reshape(10, 3)
+        out = transform_cloud(pts, SensorPose((1, 1, 1), PanTiltPose(0.4, 0.1)))
+        assert len(out) == len(pts)
 
 
 class TestDomainTypes:
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            PointCloud(Frame.SENSOR, [[math.nan, 0.0, 0.0]])
+            PointCloud([[math.nan, 0.0, 0.0]])
 
     def test_last_axis_must_be_three(self):
         with pytest.raises(ValueError, match="last axis"):
-            PointCloud(Frame.WORLD, np.zeros((6, 2)))
-        assert len(PointCloud(Frame.WORLD, np.zeros(3))) == 1
+            PointCloud(np.zeros((6, 2)))
+        assert len(PointCloud(np.zeros(3))) == 1
 
     def test_sensor_pose_requires_finite_origin(self):
         with pytest.raises(ValueError):

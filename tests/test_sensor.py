@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rosetrack.config import parse_config
-from rosetrack.geometry import Frame, PanTiltPose, SensorPose
+from rosetrack.geometry import PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import RingScanParams, RosetteParams, _frame_directions, _rays_per_frame, scan
 
@@ -117,31 +117,34 @@ class TestPatternDensity:
     def test_every_point_inside_fov_and_range(self):
         p = RosetteParams(range_noise_sigma=0.01)
         scene = Scene(0.0, [], static_target((6.0, 0.5, 1.0)), NO_CUTOFF)
-        cloud, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(1))
-        assert len(cloud)
-        u = cloud.xyz / np.linalg.norm(cloud.xyz, axis=1, keepdims=True)
+        points, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(1))
+        assert len(points)
+        u = points / np.linalg.norm(points, axis=1, keepdims=True)
         a_h = np.arctan2(u[:, 1], u[:, 0])
         a_v = np.arctan2(u[:, 2], np.hypot(u[:, 0], u[:, 1]))
         assert np.all(np.abs(a_h) <= p.fov_h / 2 + 1e-9)
         assert np.all(np.abs(a_v) <= p.fov_v / 2 + 1e-9)
-        assert np.all(np.linalg.norm(cloud.xyz, axis=1) <= p.range_max + 5 * p.range_noise_sigma)
+        assert np.all(np.linalg.norm(points, axis=1) <= p.range_max + 5 * p.range_noise_sigma)
 
 
 class TestScan:
     def test_empty_scene_empty_cloud(self):
         scene = Scene(-100.0, [], None, NO_CUTOFF)  # ground far below every ray
         p = RosetteParams(range_max=50.0)
-        cloud, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
-        assert len(cloud) == 0
-        assert cloud.frame_id is Frame.SENSOR
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        points, codes = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, rng)
+        assert points.shape == (0, 3) and points.dtype == np.float64
+        assert codes.shape == (0,) and codes.dtype == np.int8
+        assert rng.bit_generator.state == before
 
     def test_ray_count_bound(self):
         p = RosetteParams(point_rate=5000, integration_time=0.1)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.5, p,
-                     np.random.default_rng(0))
-        assert len(cloud) <= int(p.point_rate * p.integration_time)
+        points, _ = scan(scene, SensorPose((0, 0, 0)), 0.5, p,
+                         np.random.default_rng(0))
+        assert len(points) <= int(p.point_rate * p.integration_time)
 
     def test_ray_count_not_truncated_by_float_error(self):
         # 100 * 0.29 == 28.999999999999996 in floating point; the frame still
@@ -149,8 +152,8 @@ class TestScan:
         p = RosetteParams(point_rate=100.0, integration_time=0.29)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
-        assert len(cloud) == 29
+        points, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
+        assert len(points) == 29
 
     @pytest.mark.parametrize("params", [RosetteParams, RingScanParams])
     def test_less_than_one_ray_per_frame_rejected(self, params):
@@ -164,10 +167,10 @@ class TestScan:
                           range_noise_sigma=0.0, range_max=100.0)
         wall = Box((10.0, -60.0, -60.0), (10.5, 60.0, 60.0))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
-        assert len(cloud) > 1000
-        ranges = np.linalg.norm(cloud.xyz, axis=1)
-        cos_off = cloud.xyz[:, 0] / ranges
+        points, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
+        assert len(points) > 1000
+        ranges = np.linalg.norm(points, axis=1)
+        cos_off = points[:, 0] / ranges
         assert np.allclose(ranges, 10.0 / cos_off, atol=1e-9)
 
     def test_centered_target_gets_more_returns_than_off_axis(self):
@@ -198,15 +201,15 @@ class TestScan:
         pose = SensorPose((0, 0, 1.0))
         a, _ = scan(scene, pose, 0.2, p, np.random.default_rng(123))
         b, _ = scan(scene, pose, 0.2, p, np.random.default_rng(123))
-        assert np.array_equal(a.xyz, b.xyz)
+        assert np.array_equal(a, b)
 
     def test_range_noise_perturbs_along_ray(self):
         p = RosetteParams(point_rate=20000, range_noise_sigma=0.05, range_max=100.0)
         wall = Box((10.0, -60.0, -60.0), (10.5, 60.0, 60.0))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
-        cloud, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(5))
-        ranges = np.linalg.norm(cloud.xyz, axis=1)
-        cos_off = cloud.xyz[:, 0] / ranges
+        points, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(5))
+        ranges = np.linalg.norm(points, axis=1)
+        cos_off = points[:, 0] / ranges
         resid = ranges - 10.0 / cos_off
         assert 0.03 < resid.std() < 0.07
         assert abs(resid.mean()) < 0.01
@@ -230,5 +233,5 @@ class TestRingPattern:
     def test_ring_scan_produces_cloud(self):
         p = RingScanParams(point_rate=20000)
         scene = Scene(0.0, [], static_target((5, 0, 1)), NO_CUTOFF)
-        cloud, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
-        assert len(cloud) > 0
+        points, _ = scan(scene, SensorPose((0, 0, 1.0)), 0.0, p, np.random.default_rng(0))
+        assert len(points) > 0

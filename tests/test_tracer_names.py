@@ -41,3 +41,6 @@ def test_install_patches_every_name_and_uninstall_restores():
     target_rays = tracer.counts["scene.ray_cast.target_rays"]
     assert target_rays > 0
     assert 0 < tracer.counts["scene.trajectory.points"] < target_rays // 10
+    # every scanned point is transformed exactly once, and scan's output
+    # (a bare array) is still counted
+    assert tracer.counts["geometry.transform.points"] == tracer.counts["sensor.scan.points_out"] > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.geometry import Frame, PointCloud
+from rosetrack.geometry import PointCloud
 from rosetrack.tracker import (ParticleSet, TrackStatus, TrackerParams, estimate,
                                init_filter, predict, resample, step, systematic_indices,
                                update)
@@ -14,7 +14,7 @@ PARAMS = TrackerParams()
 
 
 def cloud_at(points):
-    return PointCloud(Frame.WORLD, points)
+    return PointCloud(points)
 
 
 EMPTY = cloud_at(np.empty((0, 3)))
