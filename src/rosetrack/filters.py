@@ -2,8 +2,7 @@
 radius outlier removal, statistical outlier removal.
 
 All filters are contractions: the output is a subset of the input with order
-preserved and coordinates untouched. Neighbor queries go through a k-d tree;
-``brute_force=True`` switches to the O(n^2) path, which must agree exactly.
+preserved and coordinates untouched. Neighbor queries go through a k-d tree.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class FilterParams:
 
 
 def range_filter(cloud: PointCloud, params: FilterParams, ground_z: float,
-                 sensor_origin=(0.0, 0.0, 0.0)) -> PointCloud:
+                 sensor_origin) -> PointCloud:
     """Drop ground-plane points and returns outside [near_min, far_max].
 
     Keeps points with z above ground_z + ground_margin whose distance from
@@ -67,23 +66,16 @@ def subtract_background(cloud: PointCloud, octree: "OccupancyOctree") -> PointCl
     return cloud.select(~octree.contains_points(cloud.xyz))
 
 
-def radius_outlier_removal(cloud: PointCloud, radius: float, min_neighbors: int,
-                           brute_force: bool = False) -> PointCloud:
+def radius_outlier_removal(cloud: PointCloud, radius: float, min_neighbors: int) -> PointCloud:
     """Keep a point iff at least min_neighbors other points lie within radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if brute_force:
-        d = np.linalg.norm(cloud.xyz[:, None, :] - cloud.xyz[None, :, :], axis=2)
-        counts = np.sum(d <= radius, axis=1) - 1  # drop self
-    else:
-        tree = cKDTree(cloud.xyz)
-        counts = np.array(tree.query_ball_point(cloud.xyz, radius,
-                                                return_length=True)) - 1
+    tree = cKDTree(cloud.xyz)
+    counts = np.array(tree.query_ball_point(cloud.xyz, radius, return_length=True)) - 1
     return cloud.select(counts >= min_neighbors)
 
 
-def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float,
-                                brute_force: bool = False) -> PointCloud:
+def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> PointCloud:
     """Keep points whose mean k-nearest-neighbor distance is within
     mu + alpha * sigma of the cloud-wide statistics.
 
@@ -93,25 +85,17 @@ def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float,
     n = len(cloud)
     if n <= k:
         return cloud
-    if brute_force:
-        d = np.linalg.norm(cloud.xyz[:, None, :] - cloud.xyz[None, :, :], axis=2)
-        d_sorted = np.sort(d, axis=1)
-        mean_knn = d_sorted[:, 1:k + 1].mean(axis=1)  # column 0 is the self-distance
-    else:
-        tree = cKDTree(cloud.xyz)
-        dist, _ = tree.query(cloud.xyz, k=k + 1)
-        mean_knn = dist[:, 1:].mean(axis=1)
+    dist, _ = cKDTree(cloud.xyz).query(cloud.xyz, k=k + 1)
+    mean_knn = dist[:, 1:].mean(axis=1)  # column 0 is the self-distance
     mu = mean_knn.mean()
     sigma = mean_knn.std()
     return cloud.select(mean_knn <= mu + alpha * sigma)
 
 
 def preprocess_cloud(cloud: PointCloud, params: FilterParams, ground_z: float,
-                     octree: "OccupancyOctree | None" = None,
-                     sensor_origin=(0.0, 0.0, 0.0)) -> PointCloud:
+                     octree: "OccupancyOctree", sensor_origin) -> PointCloud:
     """Full chain in pipeline order: range -> background -> radius -> statistical."""
     out = range_filter(cloud, params, ground_z, sensor_origin)
-    if octree is not None:
-        out = subtract_background(out, octree)
+    out = subtract_background(out, octree)
     out = radius_outlier_removal(out, params.ror_radius, params.ror_min_neighbors)
     return statistical_outlier_removal(out, params.sor_k, params.sor_alpha)

@@ -150,7 +150,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
                     np.vstack([c.xyz for c in ready]))
                 delivered = preprocess_cloud(delivered, config.filters, scene.ground_z,
                                              octree, sensor_origin=origin)
-            pset, est = step(pset, delivered, ev_t, config.tracker)
+            pset, est = step(pset, delivered, config.tracker)
             track[i] = (ev_t, *est.position, est.sigma_particles, est.status.value,
                         state.pose.pan, state.pose.tilt)
             if est.status is not TrackStatus.LOST:

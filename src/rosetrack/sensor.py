@@ -46,11 +46,9 @@ class RosetteParams:
             raise ValueError("prism frequencies must differ")
         if self.f1 <= 0 or self.f2 <= 0:
             raise ValueError("prism frequencies must be positive")
-        if not (0 < self.fov_h < math.pi and 0 < self.fov_v < math.pi):
-            raise ValueError("fov angles must be in (0, pi)")
-        _check_rays_per_frame(self)
-        if self.range_noise_sigma < 0:
-            raise ValueError("range_noise_sigma must be >= 0")
+        if not 0 < self.fov_h < math.pi:
+            raise ValueError("fov_h must be in (0, pi)")
+        _check_frame(self)
 
     def deflections(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Angular offsets (a_h, a_v) from the boresight at the given times."""
@@ -69,12 +67,15 @@ class RosetteParams:
 
     @property
     def period(self) -> float:
-        """Exact repeat period of the pattern, or inf if none within 10^6 s."""
+        """Exact repeat period of the pattern, or inf unless both frequencies
+        equal fractions with denominators <= 10^6 exactly."""
         fa = Fraction(self.f1).limit_denominator(10**6)
         fb = Fraction(self.f2).limit_denominator(10**6)
+        if float(fa) != self.f1 or float(fb) != self.f2:
+            return math.inf
         g = Fraction(math.gcd(fa.numerator * fb.denominator, fb.numerator * fa.denominator),
                      fa.denominator * fb.denominator)
-        return float(1 / g) if g > 0 else math.inf
+        return float(1 / g)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class RingScanParams:
             raise ValueError("need at least one ring")
         if self.spin_rate <= 0:
             raise ValueError("spin_rate must be positive")
-        _check_rays_per_frame(self)
+        _check_frame(self)
 
     @property
     def ring_elevations(self) -> np.ndarray:
@@ -115,7 +116,15 @@ def _rays_per_frame(params) -> int:
     return int(math.floor(params.point_rate * params.integration_time + 1e-9))
 
 
-def _check_rays_per_frame(params) -> None:
+def _check_frame(params) -> None:
+    """Field rules both scan patterns share: vertical field of view, range
+    limit, range noise, and at least one ray per frame."""
+    if not 0 < params.fov_v < math.pi:
+        raise ValueError("fov_v must be in (0, pi)")
+    if params.range_max <= 0:
+        raise ValueError("range_max must be positive")
+    if params.range_noise_sigma < 0:
+        raise ValueError("range_noise_sigma must be >= 0")
     if params.point_rate <= 0 or params.integration_time <= 0:
         raise ValueError("point_rate and integration_time must be positive")
     if _rays_per_frame(params) < 1:

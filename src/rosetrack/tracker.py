@@ -70,7 +70,6 @@ class TrackEstimate:
     position: np.ndarray
     sigma_particles: float
     status: TrackStatus
-    t: float
 
 
 def init_filter(params: TrackerParams, seed) -> ParticleSet:
@@ -152,7 +151,7 @@ def resample(pset: ParticleSet) -> ParticleSet:
                    weights=np.full(n, 1.0 / n))
 
 
-def estimate(pset: ParticleSet, t: float, params: TrackerParams) -> TrackEstimate:
+def estimate(pset: ParticleSet, params: TrackerParams) -> TrackEstimate:
     """Weighted mean plus spread; Lost beats the spread test.
 
     sigma_particles is the average of the weighted per-axis standard
@@ -168,10 +167,10 @@ def estimate(pset: ParticleSet, t: float, params: TrackerParams) -> TrackEstimat
         status = TrackStatus.STABLE
     else:
         status = TrackStatus.SEARCHING
-    return TrackEstimate(mean, sigma, status, t)
+    return TrackEstimate(mean, sigma, status)
 
 
-def step(pset: ParticleSet, cloud: PointCloud | None, t: float,
+def step(pset: ParticleSet, cloud: PointCloud | None,
          params: TrackerParams) -> tuple[ParticleSet, TrackEstimate]:
     """One filter tick: predict always; update + resample only on a new cloud.
 
@@ -181,9 +180,9 @@ def step(pset: ParticleSet, cloud: PointCloud | None, t: float,
     """
     pset = predict(pset, params)
     if cloud is None:
-        return pset, estimate(pset, t, params)
+        return pset, estimate(pset, params)
     pset = update(pset, cloud, params)
-    est = estimate(pset, t, params)
+    est = estimate(pset, params)
     if len(cloud):
         pset = resample(pset)
     return pset, est

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import brute_force_ror, brute_force_sor, cdf_walk_indices
 
 from rosetrack.background import OccupancyOctree, build_background
 from rosetrack.config import default_config, parse_config
@@ -209,20 +210,6 @@ class TestCriterion07CenteringGain:
                   f"closed {closed_rate:.0f} pts/s vs static {static_rate:.0f} vs ring {ring_rate:.0f}")
 
 
-def cdf_walk_indices(weights, offset):
-    n = len(weights)
-    out = np.empty(n, dtype=int)
-    cum = weights[0]
-    i = 0
-    for j in range(n):
-        pointer = offset + j / n
-        while pointer >= cum and i < n - 1:
-            i += 1
-            cum += weights[i]
-        out[j] = i
-    return out
-
-
 class TestCriterion08OracleEquivalence:
     def test_filters_match_brute_force(self):
         rng = np.random.default_rng(42)
@@ -231,11 +218,11 @@ class TestCriterion08OracleEquivalence:
             n = int(rng.integers(5, 501))
             cloud = world_cloud(rng.uniform(-4, 4, (n, 3)))
             a = radius_outlier_removal(cloud, 0.7, 2)
-            b = radius_outlier_removal(cloud, 0.7, 2, brute_force=True)
+            b = brute_force_ror(cloud, 0.7, 2)
             if not np.array_equal(a.xyz, b.xyz):
                 mismatches += 1
             c = statistical_outlier_removal(cloud, 6, 1.0)
-            d = statistical_outlier_removal(cloud, 6, 1.0, brute_force=True)
+            d = brute_force_sor(cloud, 6, 1.0)
             if not np.array_equal(c.xyz, d.xyz):
                 mismatches += 1
         ok_filters = mismatches == 0
@@ -293,11 +280,11 @@ class TestCriterion10PerformanceEnvelope:
         rng = np.random.default_rng(1)
         cloud = world_cloud(np.array([4.0, 0.0, 1.2]) + rng.normal(0, 0.05, (1000, 3)))
         for _ in range(20):  # warm-up
-            pset, _ = step(pset, cloud, 0.0, params)
+            pset, _ = step(pset, cloud, params)
         start = time.perf_counter()
         reps = 200
         for _ in range(reps):
-            pset, _ = step(pset, cloud, 0.0, params)
+            pset, _ = step(pset, cloud, params)
         tracker_ms = (time.perf_counter() - start) / reps * 1e3
 
         # preprocessing: real frames from the fast scenario against its map

@@ -122,6 +122,22 @@ def test_key_the_pattern_does_not_read_is_config_domain(overrides, key, pattern,
     assert not (tmp_path / "track.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["sensor.pattern=ring", "sensor.range_noise_sigma=-1"],
+    ["sensor.pattern=ring", "sensor.fov_v_deg=400"],
+    ["sensor.pattern=ring", "sensor.fov_v_deg=-10"],
+    ["sensor.pattern=ring", "sensor.range_max=0"],
+    ["sensor.pattern=rosette", "sensor.range_max=0"],
+], ids=" ".join)
+def test_sensor_field_rules_apply_to_both_patterns(overrides, small_cfg, tmp_path, capsys):
+    # small_cfg sets no rosette-only key, so a ring probe cannot fail as an unread key
+    args = [a for o in ["run.duration=0.5", *overrides] for a in ("--override", o)]
+    code = main(["run", str(small_cfg), "--out-dir", str(tmp_path), *args])
+    assert code == 2
+    assert "error: config-domain" in capsys.readouterr().err
+    assert not (tmp_path / "track.csv").exists()
+
+
 def test_key_the_pattern_does_not_read_is_located_in_the_file(tmp_path, capsys):
     path = tmp_path / "ring.cfg"
     text = FAST_SMALL + "\n[sensor]\npattern = ring\nf1 = 150\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_ror, brute_force_sor
 
 from rosetrack.background import OccupancyOctree, inflate
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
@@ -23,11 +24,13 @@ class TestRangeFilter:
     PARAMS = FilterParams(near_min=0.5, far_max=20.0, ground_margin=0.3)
 
     def test_ground_point_removed(self):
-        out = range_filter(world_cloud([[3.0, 0.0, 0.0]]), self.PARAMS, ground_z=0.0)
+        out = range_filter(world_cloud([[3.0, 0.0, 0.0]]), self.PARAMS, ground_z=0.0,
+                           sensor_origin=(0, 0, 0))
         assert len(out) == 0
 
     def test_point_beyond_far_max_removed(self):
-        out = range_filter(world_cloud([[21.0, 0.0, 1.0]]), self.PARAMS, ground_z=0.0)
+        out = range_filter(world_cloud([[21.0, 0.0, 1.0]]), self.PARAMS, ground_z=0.0,
+                           sensor_origin=(0, 0, 0))
         assert len(out) == 0
 
     def test_mixed_cloud_matches_per_point_predicate(self):
@@ -128,7 +131,7 @@ class TestRadiusOutlierRemoval:
         pts = rng.uniform(-3, 3, (n, 3))
         cloud = world_cloud(pts)
         fast = radius_outlier_removal(cloud, 0.8, 3)
-        slow = radius_outlier_removal(cloud, 0.8, 3, brute_force=True)
+        slow = brute_force_ror(cloud, 0.8, 3)
         assert np.array_equal(fast.xyz, slow.xyz)
 
     def test_permutation_invariant_kept_set(self):
@@ -173,7 +176,7 @@ class TestStatisticalOutlierRemoval:
         pts = rng.uniform(-3, 3, (n, 3))
         cloud = world_cloud(pts)
         fast = statistical_outlier_removal(cloud, 6, 1.0)
-        slow = statistical_outlier_removal(cloud, 6, 1.0, brute_force=True)
+        slow = brute_force_sor(cloud, 6, 1.0)
         assert np.array_equal(fast.xyz, slow.xyz)
 
     def test_direct_computation_example(self):
@@ -198,7 +201,8 @@ class TestChainProperties:
         cloud = world_cloud(pts)
         octree = OccupancyOctree(0.25, (-5, -5, -5), (10, 5, 5))
         octree.insert_points(rng.uniform([-2, -2, 0], [8, 2, 3], (50, 3)))
-        out = preprocess_cloud(cloud, FilterParams(), ground_z=0.0, octree=octree)
+        out = preprocess_cloud(cloud, FilterParams(), ground_z=0.0, octree=octree,
+                               sensor_origin=(0, 0, 0))
         ids = kept_ids(cloud, out)
         assert ids == sorted(ids)
         idx = np.array(ids, dtype=int)
@@ -212,13 +216,14 @@ def _occupied_map():
 
 
 ZERO_POINT_STAGES = {
-    "range": lambda c: range_filter(c, FilterParams(), 0.0),
+    "range": lambda c: range_filter(c, FilterParams(), 0.0, sensor_origin=(0, 0, 0)),
     "background": lambda c: subtract_background(c, _occupied_map()),
     "ror": lambda c: radius_outlier_removal(c, 0.5, 2),
-    "ror_brute_force": lambda c: radius_outlier_removal(c, 0.5, 2, brute_force=True),
+    "ror_brute_force": lambda c: brute_force_ror(c, 0.5, 2),
     "sor": lambda c: statistical_outlier_removal(c, 8, 1.0),
-    "sor_brute_force": lambda c: statistical_outlier_removal(c, 8, 1.0, brute_force=True),
-    "preprocess": lambda c: preprocess_cloud(c, FilterParams(), 0.0, octree=_occupied_map()),
+    "sor_brute_force": lambda c: brute_force_sor(c, 8, 1.0),
+    "preprocess": lambda c: preprocess_cloud(c, FilterParams(), 0.0, octree=_occupied_map(),
+                                             sensor_origin=(0, 0, 0)),
 }
 
 

@@ -296,12 +296,11 @@ class TestRunScenario:
         # delivery time falls before the last tick is consumed exactly once
         import rosetrack.harness as H
         from rosetrack.tracker import step as real_step
-        consumed = []
+        calls = []
 
-        def counting_step(pset, cloud, t, params):
-            if cloud is not None:
-                consumed.append(t)
-            return real_step(pset, cloud, t, params)
+        def counting_step(pset, cloud, params):
+            calls.append(cloud)
+            return real_step(pset, cloud, params)
 
         monkeypatch.setattr(H, "step", counting_step)
         cfg = default_config(QUICK)
@@ -309,8 +308,8 @@ class TestRunScenario:
         last_tick = result.track["t"].max()
         deliverable = int(np.sum(result.scans["t"] + cfg.pipeline_latency
                                  <= last_tick + 1e-12))
-        assert len(consumed) == deliverable
-        assert len(set(consumed)) == len(consumed)  # never twice in one tick
+        assert sum(cloud is not None for cloud in calls) == deliverable
+        assert len(calls) == len(result.track)  # one step per tick: never two clouds in one
 
     def test_initial_lock_metric(self):
         cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=2.8"])

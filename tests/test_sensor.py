@@ -56,12 +56,17 @@ class TestRosetteDirection:
 
 
 class TestDirectionCache:
-    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
-    def test_cached_directions_match_direct_evaluation(self, path):
+    @pytest.mark.parametrize("path, overrides", [
+        *(pytest.param(p, [], id=p.stem) for p in sorted(CONFIG_DIR.glob("*.cfg"))),
+        # within 1e-6 of 161 but not equal: there is no exact period to reuse blocks by
+        pytest.param(CONFIG_DIR / "indoor_fast.cfg", ["sensor.f1=161.0000001"],
+                     id="indoor_fast-f1=161.0000001"),
+    ])
+    def test_cached_directions_match_direct_evaluation(self, path, overrides):
         # frames at the same pattern phase share one block keyed by the phase
         # rounded to 1e-9 s; at every frame start of the raster and of the
         # tracking phase that block must equal directions at the frame's own times
-        cfg = parse_config(path)
+        cfg = parse_config(path, overrides)
         params = cfg.sensor
         n = _rays_per_frame(params)
         offsets = np.arange(n) * (params.integration_time / n)

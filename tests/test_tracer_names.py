@@ -44,3 +44,13 @@ def test_install_patches_every_name_and_uninstall_restores():
     # every scanned point is transformed exactly once, and scan's output
     # (a bare array) is still counted
     assert tracer.counts["geometry.transform.points"] == tracer.counts["sensor.scan.points_out"] > 0
+    # preprocessing runs the chain range -> background -> ROR -> SOR once per
+    # delivered cloud, each stage fed by the one before it (the build phase
+    # calls the range gate alone, so its span count is not pinned)
+    n_pre = names.count("filters.preprocess")
+    assert n_pre > 0
+    for stage in ("filters.background", "filters.ror", "filters.sor"):
+        assert names.count(stage) == n_pre, stage
+    counts = tracer.counts
+    assert counts["filters.ror.points_in"] == counts["filters.background.points_out"]
+    assert counts["filters.sor.points_in"] == counts["filters.ror.points_out"]

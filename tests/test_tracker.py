@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cdf_walk_indices
 
 from rosetrack.geometry import PointCloud
 from rosetrack.tracker import (ParticleSet, TrackStatus, TrackerParams, estimate,
@@ -24,21 +25,6 @@ def manual_set(positions, weights, seed=0):
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
     return ParticleSet(positions, weights / weights.sum(), np.random.default_rng(seed))
-
-
-def cdf_walk_indices(weights, offset):
-    """Independent oracle: walk the cumulative weights with a pointer comb."""
-    n = len(weights)
-    out = np.empty(n, dtype=int)
-    cum = weights[0]
-    i = 0
-    for j in range(n):
-        pointer = offset + j / n
-        while pointer >= cum and i < n - 1:
-            i += 1
-            cum += weights[i]
-        out[j] = i
-    return out
 
 
 class TestInitFilter:
@@ -157,7 +143,7 @@ class TestUpdate:
         assert np.array_equal(out.weights, [0.5, 0.5])
         assert np.array_equal(out.positions, positions)
         assert out.last_measurement_age == 0
-        assert estimate(out, 0.0, PARAMS).status is TrackStatus.SEARCHING
+        assert estimate(out, PARAMS).status is TrackStatus.SEARCHING
 
 
 class TestResample:
@@ -226,7 +212,7 @@ class TestResample:
 class TestEstimate:
     def test_collapsed_cloud_is_stable_with_zero_sigma(self):
         pset = manual_set([[2, 2, 2]] * 4, [0.25] * 4)
-        est = estimate(pset, 1.0, PARAMS)
+        est = estimate(pset, PARAMS)
         assert est.sigma_particles == 0.0
         assert est.status is TrackStatus.STABLE
         assert np.allclose(est.position, [2, 2, 2])
@@ -237,7 +223,7 @@ class TestEstimate:
         n = 200_000
         positions = rng.normal(0.0, 0.16, (n, 3))
         pset = ParticleSet(positions, np.full(n, 1 / n), rng)
-        est = estimate(pset, 0.0, PARAMS)
+        est = estimate(pset, PARAMS)
         assert 0.155 < est.sigma_particles < 0.165
         assert est.status is TrackStatus.SEARCHING
         assert PARAMS.stability_threshold == pytest.approx(0.15)
@@ -247,20 +233,20 @@ class TestEstimate:
         pset = manual_set([[0, 0, 0]] * 3, [1, 1, 1])
         for _ in range(11):
             pset = update(pset, EMPTY, params)
-        est = estimate(pset, 0.0, params)
+        est = estimate(pset, params)
         assert est.status is TrackStatus.LOST
 
     def test_lost_takes_precedence_over_sigma(self):
         params = TrackerParams(lost_after_misses=1)
         pset = manual_set([[0, 0, 0]] * 3, [1, 1, 1])
         pset = update(pset, EMPTY, params)
-        est = estimate(pset, 0.0, params)
+        est = estimate(pset, params)
         assert est.sigma_particles < params.stability_threshold
         assert est.status is TrackStatus.LOST
 
     def test_weighted_mean_used(self):
         pset = manual_set([[0, 0, 0], [1, 0, 0]], [0.75, 0.25])
-        est = estimate(pset, 0.0, PARAMS)
+        est = estimate(pset, PARAMS)
         assert np.allclose(est.position, [0.25, 0, 0])
 
 
@@ -268,7 +254,7 @@ class TestStep:
     def test_no_measurement_branch_is_predict_only(self):
         a = init_filter(PARAMS, seed=11)
         b = init_filter(PARAMS, seed=11)
-        out_a, est = step(a, None, 0.0, PARAMS)
+        out_a, est = step(a, None, PARAMS)
         out_b = predict(b, PARAMS)
         assert np.array_equal(out_a.positions, out_b.positions)
         assert out_a.last_measurement_age == 0
@@ -276,12 +262,12 @@ class TestStep:
 
     def test_measurement_branch_resamples_to_uniform_weights(self):
         pset = init_filter(PARAMS, seed=11)
-        out, _ = step(pset, cloud_at([[4, 0, 1]]), 0.0, PARAMS)
+        out, _ = step(pset, cloud_at([[4, 0, 1]]), PARAMS)
         assert np.allclose(out.weights, 1.0 / len(out))
 
     def test_empty_cloud_counts_as_missing_measurement(self):
         pset = init_filter(PARAMS, seed=11)
-        out, _ = step(pset, EMPTY, 0.0, PARAMS)
+        out, _ = step(pset, EMPTY, PARAMS)
         assert out.last_measurement_age == 1
 
     def test_hovering_target_locks_within_two_updates(self):
@@ -297,7 +283,7 @@ class TestStep:
             for k in range(15):
                 meas = cloud_at(target + rng.normal(0, 0.02, (25, 3)))
                 deliver = k % 3 != 2  # every third tick is predict-only
-                pset, est = step(pset, meas if deliver else None, k / 15.0, PARAMS)
+                pset, est = step(pset, meas if deliver else None, PARAMS)
                 if deliver:
                     updates += 1
                 if deliver and updates <= 2 and est.sigma_particles < 0.15:
@@ -324,10 +310,10 @@ class TestStep:
                                sigma_meas=sigma_meas, likelihood=likelihood)
         rng = np.random.default_rng(seed)
         pset = init_filter(params, rng)
-        for k, (kind, n_points, scale) in enumerate(frames):
+        for kind, n_points, scale in frames:
             cloud = {"none": None, "empty": EMPTY,
                      "cloud": cloud_at(rng.uniform(-scale, scale, (n_points, 3)))}[kind]
-            pset, _ = step(pset, cloud, 0.1 * k, params)
+            pset, _ = step(pset, cloud, params)
             assert not pset.degenerate
 
     def test_step_reaches_degenerate_only_when_distances_overflow(self):
@@ -335,7 +321,7 @@ class TestStep:
         # particle gives -inf log-likelihoods, whose shift is NaN
         pset = init_filter(PARAMS, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            out, est = step(pset, cloud_at([[1e200, 0.0, 0.0]]), 0.0, PARAMS)
+            out, est = step(pset, cloud_at([[1e200, 0.0, 0.0]]), PARAMS)
         assert out.degenerate
         assert est.status is TrackStatus.SEARCHING
         assert np.allclose(out.weights, 1.0 / len(out))
@@ -348,8 +334,8 @@ class TestStep:
             pset = init_filter(params, seed=seed)
             pset = resample(update(pset, cloud_at([[4, 0, 1]]), params))
             sigmas = []
-            for k in range(20):
-                pset, est = step(pset, None, k * 0.1, params)
+            for _ in range(20):
+                pset, est = step(pset, None, params)
                 sigmas.append(est.sigma_particles)
             deltas.append(np.diff(sigmas))
         assert np.mean(np.vstack(deltas), axis=0).min() > 0

@@ -72,7 +72,7 @@ class TestScanModeCommand:
 
 
 def est_at(position, status=TrackStatus.STABLE):
-    return TrackEstimate(np.asarray(position, dtype=float), 0.05, status, 0.0)
+    return TrackEstimate(np.asarray(position, dtype=float), 0.05, status)
 
 
 class TestTrackingCommand:
