@@ -1,7 +1,7 @@
 """Closed-loop testbed for tracking a small aerial target with a
 rosette-scanning LiDAR on a simulated pan-tilt turret.
 
-Pipeline: rosette sensor frames -> range/ground gating -> background octree
+Pipeline: rosette sensor frames -> range/ground gating -> background voxel-grid
 subtraction -> radius + statistical outlier removal -> particle filter ->
 turret centering commands.
 """

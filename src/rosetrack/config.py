@@ -33,7 +33,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    kind: str       # float | int | vec3 | boxes | choice | opt_float
+    kind: str       # float | int | vec3 | boxes | choice
     default: Any
     doc: str
     choices: tuple = ()
@@ -94,9 +94,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "n_particles": FieldSpec("int", TrackerParams.n_particles, "particle count"),
         "sigma_pred": FieldSpec("float", TrackerParams.sigma_pred, "predict-step noise sigma per axis, m"),
         "sigma_meas": FieldSpec("float", TrackerParams.sigma_meas, "measurement kernel sigma, m"),
-        "sigma_threshold": FieldSpec("opt_float", TrackerParams.sigma_threshold, "stability cutoff, m (default: 1.5 * sigma_pred)"),
         "lost_after_misses": FieldSpec("int", TrackerParams.lost_after_misses, "consecutive missing measurements before Lost"),
-        "likelihood": FieldSpec("choice", TrackerParams.likelihood, "measurement model", ("centroid", "nearest")),
         "surveillance_lo": FieldSpec("vec3", TrackerParams.surveillance_lo, "initial particle volume lower corner, m"),
         "surveillance_hi": FieldSpec("vec3", TrackerParams.surveillance_hi, "initial particle volume upper corner, m"),
     },
@@ -157,8 +155,6 @@ def _convert(spec: FieldSpec, text: str, where: str):
     try:
         if spec.kind == "float":
             return _number(text)
-        if spec.kind == "opt_float":
-            return None if text == "" else _number(text)
         if spec.kind == "int":
             value = _number(text)
             if not math.isfinite(value) or value != int(value):
@@ -344,8 +340,6 @@ def describe_schema() -> str:
                 default = ", ".join(f"{v:g}" for v in default)
             elif spec.kind == "boxes":
                 default = "(none)"
-            elif default is None:
-                default = "(derived)"
             extra = f" (one of: {', '.join(spec.choices)})" if spec.choices else ""
             out.append(f"  {key} = {default}  # {spec.doc}{extra}")
         out.append("")

@@ -171,8 +171,8 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     range/weather keep probability, and perturbs kept ranges with Gaussian
     noise along the ray. Zero points is a valid result.
     """
-    if t0 < 0:
-        raise ValueError("frame start time must be >= 0")
+    if not 0.0 <= t0 < math.inf:
+        raise ValueError("frame start time must be finite and >= 0")
     n = _rays_per_frame(params)
     offsets = np.arange(n) * (params.integration_time / n)
     dirs_sensor = _frame_directions(params, t0, offsets)

@@ -2,10 +2,11 @@
 estimate, and the stable/lost track-status rule.
 
 The state is position-only with random-walk prediction. The measurement
-model weights particles against the filtered cloud with a Gaussian kernel,
-either on the cloud centroid (default; robust for small compact clusters)
-or on the nearest measured point (config switch). Weights are normalised in
-log space so a distant cloud can never underflow the whole weight vector.
+model weights particles with a Gaussian kernel on their distance to the
+filtered cloud's centroid (robust for small compact clusters). Weights are
+normalised in log space so a distant cloud can never underflow the whole
+weight vector. The track is Stable once the particle spread falls under
+1.5 * sigma_pred.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
 
@@ -30,11 +30,9 @@ class TrackerParams:
     n_particles: int = 500
     sigma_pred: float = 0.1
     sigma_meas: float = 0.15
-    sigma_threshold: float | None = None  # defaults to 1.5 * sigma_pred
     lost_after_misses: int = 10
     surveillance_lo: tuple[float, float, float] = (1.0, -4.0, 0.2)
     surveillance_hi: tuple[float, float, float] = (8.0, 4.0, 3.0)
-    likelihood: str = "centroid"  # or "nearest"
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -43,18 +41,19 @@ class TrackerParams:
             raise ValueError("sigma_pred must be >= 0 and sigma_meas > 0")
         if self.lost_after_misses < 1:
             raise ValueError("lost_after_misses must be >= 1")
-        if self.likelihood not in ("centroid", "nearest"):
-            raise ValueError("likelihood must be 'centroid' or 'nearest'")
         if not np.all(np.greater(self.surveillance_hi, self.surveillance_lo)):
             raise ValueError("surveillance volume must have positive extent")
 
     @property
     def stability_threshold(self) -> float:
-        return self.sigma_threshold if self.sigma_threshold is not None else 1.5 * self.sigma_pred
+        return 1.5 * self.sigma_pred
 
 
 @dataclass
 class ParticleSet:
+    """Particles and weights. Every step builds new arrays and never writes
+    one in place, so consecutive sets may share them."""
+
     positions: np.ndarray          # (n, 3) world frame
     weights: np.ndarray            # (n,) normalised
     rng: np.random.Generator
@@ -84,19 +83,10 @@ def init_filter(params: TrackerParams, seed) -> ParticleSet:
 def predict(pset: ParticleSet, params: TrackerParams) -> ParticleSet:
     """Random-walk step: add zero-mean Gaussian noise per axis; weights kept."""
     if params.sigma_pred == 0.0:
-        positions = pset.positions.copy()
-    else:
-        positions = pset.positions + pset.rng.normal(0.0, params.sigma_pred,
-                                                     size=pset.positions.shape)
-    return replace(pset, positions=positions, weights=pset.weights.copy())
-
-
-def _measurement_distances(pset: ParticleSet, cloud: PointCloud, params: TrackerParams):
-    if params.likelihood == "centroid":
-        z = cloud.xyz.mean(axis=0)
-        return np.linalg.norm(pset.positions - z, axis=1)
-    dist, _ = cKDTree(cloud.xyz).query(pset.positions, k=1)
-    return dist
+        return pset
+    positions = pset.positions + pset.rng.normal(0.0, params.sigma_pred,
+                                                 size=pset.positions.shape)
+    return replace(pset, positions=positions)
 
 
 def update(pset: ParticleSet, cloud: PointCloud, params: TrackerParams) -> ParticleSet:
@@ -104,12 +94,11 @@ def update(pset: ParticleSet, cloud: PointCloud, params: TrackerParams) -> Parti
 
     An empty cloud only bumps the missing-measurement age. Otherwise weights
     get multiplied by exp(-d^2 / (2 sigma_meas^2)) with d the distance to the
-    cloud centroid (or nearest point) and are renormalised.
+    cloud centroid and are renormalised.
     """
     if not len(cloud):
-        return replace(pset, positions=pset.positions.copy(), weights=pset.weights.copy(),
-                       last_measurement_age=pset.last_measurement_age + 1)
-    d = _measurement_distances(pset, cloud, params)
+        return replace(pset, last_measurement_age=pset.last_measurement_age + 1)
+    d = np.linalg.norm(pset.positions - cloud.xyz.mean(axis=0), axis=1)
     loglik = -0.5 * (d / params.sigma_meas) ** 2
     loglik -= loglik.max()
     weights = pset.weights * np.exp(loglik)
@@ -117,10 +106,8 @@ def update(pset: ParticleSet, cloud: PointCloud, params: TrackerParams) -> Parti
     if not np.isfinite(total) or total <= 0.0:
         # degenerate likelihood: keep positions, flatten weights, flag the set
         weights = np.full(len(pset), 1.0 / len(pset))
-        return replace(pset, positions=pset.positions.copy(), weights=weights,
-                       last_measurement_age=0, degenerate=True)
-    return replace(pset, positions=pset.positions.copy(), weights=weights / total,
-                   last_measurement_age=0, degenerate=False)
+        return replace(pset, weights=weights, last_measurement_age=0, degenerate=True)
+    return replace(pset, weights=weights / total, last_measurement_age=0, degenerate=False)
 
 
 def systematic_indices(weights: np.ndarray, offset: float) -> np.ndarray:
@@ -147,8 +134,7 @@ def resample(pset: ParticleSet) -> ParticleSet:
     n = len(pset)
     offset = pset.rng.random() / n
     idx = systematic_indices(pset.weights, offset)
-    return replace(pset, positions=pset.positions[idx].copy(),
-                   weights=np.full(n, 1.0 / n))
+    return replace(pset, positions=pset.positions[idx], weights=np.full(n, 1.0 / n))
 
 
 def estimate(pset: ParticleSet, params: TrackerParams) -> TrackEstimate:

@@ -32,8 +32,10 @@ class TurretParams:
             raise ValueError("command_rate must be positive and finite")
         if self.deadband < 0:
             raise ValueError("deadband must be >= 0")
-        if self.scan_pan_min >= self.scan_pan_max or self.scan_tilt_min > self.scan_tilt_max:
+        if self.scan_pan_min >= self.scan_pan_max:
             raise ValueError("scan area must have positive pan extent")
+        if self.scan_tilt_min > self.scan_tilt_max:
+            raise ValueError("scan_tilt_min must be <= scan_tilt_max")
         if not (-math.pi <= self.scan_pan_min and self.scan_pan_max <= math.pi
                 and -math.pi / 2 <= self.scan_tilt_min and self.scan_tilt_max <= math.pi / 2):
             raise ValueError("scan area must lie within pose limits")

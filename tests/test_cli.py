@@ -87,13 +87,16 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
     *((o, "config-value") for o in (
         "filters.far_max=nan", "sensor.range_max=nan", "timing.pipeline_latency=nan",
         "target.center=nan,0,1", "filters.sor_alpha=nan", "scene.ground_z=nan",
-        "tracker.sigma_pred=nan", "turret.origin=0,0,nan", "tracker.sigma_threshold=nan",
+        "tracker.sigma_pred=nan", "turret.origin=0,0,nan",
         "run.seed=inf", "tracker.n_particles=inf")),
     # domain rules of the parameter classes apply at parse time, not mid-run
     *((o, "config-domain") for o in (
         "turret.command_rate=0", "turret.command_rate=-5", "turret.command_rate=inf",
         "tracker.surveillance_lo=9,0,0", "background.resolution=0",
         "background.bounds_lo=10,10,10", "background.resolution=0.001")),
+    # the tracker has one measurement model and one stability rule, and no key selects either
+    *((o, "config-unknown-key") for o in (
+        "tracker.sigma_threshold=0.2", "tracker.likelihood=nearest")),
 ])
 def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
     code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"), "--out-dir", str(tmp_path),

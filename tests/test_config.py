@@ -81,6 +81,13 @@ seed = 11
         assert "pipeline_latency" in str(err.value)
         assert "integration_time" in str(err.value)
 
+    def test_reversed_tilt_range_names_the_tilt_keys(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(CONFIG_DIR / "indoor_lock.cfg", ["turret.scan_tilt_min=0.3"])
+        assert err.value.category == "config-domain"
+        assert "scan_tilt_min must be <= scan_tilt_max" in str(err.value)
+        assert "pan" not in str(err.value)
+
     def test_domain_violation_reported(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, "[tracker]\nn_particles = 0\n"))

@@ -7,7 +7,8 @@ import pytest
 from rosetrack.config import parse_config
 from rosetrack.geometry import PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import RingScanParams, RosetteParams, _frame_directions, _rays_per_frame, scan
+from rosetrack.sensor import (_DIR_CACHE, RingScanParams, RosetteParams, _frame_directions,
+                              _rays_per_frame, scan)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -159,6 +160,15 @@ class TestScan:
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
         points, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
         assert len(points) == 29
+
+    @pytest.mark.parametrize("t0", [-0.1, math.nan, math.inf])
+    def test_frame_start_must_be_finite_and_non_negative(self, t0):
+        # rejected before the direction cache, which would keep a dead entry
+        scene = Scene(-100.0, [], None, NO_CUTOFF)
+        cached = len(_DIR_CACHE)
+        with pytest.raises(ValueError, match="frame start time must be finite and >= 0"):
+            scan(scene, SensorPose((0, 0, 1.0)), t0, RosetteParams(), np.random.default_rng(0))
+        assert len(_DIR_CACHE) == cached
 
     @pytest.mark.parametrize("params", [RosetteParams, RingScanParams])
     def test_less_than_one_ray_per_frame_rejected(self, params):
