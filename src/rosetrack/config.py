@@ -273,10 +273,11 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         raise ConfigError("config-domain",
                           f"timing.pipeline_latency ({tm['pipeline_latency']:g}) must be >= "
                           f"sensor.integration_time ({sn['integration_time']:g})")
-    if rn["duration"] < 0:
-        raise ConfigError("config-domain", f"run.duration ({rn['duration']:g}) must be >= 0")
-    if tm["lidar_rate"] <= 0 or tm["filter_rate"] <= 0:
-        raise ConfigError("config-domain", "timing.lidar_rate and timing.filter_rate must be positive")
+    if not 0 <= rn["duration"] < math.inf:
+        raise ConfigError("config-domain", f"run.duration ({rn['duration']:g}) must be finite and >= 0")
+    if not (0 < tm["lidar_rate"] < math.inf and 0 < tm["filter_rate"] < math.inf):
+        raise ConfigError("config-domain",
+                          "timing.lidar_rate and timing.filter_rate must be positive and finite")
     if sn["integration_time"] > 1.0 / tm["lidar_rate"] + 1e-12:
         raise ConfigError("config-domain",
                           f"sensor.integration_time ({sn['integration_time']:g}) must fit the "

@@ -82,6 +82,7 @@ def transform_cloud(points: np.ndarray, pose: SensorPose) -> PointCloud:
     """World-frame cloud of sensor-frame points, an (n, 3) array.
 
     Each point maps to R @ p + origin; ordering and point count are preserved.
+    The product runs on the (3, n) transpose, the layout scan's points have.
     """
     rot = pan_tilt_to_rotation(pose.orientation)
-    return PointCloud(points @ rot.T + np.asarray(pose.origin, dtype=float))
+    return PointCloud((rot @ points.T).T + np.asarray(pose.origin, dtype=float))

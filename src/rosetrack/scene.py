@@ -183,8 +183,10 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                     times: np.ndarray, include_target: bool = True):
     """Nearest intersection for a batch of rays sharing one origin.
 
-    dirs is (n, 3) and each row must be a unit vector: the sphere test
-    measures range along the ray in units of |d|. times is (n,) and holds
+    dirs is (n, 3) in any memory layout and each row must be a unit vector:
+    the sphere test measures range along the ray in units of |d|. The
+    transpose of a C-ordered (3, n) block, as scan passes it, is the fast
+    layout: its axis rows are contiguous. times is (n,) and holds
     the emission times; the target sphere is evaluated at each ray's own
     time. Any other shape raises ValueError.
     Returns (ranges, surfaces) where surfaces is int8 coded
@@ -195,14 +197,13 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     exactly on the face plane misses the box, on every face. A level ray
     never hits the ground, whether or not it lies in the ground plane.
 
-    The rays are walked in blocks of _BLOCK: each block is transposed once
-    into a contiguous (3, m) array, and the ground and box slab tests run on
-    its axis rows, so every temporary stays block-sized. Only rays inside the
-    cone from the origin around a ball that holds the target over the whole
-    batch window get the per-ray trajectory lookup and sphere test, once over
-    the candidates of all blocks; the ball is padded so that rounding can
-    only let extra rays through, and every other ray misses the target
-    exactly.
+    The rays are walked in blocks of _BLOCK: the ground and box slab tests
+    run on the block's (3, m) axis rows, so every temporary stays
+    block-sized. Only rays inside the cone from the origin around a ball
+    that holds the target over the whole batch window get the per-ray
+    trajectory lookup and sphere test, once over the candidates of all
+    blocks; the ball is padded so that rounding can only let extra rays
+    through, and every other ray misses the target exactly.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -233,7 +234,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
 
     for s in range(0, n, _BLOCK):
         blk = slice(s, s + _BLOCK)
-        rows = np.ascontiguousarray(dirs[blk].T)  # (3, m): one row per axis
+        rows = dirs[blk].T  # (3, m): one row per axis
         blk_best = best[blk]
         blk_surf = surf[blk]
         # inv is +-inf on axis-parallel rays, and 0 * inf is NaN where the
@@ -261,7 +262,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                 blk_surf[hit] = 1
 
         if target and culled:
-            dw = dirs[blk] @ w
+            dw = w @ rows
             cands.append(s + np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach)))
 
     if target:

@@ -62,6 +62,8 @@ class RosetteParams:
         return a_h, a_v
 
     def directions(self, times: np.ndarray) -> np.ndarray:
+        """(n, 3) unit ray directions at the n times, the transpose of a
+        C-ordered (3, n) block."""
         a_h, a_v = self.deflections(times)
         return _angles_to_directions(a_h, a_v)
 
@@ -104,10 +106,17 @@ class RingScanParams:
         return np.linspace(-self.fov_v / 2.0, self.fov_v / 2.0, self.n_rings)
 
     def directions(self, times: np.ndarray) -> np.ndarray:
+        """(n, 3) unit ray directions at the n times, the transpose of a
+        C-ordered (3, n) block."""
         t = np.asarray(times, dtype=float)
         az = (2.0 * math.pi * self.spin_rate * t) % (2.0 * math.pi)
         elev = self.ring_elevations[np.arange(len(t)) % self.n_rings]
         return _angles_to_directions(az, elev)
+
+
+# Most rays one frame may cast: 175x the bundled 24,000. Each frame holds
+# several (3, n) float blocks, so a larger count stops at parse time.
+MAX_RAYS_PER_FRAME = 2**22
 
 
 def _rays_per_frame(params) -> int:
@@ -118,15 +127,19 @@ def _rays_per_frame(params) -> int:
 
 def _check_frame(params) -> None:
     """Field rules both scan patterns share: vertical field of view, range
-    limit, range noise, and at least one ray per frame."""
+    limit, range noise, and between 1 and MAX_RAYS_PER_FRAME rays per frame."""
     if not 0 < params.fov_v < math.pi:
         raise ValueError("fov_v must be in (0, pi)")
     if params.range_max <= 0:
         raise ValueError("range_max must be positive")
     if params.range_noise_sigma < 0:
         raise ValueError("range_noise_sigma must be >= 0")
-    if params.point_rate <= 0 or params.integration_time <= 0:
-        raise ValueError("point_rate and integration_time must be positive")
+    if not (0 < params.point_rate < math.inf and 0 < params.integration_time < math.inf):
+        raise ValueError("point_rate and integration_time must be positive and finite")
+    rays = params.point_rate * params.integration_time
+    if rays > MAX_RAYS_PER_FRAME:
+        raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
+                         f"{params.integration_time:g}) exceeds {MAX_RAYS_PER_FRAME} rays per frame")
     if _rays_per_frame(params) < 1:
         raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
                          f"{params.integration_time:g}) gives no ray per frame")
@@ -134,25 +147,26 @@ def _check_frame(params) -> None:
 
 def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
     cv = np.cos(a_v)
-    return np.stack([cv * np.cos(a_h), cv * np.sin(a_h), np.sin(a_v)], axis=1)
+    return np.stack([cv * np.cos(a_h), cv * np.sin(a_h), np.sin(a_v)]).T
 
 
 # Pattern directions repeat with the pattern period, so frames whose start
-# times share a phase reuse one precomputed direction block. Every frame at
-# that phase gets the same array, so the blocks are stored read-only.
+# times share a phase reuse one precomputed (3, n) direction block. Every
+# frame at that phase gets the same array, so the blocks are stored read-only.
 _DIR_CACHE: dict[tuple, np.ndarray] = {}
 _DIR_CACHE_MAX = 32
 
 
 def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
+    """(3, n) C-ordered block of the ray directions at times t0 + offsets."""
     period = getattr(params, "period", math.inf)
     if not math.isfinite(period) or period > 10.0:
-        return params.directions(t0 + offsets)
+        return params.directions(t0 + offsets).T
     phase = round(t0 % period, 9)
     key = (params, phase, len(offsets))
     dirs = _DIR_CACHE.get(key)
     if dirs is None:
-        dirs = params.directions(phase + offsets)
+        dirs = params.directions(phase + offsets).T
         dirs.flags.writeable = False
         if len(_DIR_CACHE) >= _DIR_CACHE_MAX:
             _DIR_CACHE.clear()
@@ -163,8 +177,8 @@ def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
 def scan(scene: Scene, pose: SensorPose, t0: float, params,
          rng: np.random.Generator, include_target: bool = True):
     """Simulate one integration frame; returns (points, surface codes): the
-    kept points as an (n, 3) sensor-frame array, and per point its code as in
-    scene.ray_cast_arrays.
+    kept points as an (n, 3) sensor-frame array (the transpose of a C-ordered
+    (3, n) block), and per point its code as in scene.ray_cast_arrays.
 
     Emits floor(point_rate * integration_time + 1e-9) rays at uniform time steps,
     casts each into the scene, keeps hits within range_max with the
@@ -175,14 +189,14 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
         raise ValueError("frame start time must be finite and >= 0")
     n = _rays_per_frame(params)
     offsets = np.arange(n) * (params.integration_time / n)
-    dirs_sensor = _frame_directions(params, t0, offsets)
+    dirs_sensor = _frame_directions(params, t0, offsets)  # (3, n)
 
     rot = pan_tilt_to_rotation(pose.orientation)
-    dirs_world = dirs_sensor @ rot.T
+    dirs_world = rot @ dirs_sensor
     origin = np.asarray(pose.origin, dtype=float)
     times = t0 + offsets
 
-    ranges, surf = ray_cast_arrays(scene, origin, dirs_world, times, include_target)
+    ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times, include_target)
     hit = (surf >= 0) & (ranges <= params.range_max)
     kept = np.nonzero(hit)[0]
     p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)
@@ -191,4 +205,4 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     r = ranges[kept]
     if params.range_noise_sigma > 0:
         r = r + rng.normal(0.0, params.range_noise_sigma, len(kept))
-    return dirs_sensor[kept] * r[:, None], surf[kept]
+    return (np.take(dirs_sensor, kept, axis=1) * r).T, surf[kept]

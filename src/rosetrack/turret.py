@@ -39,8 +39,10 @@ class TurretParams:
         if not (-math.pi <= self.scan_pan_min and self.scan_pan_max <= math.pi
                 and -math.pi / 2 <= self.scan_tilt_min and self.scan_tilt_max <= math.pi / 2):
             raise ValueError("scan area must lie within pose limits")
-        if self.scan_line_spacing <= 0 or self.scan_duration <= 0:
-            raise ValueError("scan_line_spacing and scan_duration must be positive")
+        if self.scan_line_spacing <= 0:
+            raise ValueError("scan_line_spacing must be positive")
+        if not 0 < self.scan_duration < math.inf:
+            raise ValueError("scan_duration must be positive and finite")
 
     @property
     def scan_rows(self) -> int:

@@ -93,7 +93,11 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
     *((o, "config-domain") for o in (
         "turret.command_rate=0", "turret.command_rate=-5", "turret.command_rate=inf",
         "tracker.surveillance_lo=9,0,0", "background.resolution=0",
-        "background.bounds_lo=10,10,10", "background.resolution=0.001")),
+        "background.bounds_lo=10,10,10", "background.resolution=0.001",
+        # infinite values that used to end in a bare OverflowError or an
+        # invalid pan mid-run
+        "sensor.point_rate=inf", "sensor.integration_time=inf",
+        "timing.filter_rate=inf", "run.duration=inf", "turret.scan_duration=inf")),
     # the tracker has one measurement model and one stability rule, and no key selects either
     *((o, "config-unknown-key") for o in (
         "tracker.sigma_threshold=0.2", "tracker.likelihood=nearest")),

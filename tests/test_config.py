@@ -7,6 +7,7 @@ import pytest
 
 from rosetrack.config import SCHEMA, ConfigError, default_config, describe_schema, parse_config
 from rosetrack.scene import make_pattern
+from rosetrack.sensor import MAX_RAYS_PER_FRAME
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -87,6 +88,14 @@ seed = 11
         assert err.value.category == "config-domain"
         assert "scan_tilt_min must be <= scan_tilt_max" in str(err.value)
         assert "pan" not in str(err.value)
+
+    @pytest.mark.parametrize("pattern", ["rosette", "ring"])
+    def test_rays_per_frame_above_the_cap_rejected(self, pattern):
+        # parse only, never run: 1e12 points/s is 1e11 rays per frame
+        with pytest.raises(ConfigError) as err:
+            default_config([f"sensor.pattern={pattern}", "sensor.point_rate=1e12"])
+        assert err.value.category == "config-domain"
+        assert f"exceeds {MAX_RAYS_PER_FRAME} rays per frame" in str(err.value)
 
     def test_domain_violation_reported(self, tmp_path):
         with pytest.raises(ConfigError) as err:

@@ -209,6 +209,21 @@ class TestChainProperties:
         assert np.array_equal(out.xyz, cloud.xyz[idx])
 
 
+def test_preprocess_returns_c_ordered_points_for_a_column_block():
+    # scan's points reach the filters as the .T of a C-ordered (3, n) block.
+    # The tracker's centroid, xyz.mean(axis=0), sums in memory order (C and F
+    # layouts differ by 1-2e-16 on 1,000 points), so the filtered cloud must
+    # come out C-ordered, with the same points as for a C-ordered input
+    rng = np.random.default_rng(4)
+    pts = rng.uniform([1.0, -3.0, 0.5], [8.0, 3.0, 3.0], (1000, 3))
+    column = PointCloud(np.ascontiguousarray(pts.T).T)
+    assert column.xyz.flags.f_contiguous and not column.xyz.flags.c_contiguous
+    outs = [preprocess_cloud(cloud, FilterParams(), 0.0, octree=_occupied_map(),
+                             sensor_origin=(0, 0, 1)) for cloud in (column, PointCloud(pts))]
+    assert len(outs[0]) > 0 and outs[0].xyz.flags.c_contiguous
+    assert np.array_equal(outs[0].xyz, outs[1].xyz)
+
+
 def _occupied_map():
     octree = OccupancyOctree(0.25, (-5, -5, -5), (10, 5, 5))
     octree.insert_points([[3.0, 0.0, 1.0]])

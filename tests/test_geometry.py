@@ -99,6 +99,20 @@ class TestTransformCloud:
         d_out = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=2)
         assert np.max(np.abs(d_in - d_out)) < 1e-9
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 7, 24_000])
+    def test_bit_identical_to_row_product(self, order, n):
+        # the golden outputs hash clouds whose points were made as
+        # points @ rot.T + origin: the (3, n) product must give the same bits
+        # for a C-ordered array and for the .T of a (3, n) block (scan's points)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            pose = SensorPose(tuple(rng.uniform(-5, 5, 3)),
+                              PanTiltPose(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5)))
+            pts = np.asarray(rng.uniform(-30, 30, (n, 3)), order=order)
+            want = pts @ pan_tilt_to_rotation(pose.orientation).T + np.asarray(pose.origin)
+            assert np.array_equal(transform_cloud(pts, pose).xyz, want)
+
     def test_point_count_preserved(self):
         pts = np.arange(30.0).reshape(10, 3)
         out = transform_cloud(pts, SensorPose((1, 1, 1), PanTiltPose(0.4, 0.1)))

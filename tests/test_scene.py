@@ -106,6 +106,12 @@ def unculled_ray_cast_arrays(scene, origin, dirs, times, include_target=True):
     return best, surf
 
 
+def column_block(dirs):
+    """The same rays as the .T of a C-ordered (3, n) block, the layout scan
+    passes to ray_cast_arrays."""
+    return np.ascontiguousarray(dirs.T).T
+
+
 @st.composite
 def trajectories(draw):
     """Multi-waypoint schedules, often with a start_time offset and zero waits."""
@@ -290,6 +296,45 @@ class TestRayCast:
             ray_cast_arrays(Scene(0.0), np.zeros(3), dirs, np.zeros(n_times))
 
 
+class TestRayLayout:
+    """ray_cast_arrays takes (n, 3) rays in any memory layout: a C-ordered
+    array and the .T of a C-ordered (3, n) block give the same ranges and
+    codes bit for bit, and both equal the unculled oracle."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("face", ["lo", "hi"])
+    def test_column_block_matches_row_array(self, axis, face):
+        # the origin lies on a box face plane; the batch crosses a block
+        # boundary and holds, at both ends of it, the 12 axis-parallel rays
+        # (other components +0.0 or -0.0; one of them lies in the face plane),
+        # then random rays and rays aimed at the moving target
+        box = Box((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
+        along = (axis + 1) % 3
+        origin = np.full(3, 2.0)
+        origin[along] = -5.0
+        origin[axis] = getattr(box, face)[axis]
+        traj = make_pattern("fast", center=(-4.0, -4.0, 7.0))  # no origin sees it behind the box
+        scene = Scene(-10.0, [box], TargetModel(0.3, 1.0, traj), WeatherModel())
+        rng = np.random.default_rng(3 * axis + len(face))
+        n = _BLOCK + 40
+        times = rng.uniform(1.5, 4.0, n)  # the target holds, then flies its segment
+        dirs = rng.normal(size=(n, 3))
+        aimed = rng.random(n) < 0.4
+        dirs[aimed] = traj.position(times[aimed]) - origin
+        axial = np.array([np.where(np.arange(3) == k, sign, zero)
+                          for zero in (0.0, -0.0) for k in range(3) for sign in (1.0, -1.0)])
+        dirs[:12] = axial
+        dirs[_BLOCK - 6:_BLOCK + 6] = axial
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+
+        want = unculled_ray_cast_arrays(scene, origin, dirs, times)
+        assert {-1, GROUND, OBSTACLE, TARGET} <= set(want[1].tolist())
+        for layout in (dirs, column_block(dirs)):
+            got = ray_cast_arrays(scene, origin, layout, times)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 class TestTargetConeCull:
     """ray_cast_arrays sphere-tests only the rays in the cone around the
     target's bounding ball; the result must equal the unculled oracle bit
@@ -335,10 +380,11 @@ class TestTargetConeCull:
                         to_centre + perp * np.where(kind == 1, inside, grazing)[:, None])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
-        got = ray_cast_arrays(scene, origin, dirs, times)
         want = unculled_ray_cast_arrays(scene, origin, dirs, times)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for layout in (dirs, column_block(dirs)):
+            got = ray_cast_arrays(scene, origin, layout, times)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("origin_inside", [False, True])
     @pytest.mark.parametrize("n_rays", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
@@ -376,10 +422,11 @@ class TestTargetConeCull:
         dirs[~dirs.any(axis=1), 2] = -1.0
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
-        got = ray_cast_arrays(scene, origin, dirs, times)
         want = unculled_ray_cast_arrays(scene, origin, dirs, times)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for layout in (dirs, column_block(dirs)):
+            got = ray_cast_arrays(scene, origin, layout, times)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def test_zero_rays_with_target(self):
         traj = Trajectory([((5.0, 0.0, 1.0), 1.0)], 1.0)

@@ -7,8 +7,8 @@ import pytest
 from rosetrack.config import parse_config
 from rosetrack.geometry import PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import (_DIR_CACHE, RingScanParams, RosetteParams, _frame_directions,
-                              _rays_per_frame, scan)
+from rosetrack.sensor import (_DIR_CACHE, MAX_RAYS_PER_FRAME, RingScanParams, RosetteParams,
+                              _frame_directions, _rays_per_frame, scan)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,6 +55,18 @@ class TestRosetteDirection:
         with pytest.raises(ValueError):
             RosetteParams(point_rate=-1)
 
+    @pytest.mark.parametrize("cls", [RosetteParams, RingScanParams])
+    def test_rays_per_frame_cap_is_inclusive(self, cls):
+        # constructing the parameters allocates nothing, so the cap itself is probed
+        assert _rays_per_frame(cls(point_rate=float(MAX_RAYS_PER_FRAME),
+                                   integration_time=1.0)) == MAX_RAYS_PER_FRAME
+        with pytest.raises(ValueError, match="rays per frame"):
+            cls(point_rate=float(MAX_RAYS_PER_FRAME + 1), integration_time=1.0)
+        for bad in ({"point_rate": math.inf}, {"integration_time": math.inf},
+                    {"point_rate": 1e300, "integration_time": 1e300}):
+            with pytest.raises(ValueError):
+                cls(**bad)
+
 
 class TestDirectionCache:
     @pytest.mark.parametrize("path, overrides", [
@@ -77,7 +89,7 @@ class TestDirectionCache:
         starts = ([k / cfg.lidar_rate for k in range(n_raster)]
                   + [t_track0 + k / cfg.lidar_rate for k in range(n_track)])
         worst = max(np.max(np.abs(_frame_directions(params, t0, offsets)
-                                  - params.directions(t0 + offsets))) for t0 in starts)
+                                  - params.directions(t0 + offsets).T)) for t0 in starts)
         assert worst <= 1e-9
 
     def test_cached_blocks_are_read_only(self):
