@@ -16,10 +16,18 @@ from typing import Any
 
 from .background import BackgroundBuildParams
 from .filters import FilterParams
+from .geometry import SensorPose
 from .scene import PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
-from .sensor import RingScanParams, RosetteParams
+from .sensor import RingScanParams, RosetteParams, event_count
 from .tracker import TrackerParams
 from .turret import TurretParams
+
+
+# Most filter ticks one run may have, and most raster frames: 1200x the
+# bundled 870 ticks (indoor_vertical). The loop runs once per tick and frame
+# and the logs hold a row per tick, so a larger count stops at parse time.
+# The tracking phase has no more frames than ticks: filter_rate >= lidar_rate.
+MAX_EVENTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -235,6 +243,18 @@ def _reject_unread_pattern_keys(values: dict[tuple[str, str], tuple[str, str]],
                               f"with {section}.pattern = {cfg[section]['pattern']}")
 
 
+def _check_events(span_key: str, span: float, rate_key: str, rate: float,
+                  least: int, what: str) -> None:
+    """Reject unless least <= event_count(span, rate) <= MAX_EVENTS. The cap
+    is tested on the product first, which may overflow to inf."""
+    given = f"{span_key} * {rate_key} ({span:g} * {rate:g})"
+    if span * rate > MAX_EVENTS:
+        raise ConfigError("config-domain", f"{given} exceeds {MAX_EVENTS} {what}")
+    n = event_count(span, rate)
+    if n < least:
+        raise ConfigError("config-domain", f"{given} gives {n} {what}; at least {least} needed")
+
+
 def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioConfig:
     cfg: dict[str, dict[str, Any]] = {
         section: {key: spec.default for key, spec in keys.items()}
@@ -282,6 +302,11 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         raise ConfigError("config-domain",
                           f"sensor.integration_time ({sn['integration_time']:g}) must fit the "
                           f"timing.lidar_rate period ({1.0 / tm['lidar_rate']:g})")
+    _check_events("turret.scan_duration", tu["scan_duration"], "timing.lidar_rate",
+                  tm["lidar_rate"], 1, "raster frames")
+    _check_events("run.duration", rn["duration"], "timing.filter_rate",
+                  tm["filter_rate"], 0, "filter ticks")
+    domain("turret", lambda: SensorPose(tu["origin"]))
 
     target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
         make_pattern(tg["pattern"], **{k: v for k, v in tg.items() if k in _PATTERN}),

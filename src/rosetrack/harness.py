@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .config import ScenarioConfig
 from .filters import preprocess_cloud
 from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
 from .scene import ray_cast_arrays
-from .sensor import scan
+from .sensor import event_count, scan
 from .tracker import TrackStatus, init_filter, step
 from .turret import TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
 
@@ -100,6 +100,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     bg_ss, scan_ss, pf_ss = np.random.SeedSequence(config.seed).spawn(3)
     t_track0 = config.turret.scan_duration
     scene = config.scene
+    static = replace(scene, target=None)  # what the sensor sees before takeoff
     traj = scene.target.trajectory
     spawn_t = traj.start_time
     origin = config.turret_origin
@@ -108,21 +109,21 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
     state = TurretState(pose=scan_mode_command(0.0, tparams), t=0.0)
-    n_bg = int(math.floor(tparams.scan_duration * config.lidar_rate + 1e-9))
+    n_bg = event_count(tparams.scan_duration, config.lidar_rate)
     bg_scans = []
     for k in range(n_bg):
         t0 = k / config.lidar_rate
         state = _raster_turret(state, t0, tparams)
         pose = SensorPose(origin, state.pose)
-        points, _ = scan(scene, pose, t0, config.sensor, bg_rng, include_target=False)
+        points, _ = scan(static, pose, t0, config.sensor, bg_rng)
         bg_scans.append((points, pose))
     octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
 
     # --- tracking phase ----------------------------------------------------
     track_rng = np.random.default_rng(scan_ss)
     pset = init_filter(config.tracker, np.random.default_rng(pf_ss))
-    n_frames = int(math.floor(config.duration * config.lidar_rate + 1e-9))
-    n_ticks = int(math.floor(config.duration * config.filter_rate + 1e-9))
+    n_frames = event_count(config.duration, config.lidar_rate)
+    n_ticks = event_count(config.duration, config.filter_rate)
     track = np.zeros(n_ticks, TRACK_DTYPE)
     scans = np.zeros(n_frames, SCAN_DTYPE)
     events = sorted(
@@ -137,8 +138,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             state = step_dynamics(state, last_cmd, ev_t - state.t, tparams)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
-            points, surfaces = scan(scene, pose, ev_t, config.sensor, track_rng,
-                                    include_target=ev_t + 1e-12 >= spawn_t)
+            points, surfaces = scan(scene if ev_t + 1e-12 >= spawn_t else static,
+                                    pose, ev_t, config.sensor, track_rng)
             pending.append((ev_t + config.pipeline_latency, transform_cloud(points, pose)))
             scans["t"][i], scans["n_points"][i] = ev_t, np.sum(surfaces == 2)
         else:  # filter tick
@@ -227,8 +228,8 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     if fov_h is not None:
         in_fov &= np.abs(a_h) <= fov_h / 2.0
     ticks, u = ticks[in_fov], u[in_fov]
-    rng_hit, surf = ray_cast_arrays(config.scene, origin, u, track["t"][ticks],
-                                    include_target=False)
+    rng_hit, surf = ray_cast_arrays(replace(config.scene, target=None), origin, u,
+                                    track["t"][ticks])
     out = np.zeros(len(track), dtype=bool)
     out[ticks] = ~((surf >= 0) & (rng_hit < dist[ticks] - config.scene.target.diameter / 2.0))
     return out

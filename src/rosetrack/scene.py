@@ -57,6 +57,8 @@ class Trajectory:
             raise ValueError("repeat_count must be >= 1")
         if any(w < 0 for _, w in self.waypoints):
             raise ValueError("waypoint wait times must be >= 0")
+        if not all(math.isfinite(c) for p, _ in self.waypoints for c in p):
+            raise ValueError("waypoint coordinates must be finite")
         self._compile()
 
     def _compile(self):
@@ -179,8 +181,7 @@ class Scene:
     weather: WeatherModel = field(default_factory=WeatherModel)
 
 
-def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
-                    times: np.ndarray, include_target: bool = True):
+def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: np.ndarray):
     """Nearest intersection for a batch of rays sharing one origin.
 
     dirs is (n, 3) in any memory layout and each row must be a unit vector:
@@ -188,7 +189,8 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     transpose of a C-ordered (3, n) block, as scan passes it, is the fast
     layout: its axis rows are contiguous. times is (n,) and holds
     the emission times; the target sphere is evaluated at each ray's own
-    time. Any other shape raises ValueError.
+    time, and a scene whose target is None casts no target ray. Any other
+    shape raises ValueError.
     Returns (ranges, surfaces) where surfaces is int8 coded
     (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
 
@@ -218,7 +220,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
              for box in scene.obstacles]
     ground = scene.ground_z - origin[2]
 
-    target = include_target and scene.target is not None and n > 0
+    target = scene.target is not None and n > 0
     if target:
         traj = scene.target.trajectory
         r = scene.target.diameter / 2.0

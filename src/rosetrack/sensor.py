@@ -119,10 +119,12 @@ class RingScanParams:
 MAX_RAYS_PER_FRAME = 2**22
 
 
-def _rays_per_frame(params) -> int:
-    """floor(point_rate * integration_time), guarded against float error so
-    that e.g. 100 rays/s over 0.29 s gives 29 rays, not 28."""
-    return int(math.floor(params.point_rate * params.integration_time + 1e-9))
+def event_count(span: float, rate: float) -> int:
+    """Events at the given rate that fit in the span: floor(span * rate),
+    guarded against float error so that e.g. 100 rays/s over 0.29 s gives 29
+    rays, not 28. Rays per frame, frames and filter ticks are all counted
+    with it."""
+    return int(math.floor(span * rate + 1e-9))
 
 
 def _check_frame(params) -> None:
@@ -140,7 +142,7 @@ def _check_frame(params) -> None:
     if rays > MAX_RAYS_PER_FRAME:
         raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
                          f"{params.integration_time:g}) exceeds {MAX_RAYS_PER_FRAME} rays per frame")
-    if _rays_per_frame(params) < 1:
+    if event_count(params.integration_time, params.point_rate) < 1:
         raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
                          f"{params.integration_time:g}) gives no ray per frame")
 
@@ -174,20 +176,20 @@ def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
     return dirs
 
 
-def scan(scene: Scene, pose: SensorPose, t0: float, params,
-         rng: np.random.Generator, include_target: bool = True):
+def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator):
     """Simulate one integration frame; returns (points, surface codes): the
     kept points as an (n, 3) sensor-frame array (the transpose of a C-ordered
     (3, n) block), and per point its code as in scene.ray_cast_arrays.
 
-    Emits floor(point_rate * integration_time + 1e-9) rays at uniform time steps,
-    casts each into the scene, keeps hits within range_max with the
-    range/weather keep probability, and perturbs kept ranges with Gaussian
-    noise along the ray. Zero points is a valid result.
+    Emits event_count(integration_time, point_rate) rays at uniform time
+    steps, casts each into the scene (one whose target is None gives the
+    static background), keeps hits within range_max with the range/weather
+    keep probability, and perturbs kept ranges with Gaussian noise along the
+    ray. Zero points is a valid result.
     """
     if not 0.0 <= t0 < math.inf:
         raise ValueError("frame start time must be finite and >= 0")
-    n = _rays_per_frame(params)
+    n = event_count(params.integration_time, params.point_rate)
     offsets = np.arange(n) * (params.integration_time / n)
     dirs_sensor = _frame_directions(params, t0, offsets)  # (3, n)
 
@@ -196,7 +198,7 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params,
     origin = np.asarray(pose.origin, dtype=float)
     times = t0 + offsets
 
-    ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times, include_target)
+    ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times)
     hit = (surf >= 0) & (ranges <= params.range_max)
     kept = np.nonzero(hit)[0]
     p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)

@@ -12,6 +12,7 @@ weight vector. The track is Stable once the particle spread falls under
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,15 @@ class TrackStatus(enum.Enum):
     LOST = "lost"
 
 
+# Most particles a filter may hold: 2000x the bundled 500. Every tick makes
+# several (n, 3) float arrays, so a larger count stops at parse time.
+MAX_PARTICLES = 2**20
+# Largest predict-step noise, m: 10,000x the bundled 0.1. Far larger noise
+# throws the particles far outside any surveillance volume, and at 1e200 m
+# their spread overflows to inf.
+MAX_SIGMA_PRED = 1e3
+
+
 @dataclass(frozen=True)
 class TrackerParams:
     n_particles: int = 500
@@ -35,14 +45,18 @@ class TrackerParams:
     surveillance_hi: tuple[float, float, float] = (8.0, 4.0, 3.0)
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.sigma_pred < 0 or self.sigma_meas <= 0:
-            raise ValueError("sigma_pred must be >= 0 and sigma_meas > 0")
+        if not 1 <= self.n_particles <= MAX_PARTICLES:
+            raise ValueError(f"n_particles must be between 1 and {MAX_PARTICLES}")
+        if not 0 <= self.sigma_pred <= MAX_SIGMA_PRED or self.sigma_meas <= 0:
+            raise ValueError(f"sigma_pred must be between 0 and {MAX_SIGMA_PRED:g} m "
+                             f"and sigma_meas > 0")
         if self.lost_after_misses < 1:
             raise ValueError("lost_after_misses must be >= 1")
-        if not np.all(np.greater(self.surveillance_hi, self.surveillance_lo)):
-            raise ValueError("surveillance volume must have positive extent")
+        # an infinite corner, or finite corners too far apart, would make
+        # init_filter's uniform draw overflow
+        if not all(0 < hi - lo < math.inf
+                   for lo, hi in zip(self.surveillance_lo, self.surveillance_hi)):
+            raise ValueError("surveillance volume must have positive, finite extent")
 
     @property
     def stability_threshold(self) -> float:

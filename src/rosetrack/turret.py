@@ -13,6 +13,12 @@ from .geometry import PanTiltPose
 from .tracker import TrackEstimate, TrackStatus
 
 
+# Most turret steps the raster may take (scan_duration * command_rate): 14000x
+# the bundled 75. The raster is stepped one command at a time, so a larger
+# count stops at parse time.
+MAX_RASTER_STEPS = 2**20
+
+
 @dataclass(frozen=True)
 class TurretParams:
     max_slew_rate: float = math.pi          # rad/s, per axis
@@ -39,10 +45,13 @@ class TurretParams:
         if not (-math.pi <= self.scan_pan_min and self.scan_pan_max <= math.pi
                 and -math.pi / 2 <= self.scan_tilt_min and self.scan_tilt_max <= math.pi / 2):
             raise ValueError("scan area must lie within pose limits")
-        if self.scan_line_spacing <= 0:
-            raise ValueError("scan_line_spacing must be positive")
+        if not 0 < self.scan_line_spacing < math.inf:
+            raise ValueError("scan_line_spacing must be positive and finite")
         if not 0 < self.scan_duration < math.inf:
             raise ValueError("scan_duration must be positive and finite")
+        if self.scan_duration * self.command_rate > MAX_RASTER_STEPS:
+            raise ValueError(f"scan_duration * command_rate ({self.scan_duration:g} * "
+                             f"{self.command_rate:g}) exceeds {MAX_RASTER_STEPS} raster steps")
 
     @property
     def scan_rows(self) -> int:

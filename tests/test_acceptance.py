@@ -297,7 +297,7 @@ class TestCriterion10PerformanceEnvelope:
         scans = []
         for k in range(20):
             pose = SensorPose(cfg.turret_origin, scan_mode_command(k / 10.0, tp))
-            scans.append((scan(scene, pose, k / 10.0, cfg.sensor, rng, include_target=False)[0],
+            scans.append((scan(replace(scene, target=None), pose, k / 10.0, cfg.sensor, rng)[0],
                           pose))
         octree = build_background(scans, cfg.background, cfg.filters, cfg.scene.ground_z)
         from rosetrack.geometry import transform_cloud

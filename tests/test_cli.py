@@ -97,7 +97,14 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
         # infinite values that used to end in a bare OverflowError or an
         # invalid pan mid-run
         "sensor.point_rate=inf", "sensor.integration_time=inf",
-        "timing.filter_rate=inf", "run.duration=inf", "turret.scan_duration=inf")),
+        "timing.filter_rate=inf", "run.duration=inf", "turret.scan_duration=inf",
+        # a raster with no frame used to fail mid-run as invalid-input
+        "turret.scan_duration=0.05",
+        # non-finite or huge values that used to fail mid-run, end in an
+        # OverflowError traceback, or write non-finite logs with exit 0
+        "tracker.sigma_pred=inf", "tracker.sigma_pred=1e200", "turret.origin=inf,0,1",
+        "tracker.surveillance_lo=-inf,0,0", "tracker.surveillance_hi=inf,4,3",
+        "turret.scan_line_spacing=inf", "target.center=inf,0,1", "target.extent=inf")),
     # the tracker has one measurement model and one stability rule, and no key selects either
     *((o, "config-unknown-key") for o in (
         "tracker.sigma_threshold=0.2", "tracker.likelihood=nearest")),

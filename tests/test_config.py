@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from rosetrack.config import SCHEMA, ConfigError, default_config, describe_schema, parse_config
+from rosetrack.config import (MAX_EVENTS, SCHEMA, ConfigError, default_config, describe_schema,
+                              parse_config)
 from rosetrack.scene import make_pattern
 from rosetrack.sensor import MAX_RAYS_PER_FRAME
+from rosetrack.tracker import MAX_PARTICLES
+from rosetrack.turret import MAX_RASTER_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -96,6 +99,39 @@ seed = 11
             default_config([f"sensor.pattern={pattern}", "sensor.point_rate=1e12"])
         assert err.value.category == "config-domain"
         assert f"exceeds {MAX_RAYS_PER_FRAME} rays per frame" in str(err.value)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["tracker.n_particles=2000000000"], f"between 1 and {MAX_PARTICLES}"),
+        (["run.duration=1e12"], f"exceeds {MAX_EVENTS} filter ticks"),
+        (["timing.filter_rate=1e15"], f"exceeds {MAX_EVENTS} filter ticks"),
+        (["run.duration=1e300", "timing.filter_rate=1e300"], f"exceeds {MAX_EVENTS} filter ticks"),
+        (["turret.command_rate=1e12"], f"exceeds {MAX_RASTER_STEPS} raster steps"),
+        (["turret.scan_duration=1e5", "turret.command_rate=1", "timing.lidar_rate=100",
+          "timing.filter_rate=100", "sensor.integration_time=0.01"],
+         f"exceeds {MAX_EVENTS} raster frames"),
+    ])
+    def test_sizes_above_the_caps_rejected(self, overrides, message):
+        # parse only, never run: each would allocate or loop without bound
+        with pytest.raises(ConfigError) as err:
+            default_config(overrides)
+        assert err.value.category == "config-domain"
+        assert message in str(err.value)
+
+    def test_caps_are_inclusive(self):
+        # parse only: exactly at every cap
+        cfg = default_config([f"tracker.n_particles={MAX_PARTICLES}",
+                              f"run.duration={MAX_EVENTS / 16}", "timing.filter_rate=16",
+                              f"turret.scan_duration={MAX_RASTER_STEPS / 16}",
+                              "turret.command_rate=16"])
+        assert cfg.tracker.n_particles == MAX_PARTICLES
+        assert cfg.duration * cfg.filter_rate == MAX_EVENTS
+        assert cfg.turret.scan_duration * cfg.turret.command_rate == MAX_RASTER_STEPS
+
+    def test_raster_without_a_frame_names_both_keys(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(CONFIG_DIR / "indoor_lock.cfg", ["turret.scan_duration=0.05"])
+        assert err.value.category == "config-domain"
+        assert "turret.scan_duration" in str(err.value) and "timing.lidar_rate" in str(err.value)
 
     def test_domain_violation_reported(self, tmp_path):
         with pytest.raises(ConfigError) as err:

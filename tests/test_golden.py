@@ -1,12 +1,16 @@
 """Golden outputs: every bundled config at seed 0 must reproduce the recorded
 sha256 of its track/truth/scans/metrics CSVs byte for byte.
 
+The outputs must not depend on which OpenBLAS kernel numpy runs either.
+
 A change that means to alter outputs regenerates the hashes and says why:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/outputs.sha256
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +41,22 @@ def golden_lines(out_dir: Path) -> list[str]:
 def test_bundled_configs_match_golden_hashes(tmp_path):
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     assert golden_lines(tmp_path) == expected
+
+
+def test_golden_hashes_hold_under_another_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE=Prescott asks for a kernel without FMA (OpenBLAS may
+    # pick a close one); the kernel is chosen at import, so the run needs its
+    # own process
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "rosetrack.cli", "run",
+                    str(CONFIG_DIR / "indoor_lock.cfg"), "--seed", "0", "--out-dir", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    got = [f"{hashlib.sha256((tmp_path / f'{name}.csv').read_bytes()).hexdigest()}  "
+           f"indoor_lock/{name}.csv" for name in NAMES]
+    expected = [line for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+                if "  indoor_lock/" in line]
+    assert got == expected
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsRepo
                                compute_metrics, export_csv, export_run, positions, read_scan_log,
                                read_track_log, read_truth_log, run_many, run_scenario,
                                target_visibility)
+from rosetrack.sensor import event_count
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -394,7 +395,7 @@ class TestRunMany:
 
     def test_results_in_input_order(self, runs):
         configs, serial, pooled = runs
-        ticks = [int(c.duration * c.filter_rate + 1e-9) for c in configs]
+        ticks = [event_count(c.duration, c.filter_rate) for c in configs]
         assert [len(r.track) for r in serial] == ticks
         assert [len(r.track) for r in pooled] == ticks
 

@@ -60,7 +60,7 @@ def cast(scene, origin, dirs, t=0.0):
     return ray_cast_arrays(scene, np.asarray(origin, dtype=float), dirs, np.full(len(dirs), t))
 
 
-def unculled_ray_cast_arrays(scene, origin, dirs, times, include_target=True):
+def unculled_ray_cast_arrays(scene, origin, dirs, times):
     """Oracle twin of ray_cast_arrays without the target-cone cull: every ray
     gets its own trajectory lookup and sphere test, and the slab test reduces
     over the axis columns with np.max / np.min."""
@@ -88,7 +88,7 @@ def unculled_ray_cast_arrays(scene, origin, dirs, times, include_target=True):
         hit = (tmax >= np.maximum(tmin, eps)) & (thit > eps) & (thit < best)
         best[hit] = thit[hit]
         surf[hit] = 1
-    if include_target and scene.target is not None:
+    if scene.target is not None:
         centers = np.atleast_2d(scene.target.trajectory.position(np.asarray(times, dtype=float)))
         r = scene.target.diameter / 2.0
         oc = origin[None, :] - centers

@@ -8,7 +8,7 @@ from rosetrack.config import parse_config
 from rosetrack.geometry import PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
 from rosetrack.sensor import (_DIR_CACHE, MAX_RAYS_PER_FRAME, RingScanParams, RosetteParams,
-                              _frame_directions, _rays_per_frame, scan)
+                              _frame_directions, event_count, scan)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -58,8 +58,8 @@ class TestRosetteDirection:
     @pytest.mark.parametrize("cls", [RosetteParams, RingScanParams])
     def test_rays_per_frame_cap_is_inclusive(self, cls):
         # constructing the parameters allocates nothing, so the cap itself is probed
-        assert _rays_per_frame(cls(point_rate=float(MAX_RAYS_PER_FRAME),
-                                   integration_time=1.0)) == MAX_RAYS_PER_FRAME
+        params = cls(point_rate=float(MAX_RAYS_PER_FRAME), integration_time=1.0)
+        assert event_count(params.integration_time, params.point_rate) == MAX_RAYS_PER_FRAME
         with pytest.raises(ValueError, match="rays per frame"):
             cls(point_rate=float(MAX_RAYS_PER_FRAME + 1), integration_time=1.0)
         for bad in ({"point_rate": math.inf}, {"integration_time": math.inf},
@@ -81,11 +81,11 @@ class TestDirectionCache:
         # tracking phase that block must equal directions at the frame's own times
         cfg = parse_config(path, overrides)
         params = cfg.sensor
-        n = _rays_per_frame(params)
+        n = event_count(params.integration_time, params.point_rate)
         offsets = np.arange(n) * (params.integration_time / n)
         t_track0 = cfg.turret.scan_duration
-        n_raster = int(math.floor(t_track0 * cfg.lidar_rate + 1e-9))
-        n_track = int(math.floor(cfg.duration * cfg.lidar_rate + 1e-9))
+        n_raster = event_count(t_track0, cfg.lidar_rate)
+        n_track = event_count(cfg.duration, cfg.lidar_rate)
         starts = ([k / cfg.lidar_rate for k in range(n_raster)]
                   + [t_track0 + k / cfg.lidar_rate for k in range(n_track)])
         worst = max(np.max(np.abs(_frame_directions(params, t0, offsets)

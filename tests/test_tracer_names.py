@@ -27,7 +27,7 @@ def test_install_patches_every_name_and_uninstall_restores():
         tracer_mod.install(tracer)
         assert harness.scan is not original_scan
         run_scenario(default_config(["turret.scan_duration=1.0", "run.duration=1.0",
-                                     "sensor.point_rate=24000"]))
+                                     "sensor.point_rate=24000", "target.takeoff_delay=0.5"]))
     finally:
         tracer.uninstall()
     assert harness.scan is original_scan
@@ -36,10 +36,14 @@ def test_install_patches_every_name_and_uninstall_restores():
     assert names.count("harness.metrics") == 1
     assert names.count("harness.visibility_cast") == 1
     assert tracer.counts["harness.metrics.visibility_rays"] > 0
+    # 2400 rays per frame; only the 5 tracking frames that start at or after
+    # takeoff cast against the target, the 10 raster frames and the 5 before
+    # takeoff cast against the static scene
+    target_rays = tracer.counts["scene.ray_cast.target_rays"]
+    assert target_rays == 2400 * 5
+    assert tracer.counts["scene.ray_cast.rays"] == 2400 * 20
     # the target-cone cull looks up the trajectory for a few rays per frame,
     # not for every ray; positions seen at all means Trajectory.position is traced
-    target_rays = tracer.counts["scene.ray_cast.target_rays"]
-    assert target_rays > 0
     assert 0 < tracer.counts["scene.trajectory.points"] < target_rays // 10
     # every scanned point is transformed exactly once, and scan's output
     # (a bare array) is still counted
