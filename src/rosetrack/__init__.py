@@ -12,7 +12,7 @@ from .filters import FilterParams, preprocess_cloud, radius_outlier_removal, ran
 from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
 from .harness import SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, RunResult, compute_metrics, export_csv, export_run, positions, run_many, run_scenario
 from .scene import Box, Scene, TargetModel, Trajectory, WeatherModel, make_pattern
-from .sensor import RingScanParams, RosetteParams, scan
+from .sensor import RosetteParams, scan
 from .tracker import ParticleSet, TrackEstimate, TrackStatus, TrackerParams, estimate, init_filter, predict, resample, step, systematic_indices, update
 from .turret import TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
 

@@ -18,7 +18,7 @@ from .background import BackgroundBuildParams
 from .filters import FilterParams
 from .geometry import SensorPose
 from .scene import PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
-from .sensor import RingScanParams, RosetteParams, event_count
+from .sensor import RosetteParams, event_count
 from .tracker import TrackerParams
 from .turret import TurretParams
 
@@ -71,7 +71,6 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "takeoff_delay": FieldSpec("float", 0.0, "tracking-phase seconds before the target appears, s"),
     },
     "sensor": {
-        "pattern": FieldSpec("choice", "rosette", "sampling pattern", ("rosette", "ring")),
         "f1": FieldSpec("float", RosetteParams.f1, "first prism frequency, Hz"),
         "f2": FieldSpec("float", RosetteParams.f2, "second prism frequency, Hz"),
         "fov_h_deg": FieldSpec("float", math.degrees(RosetteParams.fov_h), "horizontal field of view, degrees (full angle)"),
@@ -80,8 +79,6 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "integration_time": FieldSpec("float", RosetteParams.integration_time, "frame integration window, s"),
         "range_max": FieldSpec("float", RosetteParams.range_max, "maximum measurable range, m"),
         "range_noise_sigma": FieldSpec("float", RosetteParams.range_noise_sigma, "Gaussian range noise sigma, m"),
-        "n_rings": FieldSpec("int", RingScanParams.n_rings, "ring mode: number of elevation rings"),
-        "spin_rate": FieldSpec("float", RingScanParams.spin_rate, "ring mode: azimuth spin rate, Hz"),
     },
     "filters": {
         "near_min": FieldSpec("float", FilterParams.near_min, "minimum sensor range kept, m"),
@@ -139,7 +136,7 @@ class ScenarioConfig:
     """
 
     scene: Scene
-    sensor: RosetteParams | RingScanParams
+    sensor: RosetteParams
     filters: FilterParams
     background: BackgroundBuildParams
     tracker: TrackerParams
@@ -223,24 +220,17 @@ def _parse_lines(lines, source: str) -> dict[tuple[str, str], tuple[str, str]]:
     return values
 
 
-# target keys that only the range_sweep pattern reads
-_RANGE_SWEEP_KEYS = ("max_range", "sweep_speed")
-
-
 def _reject_unread_pattern_keys(values: dict[tuple[str, str], tuple[str, str]],
-                                cfg: dict[str, dict[str, Any]]) -> None:
-    """A key set for a pattern other than the chosen one would have no effect."""
-    sensor_fields = {f.name for f in fields(
-        RosetteParams if cfg["sensor"]["pattern"] == "rosette" else RingScanParams)}
-    unread = [("sensor", key) for key in SCHEMA["sensor"]
-              if key != "pattern" and key.removesuffix("_deg") not in sensor_fields]
-    if cfg["target"]["pattern"] != "range_sweep":
-        unread += [("target", key) for key in _RANGE_SWEEP_KEYS]
-    for section, key in unread:
-        if (section, key) in values:
+                                pattern: str) -> None:
+    """The target keys that only range_sweep reads would have no effect under
+    another pattern."""
+    if pattern == "range_sweep":
+        return
+    for key in ("max_range", "sweep_speed"):
+        if ("target", key) in values:
             raise ConfigError("config-domain",
-                              f"{values[(section, key)][1]}: [{section}] {key} has no effect "
-                              f"with {section}.pattern = {cfg[section]['pattern']}")
+                              f"{values[('target', key)][1]}: [target] {key} has no effect "
+                              f"with target.pattern = {pattern}")
 
 
 def _check_events(span_key: str, span: float, rate_key: str, rate: float,
@@ -262,7 +252,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     }
     for (section, key), (text, where) in values.items():
         cfg[section][key] = _convert(SCHEMA[section][key], text, f"{where}: [{section}] {key}")
-    _reject_unread_pattern_keys(values, cfg)
+    _reject_unread_pattern_keys(values, cfg["target"]["pattern"])
     for keys in cfg.values():
         for key in [k for k in keys if k.endswith("_deg")]:
             keys[key[:-len("_deg")]] = math.radians(keys.pop(key))
@@ -279,7 +269,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
 
     s, tg, sn, tu, tm, rn = (cfg[k] for k in ("scene", "target", "sensor", "turret", "timing", "run"))
     weather = params(WeatherModel, "scene")
-    sensor = params(RosetteParams if sn["pattern"] == "rosette" else RingScanParams, "sensor")
+    sensor = params(RosetteParams, "sensor")
     filters = params(FilterParams, "filters")
     background = params(BackgroundBuildParams, "background")
     tracker = params(TrackerParams, "tracker")

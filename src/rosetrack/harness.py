@@ -224,9 +224,7 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     a_h = np.arctan2(local[:, 1], local[:, 0])
     a_v = np.arctan2(local[:, 2], np.hypot(local[:, 0], local[:, 1]))
     in_fov = np.abs(a_v) <= config.sensor.fov_v / 2.0
-    fov_h = getattr(config.sensor, "fov_h", None)
-    if fov_h is not None:
-        in_fov &= np.abs(a_h) <= fov_h / 2.0
+    in_fov &= np.abs(a_h) <= config.sensor.fov_h / 2.0
     ticks, u = ticks[in_fov], u[in_fov]
     rng_hit, surf = ray_cast_arrays(replace(config.scene, target=None), origin, u,
                                     track["t"][ticks])

@@ -241,8 +241,9 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
         blk_surf = surf[blk]
         # inv is +-inf on axis-parallel rays, and 0 * inf is NaN where the
         # origin lies on a slab plane; the fmin / fmax / maximum chain keeps
-        # the slab arithmetic exact
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the slab arithmetic exact. A huge ground height overflows tg to
+        # +-inf, which fails both ground tests
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = 1.0 / rows
             tg = ground * inv[2]
             hit = (rows[2] != 0.0) & (tg > _EPS) & (tg < blk_best)
@@ -332,6 +333,8 @@ def make_pattern(name: str, center=(4.0, 0.0, 1.2), extent: float = 1.8,
         wps = [(cx, cy - e, cz), (cx, cy, cz), (cx, cy + e, cz)]
         return Trajectory([(p, wait) for p in wps], segment_duration=3.0, repeat_count=4)
     if name == "range_sweep":
+        if not 0 < sweep_speed < math.inf:
+            raise ValueError(f"sweep_speed ({sweep_speed:g}) must be positive and finite")
         start = (cx, cy, cz)
         far = (cx + max_range, cy, cz)
         length = max_range

@@ -5,14 +5,11 @@ phasors (a two-prism beam steering approximation): the phase opposition at
 t = 0 puts the beam on the boresight, and the beam re-crosses the centre at
 a rate of f1 + f2, which is what concentrates points in the middle of the
 field of view.
-
-A reference ring scanner (evenly spaced elevation rings, spinning azimuth)
-is included for relative point-count comparisons; it shares the ray casting
-and return model.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +45,20 @@ class RosetteParams:
             raise ValueError("prism frequencies must be positive")
         if not 0 < self.fov_h < math.pi:
             raise ValueError("fov_h must be in (0, pi)")
-        _check_frame(self)
+        if not 0 < self.fov_v < math.pi:
+            raise ValueError("fov_v must be in (0, pi)")
+        if self.range_max <= 0:
+            raise ValueError("range_max must be positive")
+        if self.range_noise_sigma < 0:
+            raise ValueError("range_noise_sigma must be >= 0")
+        if not (0 < self.point_rate < math.inf and 0 < self.integration_time < math.inf):
+            raise ValueError("point_rate and integration_time must be positive and finite")
+        if self.point_rate * self.integration_time > MAX_RAYS_PER_FRAME:
+            raise ValueError(f"point_rate * integration_time ({self.point_rate:g} * "
+                             f"{self.integration_time:g}) exceeds {MAX_RAYS_PER_FRAME} rays per frame")
+        if event_count(self.integration_time, self.point_rate) < 1:
+            raise ValueError(f"point_rate * integration_time ({self.point_rate:g} * "
+                             f"{self.integration_time:g}) gives no ray per frame")
 
     def deflections(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Angular offsets (a_h, a_v) from the boresight at the given times."""
@@ -80,40 +90,6 @@ class RosetteParams:
         return float(1 / g)
 
 
-@dataclass(frozen=True)
-class RingScanParams:
-    """Reference scanner: n_rings fixed elevations, azimuth spinning at spin_rate."""
-
-    n_rings: int = 16
-    spin_rate: float = 10.0
-    fov_v: float = math.radians(77.2)
-    point_rate: float = 240_000.0
-    integration_time: float = 0.1
-    range_max: float = 260.0
-    range_noise_sigma: float = 0.02
-
-    def __post_init__(self):
-        if self.n_rings < 1:
-            raise ValueError("need at least one ring")
-        if self.spin_rate <= 0:
-            raise ValueError("spin_rate must be positive")
-        _check_frame(self)
-
-    @property
-    def ring_elevations(self) -> np.ndarray:
-        if self.n_rings == 1:
-            return np.zeros(1)
-        return np.linspace(-self.fov_v / 2.0, self.fov_v / 2.0, self.n_rings)
-
-    def directions(self, times: np.ndarray) -> np.ndarray:
-        """(n, 3) unit ray directions at the n times, the transpose of a
-        C-ordered (3, n) block."""
-        t = np.asarray(times, dtype=float)
-        az = (2.0 * math.pi * self.spin_rate * t) % (2.0 * math.pi)
-        elev = self.ring_elevations[np.arange(len(t)) % self.n_rings]
-        return _angles_to_directions(az, elev)
-
-
 # Most rays one frame may cast: 175x the bundled 24,000. Each frame holds
 # several (3, n) float blocks, so a larger count stops at parse time.
 MAX_RAYS_PER_FRAME = 2**22
@@ -127,26 +103,6 @@ def event_count(span: float, rate: float) -> int:
     return int(math.floor(span * rate + 1e-9))
 
 
-def _check_frame(params) -> None:
-    """Field rules both scan patterns share: vertical field of view, range
-    limit, range noise, and between 1 and MAX_RAYS_PER_FRAME rays per frame."""
-    if not 0 < params.fov_v < math.pi:
-        raise ValueError("fov_v must be in (0, pi)")
-    if params.range_max <= 0:
-        raise ValueError("range_max must be positive")
-    if params.range_noise_sigma < 0:
-        raise ValueError("range_noise_sigma must be >= 0")
-    if not (0 < params.point_rate < math.inf and 0 < params.integration_time < math.inf):
-        raise ValueError("point_rate and integration_time must be positive and finite")
-    rays = params.point_rate * params.integration_time
-    if rays > MAX_RAYS_PER_FRAME:
-        raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
-                         f"{params.integration_time:g}) exceeds {MAX_RAYS_PER_FRAME} rays per frame")
-    if event_count(params.integration_time, params.point_rate) < 1:
-        raise ValueError(f"point_rate * integration_time ({params.point_rate:g} * "
-                         f"{params.integration_time:g}) gives no ray per frame")
-
-
 def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
     cv = np.cos(a_v)
     return np.stack([cv * np.cos(a_h), cv * np.sin(a_h), np.sin(a_v)]).T
@@ -154,26 +110,21 @@ def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
 
 # Pattern directions repeat with the pattern period, so frames whose start
 # times share a phase reuse one precomputed (3, n) direction block. Every
-# frame at that phase gets the same array, so the blocks are stored read-only.
-_DIR_CACHE: dict[tuple, np.ndarray] = {}
-_DIR_CACHE_MAX = 32
+# frame at that phase gets the same array, so the blocks are read-only.
+@functools.lru_cache(maxsize=32)
+def _phase_directions(params: RosetteParams, phase: float, n: int) -> np.ndarray:
+    """(3, n) C-ordered block of the directions of an n-ray frame starting at the phase."""
+    dirs = params.directions(phase + np.arange(n) * (params.integration_time / n)).T
+    dirs.flags.writeable = False
+    return dirs
 
 
-def _frame_directions(params, t0: float, offsets: np.ndarray) -> np.ndarray:
+def _frame_directions(params: RosetteParams, t0: float, offsets: np.ndarray) -> np.ndarray:
     """(3, n) C-ordered block of the ray directions at times t0 + offsets."""
-    period = getattr(params, "period", math.inf)
+    period = params.period
     if not math.isfinite(period) or period > 10.0:
         return params.directions(t0 + offsets).T
-    phase = round(t0 % period, 9)
-    key = (params, phase, len(offsets))
-    dirs = _DIR_CACHE.get(key)
-    if dirs is None:
-        dirs = params.directions(phase + offsets).T
-        dirs.flags.writeable = False
-        if len(_DIR_CACHE) >= _DIR_CACHE_MAX:
-            _DIR_CACHE.clear()
-        _DIR_CACHE[key] = dirs
-    return dirs
+    return _phase_directions(params, round(t0 % period, 9), len(offsets))
 
 
 def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator):

@@ -112,9 +112,12 @@ def update(pset: ParticleSet, cloud: PointCloud, params: TrackerParams) -> Parti
     """
     if not len(cloud):
         return replace(pset, last_measurement_age=pset.last_measurement_age + 1)
-    d = np.linalg.norm(pset.positions - cloud.xyz.mean(axis=0), axis=1)
-    loglik = -0.5 * (d / params.sigma_meas) ** 2
-    loglik -= loglik.max()
+    # where d or (d / sigma_meas)^2 overflows for every particle, each loglik
+    # is -inf and the shift leaves NaN, which ends in the degenerate branch
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(pset.positions - cloud.xyz.mean(axis=0), axis=1)
+        loglik = -0.5 * (d / params.sigma_meas) ** 2
+        loglik -= loglik.max()
     weights = pset.weights * np.exp(loglik)
     total = weights.sum()
     if not np.isfinite(total) or total <= 0.0:

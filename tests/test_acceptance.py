@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import brute_force_ror, brute_force_sor, cdf_walk_indices
+from oracles import RingScanParams, brute_force_ror, brute_force_sor, cdf_walk_indices
 
 from rosetrack.background import OccupancyOctree, build_background
 from rosetrack.config import default_config, parse_config
@@ -22,7 +22,7 @@ from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_re
 from rosetrack.geometry import PointCloud, SensorPose
 from rosetrack.harness import export_csv, positions, run_many, run_scenario, target_visibility
 from rosetrack.scene import Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import RingScanParams, RosetteParams, scan
+from rosetrack.sensor import RosetteParams, scan
 from rosetrack.tracker import ParticleSet, TrackerParams, init_filter, step, systematic_indices
 from rosetrack.turret import scan_mode_command
 

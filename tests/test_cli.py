@@ -108,6 +108,9 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
     # the tracker has one measurement model and one stability rule, and no key selects either
     *((o, "config-unknown-key") for o in (
         "tracker.sigma_threshold=0.2", "tracker.likelihood=nearest")),
+    # the sensor has one scan pattern, the rosette, and no key selects or shapes another
+    *((o, "config-unknown-key") for o in (
+        "sensor.pattern=ring", "sensor.n_rings=8", "sensor.spin_rate=5")),
 ])
 def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
     code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"), "--out-dir", str(tmp_path),
@@ -118,11 +121,6 @@ def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, key, pattern", [
-    (["sensor.pattern=ring", "sensor.f1=150"], "f1", "ring"),
-    (["sensor.pattern=ring", "sensor.f2=30"], "f2", "ring"),
-    (["sensor.pattern=ring", "sensor.fov_h_deg=60"], "fov_h_deg", "ring"),
-    (["sensor.n_rings=8"], "n_rings", "rosette"),
-    (["sensor.spin_rate=5"], "spin_rate", "rosette"),
     (["target.max_range=100"], "max_range", "fast"),
     (["target.sweep_speed=3"], "sweep_speed", "fast"),
 ], ids=lambda v: v if isinstance(v, str) else None)
@@ -136,16 +134,12 @@ def test_key_the_pattern_does_not_read_is_config_domain(overrides, key, pattern,
     assert not (tmp_path / "track.csv").exists()
 
 
-@pytest.mark.parametrize("overrides", [
-    ["sensor.pattern=ring", "sensor.range_noise_sigma=-1"],
-    ["sensor.pattern=ring", "sensor.fov_v_deg=400"],
-    ["sensor.pattern=ring", "sensor.fov_v_deg=-10"],
-    ["sensor.pattern=ring", "sensor.range_max=0"],
-    ["sensor.pattern=rosette", "sensor.range_max=0"],
-], ids=" ".join)
-def test_sensor_field_rules_apply_to_both_patterns(overrides, small_cfg, tmp_path, capsys):
-    # small_cfg sets no rosette-only key, so a ring probe cannot fail as an unread key
-    args = [a for o in ["run.duration=0.5", *overrides] for a in ("--override", o)]
+@pytest.mark.parametrize("override", [
+    "sensor.range_noise_sigma=-1", "sensor.fov_v_deg=400", "sensor.fov_v_deg=-10",
+    "sensor.range_max=0",
+])
+def test_sensor_field_rules_are_config_domain(override, small_cfg, tmp_path, capsys):
+    args = [a for o in ["run.duration=0.5", override] for a in ("--override", o)]
     code = main(["run", str(small_cfg), "--out-dir", str(tmp_path), *args])
     assert code == 2
     assert "error: config-domain" in capsys.readouterr().err
@@ -153,13 +147,13 @@ def test_sensor_field_rules_apply_to_both_patterns(overrides, small_cfg, tmp_pat
 
 
 def test_key_the_pattern_does_not_read_is_located_in_the_file(tmp_path, capsys):
-    path = tmp_path / "ring.cfg"
-    text = FAST_SMALL + "\n[sensor]\npattern = ring\nf1 = 150\n"
+    path = tmp_path / "fast.cfg"
+    text = FAST_SMALL + "\n[target]\nmax_range = 100\n"
     path.write_text(text)
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    lineno = text.splitlines().index("f1 = 150") + 1
-    assert "error: config-domain" in err and f"{path}:{lineno}" in err and "f1" in err
+    lineno = text.splitlines().index("max_range = 100") + 1
+    assert "error: config-domain" in err and f"{path}:{lineno}" in err and "max_range" in err
 
 
 class TestMetricsCommand:

@@ -92,11 +92,19 @@ seed = 11
         assert "scan_tilt_min must be <= scan_tilt_max" in str(err.value)
         assert "pan" not in str(err.value)
 
-    @pytest.mark.parametrize("pattern", ["rosette", "ring"])
-    def test_rays_per_frame_above_the_cap_rejected(self, pattern):
+    @pytest.mark.parametrize("speed", ["0", "-1", "inf"])
+    def test_sweep_speed_must_be_positive_and_finite(self, speed):
+        # 0 used to end in a bare ZeroDivisionError, and -1 and inf in a
+        # segment_duration error that did not name the key
+        with pytest.raises(ConfigError) as err:
+            default_config(["target.pattern=range_sweep", f"target.sweep_speed={speed}"])
+        assert err.value.category == "config-domain"
+        assert "sweep_speed" in str(err.value)
+
+    def test_rays_per_frame_above_the_cap_rejected(self):
         # parse only, never run: 1e12 points/s is 1e11 rays per frame
         with pytest.raises(ConfigError) as err:
-            default_config([f"sensor.pattern={pattern}", "sensor.point_rate=1e12"])
+            default_config(["sensor.point_rate=1e12"])
         assert err.value.category == "config-domain"
         assert f"exceeds {MAX_RAYS_PER_FRAME} rays per frame" in str(err.value)
 
@@ -190,9 +198,7 @@ class TestOverrides:
 
 
 # keys that a pattern other than the default one reads
-PATTERN_FOR_KEY = {("sensor", "n_rings"): "sensor.pattern=ring",
-                   ("sensor", "spin_rate"): "sensor.pattern=ring",
-                   ("target", "max_range"): "target.pattern=range_sweep",
+PATTERN_FOR_KEY = {("target", "max_range"): "target.pattern=range_sweep",
                    ("target", "sweep_speed"): "target.pattern=range_sweep"}
 
 

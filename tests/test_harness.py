@@ -332,6 +332,17 @@ class TestRunScenario:
         assert np.array_equal(result.scans["target_range"],
                               np.linalg.norm(mid - np.asarray(cfg.turret_origin), axis=1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override", ["scene.ground_z=1e308", "tracker.sigma_meas=1e-300"])
+    def test_overflow_in_valid_configs_is_handled_without_warnings(self, override):
+        # the ground-plane ray parameter overflows to +-inf in the ray cast, and
+        # every log-likelihood to -inf in the tracker update; both paths
+        # already give finite logs, so neither may print a RuntimeWarning
+        cfg = default_config(["run.duration=1", "turret.scan_duration=0.5", override])
+        result = run_scenario(cfg)
+        assert len(result.track) and np.isfinite(positions(result.track)).all()
+        assert np.isfinite(positions(result.truth)).all()
+
     def test_closed_loop_keeps_target_near_center(self):
         # a target moving at <= 1.2 m/s at >= 3 m stays well inside the FoV
         cfg = default_config(["turret.scan_duration=2.0", "run.duration=10.0",

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import RingScanParams
 
 from rosetrack.config import parse_config
 from rosetrack.geometry import PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import (_DIR_CACHE, MAX_RAYS_PER_FRAME, RingScanParams, RosetteParams,
-                              _frame_directions, event_count, scan)
+from rosetrack.sensor import (MAX_RAYS_PER_FRAME, RosetteParams, _frame_directions,
+                              _phase_directions, event_count, scan)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,17 +56,16 @@ class TestRosetteDirection:
         with pytest.raises(ValueError):
             RosetteParams(point_rate=-1)
 
-    @pytest.mark.parametrize("cls", [RosetteParams, RingScanParams])
-    def test_rays_per_frame_cap_is_inclusive(self, cls):
+    def test_rays_per_frame_cap_is_inclusive(self):
         # constructing the parameters allocates nothing, so the cap itself is probed
-        params = cls(point_rate=float(MAX_RAYS_PER_FRAME), integration_time=1.0)
+        params = RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME), integration_time=1.0)
         assert event_count(params.integration_time, params.point_rate) == MAX_RAYS_PER_FRAME
         with pytest.raises(ValueError, match="rays per frame"):
-            cls(point_rate=float(MAX_RAYS_PER_FRAME + 1), integration_time=1.0)
+            RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME + 1), integration_time=1.0)
         for bad in ({"point_rate": math.inf}, {"integration_time": math.inf},
                     {"point_rate": 1e300, "integration_time": 1e300}):
             with pytest.raises(ValueError):
-                cls(**bad)
+                RosetteParams(**bad)
 
 
 class TestDirectionCache:
@@ -175,17 +175,17 @@ class TestScan:
 
     @pytest.mark.parametrize("t0", [-0.1, math.nan, math.inf])
     def test_frame_start_must_be_finite_and_non_negative(self, t0):
-        # rejected before the direction cache, which would keep a dead entry
+        # rejected before the direction cache, which would keep a dead entry;
+        # the cache sees neither a hit nor a miss (a full cache keeps its size)
         scene = Scene(-100.0, [], None, NO_CUTOFF)
-        cached = len(_DIR_CACHE)
+        cached = _phase_directions.cache_info()
         with pytest.raises(ValueError, match="frame start time must be finite and >= 0"):
             scan(scene, SensorPose((0, 0, 1.0)), t0, RosetteParams(), np.random.default_rng(0))
-        assert len(_DIR_CACHE) == cached
+        assert _phase_directions.cache_info() == cached
 
-    @pytest.mark.parametrize("params", [RosetteParams, RingScanParams])
-    def test_less_than_one_ray_per_frame_rejected(self, params):
+    def test_less_than_one_ray_per_frame_rejected(self):
         with pytest.raises(ValueError, match="no ray per frame"):
-            params(point_rate=5.0, integration_time=0.1)
+            RosetteParams(point_rate=5.0, integration_time=0.1)
 
     def test_plane_ranges_match_analytic_intersection(self):
         # a wall face perpendicular to the boresight at 10 m: every return's
