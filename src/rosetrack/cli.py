@@ -16,6 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, describe_schema, parse_config
 from .harness import (compute_metrics, export_csv, export_run, read_scan_log, read_track_log,
                       read_truth_log, run_many, run_scenario)
@@ -89,26 +91,23 @@ def _sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("config-value", "--values must list at least one value")
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    summary_path = args.out_dir / "sweep.csv"
+    run_dirs = {f"{args.param.replace('.', '_')}_{value.replace('/', '_')}": value for value in values}
+    if len(run_dirs) < len(values):
+        raise ConfigError("config-value", f"--values {args.values}: two values share one run directory")
     seed = [f"run.seed={args.seed}"] if args.seed is not None else []
     configs = [parse_config(args.config, list(args.override) + [f"{args.param}={value}"] + seed)
                for value in values]
+    stats = ("detection_distance", "rmse", "mean_error", "redetect_latency")
     rows = []
-    for value, result in zip(values, run_many(configs)):
-        tag = value.replace("/", "_")
-        export_run(result, args.out_dir / f"{args.param.replace('.', '_')}_{tag}")
+    for (name, value), result in zip(run_dirs.items(), run_many(configs)):
+        export_run(result, args.out_dir / name)
         m = result.metrics
-        rows.append((value, m.detection_distance, m.rmse, m.mean_error, m.redetect_latency))
+        rows.append((value, *(getattr(m, stat) for stat in stats)))
         print(f"{args.param}={value}: detection_distance={m.detection_distance:.6g} "
               f"rmse={m.rmse:.6g}")
-    try:
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("value,detection_distance,rmse,mean_error,redetect_latency\n")
-            for value, *stats in rows:
-                fh.write(",".join([value, *(f"{v:.6g}" for v in stats)]) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {summary_path}: {exc}") from exc
+    summary_path = args.out_dir / "sweep.csv"
+    export_csv(np.array(rows, dtype=[("value", object)] + [(stat, float) for stat in stats]),
+               summary_path)
     print(f"wrote {summary_path}")
     return 0
 

@@ -17,7 +17,7 @@ from typing import Any
 from .background import BackgroundBuildParams
 from .filters import FilterParams
 from .geometry import SensorPose
-from .scene import PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
+from .scene import PATTERN_KEYS, PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
 from .sensor import RosetteParams, event_count
 from .tracker import TrackerParams
 from .turret import TurretParams
@@ -47,8 +47,9 @@ class FieldSpec:
     choices: tuple = ()
 
 
-# Defaults are owned by the parameter classes and by make_pattern's signature;
-# a key sets the class field of the same name (a *_deg key: its radian field).
+# A key that sets a parameter-class field or a make_pattern argument takes its
+# default from there; the schema holds the rest. A key sets the class field of
+# the same name (a *_deg key: its radian field).
 _PATTERN = inspect.signature(make_pattern).parameters
 
 SCHEMA: dict[str, dict[str, FieldSpec]] = {
@@ -64,8 +65,8 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "reflectivity": FieldSpec("float", 0.9, "target reflectivity in (0, 1]"),
         "pattern": FieldSpec("choice", "vertical", "flight pattern", PATTERN_NAMES),
         "center": FieldSpec("vec3", _PATTERN["center"].default, "pattern center, m (sweeps start here)"),
-        "extent": FieldSpec("float", _PATTERN["extent"].default, "pattern segment extent, m"),
-        "wait": FieldSpec("float", _PATTERN["wait"].default, "hold time at each waypoint, s"),
+        "extent": FieldSpec("float", _PATTERN["extent"].default, "pattern segment extent, m (square and line patterns only)"),
+        "wait": FieldSpec("float", _PATTERN["wait"].default, "hold time at each waypoint, s (square and line patterns only)"),
         "max_range": FieldSpec("float", _PATTERN["max_range"].default, "range_sweep outbound distance, m"),
         "sweep_speed": FieldSpec("float", _PATTERN["sweep_speed"].default, "range_sweep peak speed cap, m/s"),
         "takeoff_delay": FieldSpec("float", 0.0, "tracking-phase seconds before the target appears, s"),
@@ -222,12 +223,10 @@ def _parse_lines(lines, source: str) -> dict[tuple[str, str], tuple[str, str]]:
 
 def _reject_unread_pattern_keys(values: dict[tuple[str, str], tuple[str, str]],
                                 pattern: str) -> None:
-    """The target keys that only range_sweep reads would have no effect under
-    another pattern."""
-    if pattern == "range_sweep":
-        return
-    for key in ("max_range", "sweep_speed"):
-        if ("target", key) in values:
+    """A target key that the pattern does not read would have no effect; the
+    first one set, in make_pattern's argument order, is reported."""
+    for key in _PATTERN:
+        if key not in PATTERN_KEYS[pattern] and ("target", key) in values:
             raise ConfigError("config-domain",
                               f"{values[('target', key)][1]}: [target] {key} has no effect "
                               f"with target.pattern = {pattern}")
@@ -299,7 +298,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     domain("turret", lambda: SensorPose(tu["origin"]))
 
     target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
-        make_pattern(tg["pattern"], **{k: v for k, v in tg.items() if k in _PATTERN}),
+        make_pattern(tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}),
         start_time=tu["scan_duration"] + tg["takeoff_delay"])))
     return ScenarioConfig(
         scene=Scene(s["ground_z"], list(s["obstacles"]), target, weather),

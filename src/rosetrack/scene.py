@@ -303,42 +303,51 @@ def return_probability_arrays(ranges: np.ndarray, is_target: np.ndarray, scene: 
     return np.where(p < w.detection_threshold, 0.0, p)
 
 
-PATTERN_NAMES = ("vertical", "horizontal", "fast", "lost_and_found", "range_sweep", "hover")
+# Waypoint loops: (x, y, z) steps from the centre in half-extents, segment s, passes.
+_LOOPS = {
+    "vertical": (((0, -1, -1), (0, -1, 1), (0, 1, 1), (0, 1, -1)), 3.0, 3),
+    "horizontal": (((-1, -1, 0), (-1, 1, 0), (1, 1, 0), (1, -1, 0)), 3.0, 3),
+    "fast": (((0, -1, 0), (0, 1, 0)), 2.25, 4),
+    "lost_and_found": (((0, -2, 0), (0, 0, 0), (0, 2, 0)), 3.0, 4),
+}
+
+# The make_pattern arguments each pattern reads.
+PATTERN_KEYS = {
+    **{name: ("center", "extent", "wait") for name in _LOOPS},
+    "range_sweep": ("center", "max_range", "sweep_speed"),
+    "hover": ("center",),
+}
+PATTERN_NAMES = tuple(PATTERN_KEYS)
 
 
 def make_pattern(name: str, center=(4.0, 0.0, 1.2), extent: float = 1.8,
                  wait: float = 2.0, max_range: float = 160.0,
                  sweep_speed: float = 6.0) -> Trajectory:
-    """Build one of the bundled flight patterns.
+    """Build one of the bundled flight patterns; PATTERN_KEYS names the
+    arguments each one reads.
 
     vertical / horizontal are square loops (3 passes) in the y-z and x-y
     planes; fast is a y-axis ping-pong line with 2.25 s segments (4 passes);
     lost_and_found is a three-waypoint y-axis line whose middle waypoint is
     meant to sit behind an occluder (4 passes); range_sweep flies out along
-    +x to max_range and back, peak speed capped at sweep_speed.
+    +x to max_range and back, peak speed capped at sweep_speed; hover holds
+    the centre.
     """
     cx, cy, cz = (float(c) for c in center)
-    e = float(extent)
-    h = e / 2.0
-    if name == "vertical":
-        wps = [(cx, cy - h, cz - h), (cx, cy - h, cz + h), (cx, cy + h, cz + h), (cx, cy + h, cz - h)]
-        return Trajectory([(p, wait) for p in wps], segment_duration=3.0, repeat_count=3)
-    if name == "horizontal":
-        wps = [(cx - h, cy - h, cz), (cx - h, cy + h, cz), (cx + h, cy + h, cz), (cx + h, cy - h, cz)]
-        return Trajectory([(p, wait) for p in wps], segment_duration=3.0, repeat_count=3)
-    if name == "fast":
-        wps = [(cx, cy - h, cz), (cx, cy + h, cz)]
-        return Trajectory([(p, wait) for p in wps], segment_duration=2.25, repeat_count=4)
-    if name == "lost_and_found":
-        wps = [(cx, cy - e, cz), (cx, cy, cz), (cx, cy + e, cz)]
-        return Trajectory([(p, wait) for p in wps], segment_duration=3.0, repeat_count=4)
+    if name in _LOOPS:
+        steps, segment, passes = _LOOPS[name]
+        e = float(extent)
+        # c + s / 2 * e is exactly c +- e / 2 or c +- e; a zero step keeps c
+        # (c + 0 * e would turn -0.0 into 0.0, and an infinite e into NaN)
+        wps = [tuple(c + s / 2 * e if s else c for c, s in zip((cx, cy, cz), step)) for step in steps]
+        return Trajectory([(p, wait) for p in wps], segment_duration=segment, repeat_count=passes)
     if name == "range_sweep":
-        if not 0 < sweep_speed < math.inf:
-            raise ValueError(f"sweep_speed ({sweep_speed:g}) must be positive and finite")
+        for key, value in (("max_range", max_range), ("sweep_speed", sweep_speed)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} ({value:g}) must be positive and finite")
         start = (cx, cy, cz)
         far = (cx + max_range, cy, cz)
-        length = max_range
-        duration = length * math.pi / (2.0 * sweep_speed)
+        duration = max_range * math.pi / (2.0 * sweep_speed)
         return Trajectory([(start, 3.0), (far, 1.0), (start, 0.0)],
                           segment_duration=duration, repeat_count=1)
     if name == "hover":

@@ -123,6 +123,8 @@ def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
 @pytest.mark.parametrize("overrides, key, pattern", [
     (["target.max_range=100"], "max_range", "fast"),
     (["target.sweep_speed=3"], "sweep_speed", "fast"),
+    (["target.pattern=range_sweep", "target.extent=5"], "extent", "range_sweep"),
+    (["target.pattern=hover", "target.wait=9"], "wait", "hover"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_key_the_pattern_does_not_read_is_config_domain(overrides, key, pattern, small_cfg,
                                                         tmp_path, capsys):
@@ -218,10 +220,30 @@ class TestSweepCommand:
                      "--values", "0.05,0.1", "--out-dir", str(out)])
         assert code == 0
         assert (out / "sweep.csv").exists()
-        rows = (out / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 3
+        header, *rows = (out / "sweep.csv").read_text().splitlines()
         subdirs = [p for p in out.iterdir() if p.is_dir()]
         assert len(subdirs) == 2
+        # one row per value, repeating that run's metrics.csv values
+        stats = ["detection_distance", "rmse", "mean_error", "redetect_latency"]
+        assert header == ",".join(["value", *stats])
+        assert [row.split(",")[0] for row in rows] == ["0.05", "0.1"]
+        for row in rows:
+            value, *got = row.split(",")
+            metrics = dict(line.split(",,,") for line in
+                           (out / f"tracker_sigma_pred_{value}" / "metrics.csv").read_text().splitlines()
+                           if ",,," in line)
+            assert got == [metrics[stat] for stat in stats]
+
+    @pytest.mark.parametrize("values", ["0.1,0.1", "a/b,a_b"])
+    def test_values_sharing_a_run_directory_are_rejected_before_any_run(self, values, small_cfg,
+                                                                        tmp_path, capsys):
+        # the second run used to overwrite the first run's CSVs
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(small_cfg), "--param", "tracker.sigma_pred",
+                     "--values", values, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config-value" in err and "run directory" in err
+        assert not out.exists()
 
 
 class TestDescribeConfig:

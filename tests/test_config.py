@@ -7,7 +7,7 @@ import pytest
 
 from rosetrack.config import (MAX_EVENTS, SCHEMA, ConfigError, default_config, describe_schema,
                               parse_config)
-from rosetrack.scene import make_pattern
+from rosetrack.scene import PATTERN_KEYS, PATTERN_NAMES, make_pattern
 from rosetrack.sensor import MAX_RAYS_PER_FRAME
 from rosetrack.tracker import MAX_PARTICLES
 from rosetrack.turret import MAX_RASTER_STEPS
@@ -100,6 +100,15 @@ seed = 11
             default_config(["target.pattern=range_sweep", f"target.sweep_speed={speed}"])
         assert err.value.category == "config-domain"
         assert "sweep_speed" in str(err.value)
+
+    @pytest.mark.parametrize("max_range", ["0", "-1", "inf"])
+    def test_max_range_must_be_positive_and_finite(self, max_range):
+        # these used to say "segment_duration must be positive" or "waypoint
+        # coordinates must be finite", naming no key that was set
+        with pytest.raises(ConfigError) as err:
+            default_config(["target.pattern=range_sweep", f"target.max_range={max_range}"])
+        assert err.value.category == "config-domain"
+        assert "max_range" in str(err.value)
 
     def test_rays_per_frame_above_the_cap_rejected(self):
         # parse only, never run: 1e12 points/s is 1e11 rays per frame
@@ -197,9 +206,12 @@ class TestOverrides:
         assert default_config(["turret.max_slew_rate=inf"]).turret.max_slew_rate == math.inf
 
 
-# keys that a pattern other than the default one reads
-PATTERN_FOR_KEY = {("target", "max_range"): "target.pattern=range_sweep",
-                   ("target", "sweep_speed"): "target.pattern=range_sweep"}
+# for each target key that the default pattern does not read, the first
+# pattern that reads it
+PATTERN_FOR_KEY = {
+    ("target", key): f"target.pattern={next(p for p in PATTERN_NAMES if key in PATTERN_KEYS[p])}"
+    for keys in PATTERN_KEYS.values() for key in keys
+    if key not in PATTERN_KEYS[SCHEMA["target"]["pattern"].default]}
 
 
 def other_value(spec) -> str:
@@ -223,6 +235,35 @@ def test_every_key_reaches_the_built_config(section, key):
     base = [PATTERN_FOR_KEY[(section, key)]] if (section, key) in PATTERN_FOR_KEY else []
     changed = default_config([*base, f"{section}.{key}={other_value(SCHEMA[section][key])}"])
     assert repr(changed) != repr(default_config(base))
+
+
+@pytest.mark.parametrize("key", ["center", "extent", "wait", "max_range", "sweep_speed"])
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+def test_pattern_key_changes_the_trajectory_or_is_rejected(pattern, key):
+    # a pattern key either moves the target or is refused: never silently ignored
+    base = [f"target.pattern={pattern}"]
+    override = f"target.{key}={other_value(SCHEMA['target'][key])}"
+    if key in PATTERN_KEYS[pattern]:
+        changed = default_config([*base, override]).scene.target.trajectory
+        assert changed != default_config(base).scene.target.trajectory
+    else:
+        with pytest.raises(ConfigError) as err:
+            default_config([*base, override])
+        assert err.value.category == "config-domain"
+        assert f"] {key} has no effect" in str(err.value) and f"pattern = {pattern}" in str(err.value)
+
+
+@pytest.mark.parametrize("pattern, keys, reported", [
+    ("hover", ["wait", "extent"], "extent"),
+    ("range_sweep", ["wait", "extent"], "extent"),
+    ("fast", ["sweep_speed", "max_range"], "max_range"),
+    ("hover", ["sweep_speed", "max_range", "wait"], "wait"),
+])
+def test_first_unread_key_in_signature_order_is_reported(pattern, keys, reported):
+    # make_pattern's argument order decides, not the order the keys are set in
+    with pytest.raises(ConfigError) as err:
+        default_config([f"target.pattern={pattern}", *(f"target.{k}=1" for k in keys)])
+    assert f"] {reported} has no effect" in str(err.value)
 
 
 def test_config_error_survives_pickling():
