@@ -38,8 +38,9 @@ def grid_shape(resolution: float, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     hi = np.asarray(hi, dtype=float)
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
         raise ValueError("bounds must be finite with positive extent")
-    ilo = np.floor(lo / resolution)
-    ihi = np.floor(hi / resolution)
+    with np.errstate(over="ignore"):  # an inf index fails the check below
+        ilo = np.floor(lo / resolution)
+        ihi = np.floor(hi / resolution)
     if not np.all((np.abs(ilo) < 2**62) & (np.abs(ihi) < 2**62)):
         raise ValueError("bounds/resolution give voxel indices beyond 2**62")
     dims = ihi - ilo + 1

@@ -32,39 +32,46 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="rosette-LiDAR target tracking testbed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate a scenario config")
-    run_p.add_argument("config", type=Path)
-    run_p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    run_p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    run_p.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                       help="dot-path config override (repeatable)")
+    overridable = argparse.ArgumentParser(add_help=False)
+    overridable.add_argument("--override", action="append", default=[],
+                             metavar="SECTION.KEY=VALUE",
+                             help="dot-path config override (repeatable)")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("config", type=Path)
+    scenario.add_argument("--seed", type=int, default=None, help="override run.seed")
+    scenario.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
-    met_p = sub.add_parser("metrics", help="compute metrics from exported logs")
+    sub.add_parser("run", parents=[scenario, overridable],
+                   help="simulate a scenario config").set_defaults(func=_run)
+
+    met_p = sub.add_parser("metrics", parents=[overridable],
+                           help="compute metrics from exported logs")
     met_p.add_argument("tracklog", type=Path)
     met_p.add_argument("truthlog", type=Path)
     met_p.add_argument("--scans", type=Path, default=None, help="optional scans log")
     met_p.add_argument("--config", type=Path, default=None,
                        help="scenario config the logs came from (defaults otherwise)")
     met_p.add_argument("--out", type=Path, default=None, help="write metrics CSV here")
-    met_p.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE")
+    met_p.set_defaults(func=_metrics)
 
-    sweep_p = sub.add_parser("sweep", help="run a scenario across parameter values")
-    sweep_p.add_argument("config", type=Path)
+    sweep_p = sub.add_parser("sweep", parents=[scenario, overridable],
+                             help="run a scenario across parameter values")
     sweep_p.add_argument("--param", required=True, metavar="SECTION.KEY")
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--seed", type=int, default=None)
-    sweep_p.add_argument("--out-dir", type=Path, default=Path("."))
-    sweep_p.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE")
+    sweep_p.set_defaults(func=_sweep)
 
-    sub.add_parser("describe-config", help="print the config schema")
+    sub.add_parser("describe-config",
+                   help="print the config schema").set_defaults(func=_describe)
     return parser
 
 
+def _seeded(args, overrides: list[str]) -> list[str]:
+    """overrides, then run.seed from --seed when it is given."""
+    return overrides + ([f"run.seed={args.seed}"] if args.seed is not None else [])
+
+
 def _run(args) -> int:
-    overrides = list(args.override)
-    if args.seed is not None:
-        overrides.append(f"run.seed={args.seed}")
-    config = parse_config(args.config, overrides)
+    config = parse_config(args.config, _seeded(args, args.override))
     result = run_scenario(config)
     export_run(result, args.out_dir)
     print(f"wrote {args.out_dir}/track.csv truth.csv scans.csv metrics.csv "
@@ -94,8 +101,7 @@ def _sweep(args) -> int:
     run_dirs = {f"{args.param.replace('.', '_')}_{value.replace('/', '_')}": value for value in values}
     if len(run_dirs) < len(values):
         raise ConfigError("config-value", f"--values {args.values}: two values share one run directory")
-    seed = [f"run.seed={args.seed}"] if args.seed is not None else []
-    configs = [parse_config(args.config, list(args.override) + [f"{args.param}={value}"] + seed)
+    configs = [parse_config(args.config, _seeded(args, [*args.override, f"{args.param}={value}"]))
                for value in values]
     stats = ("detection_distance", "rmse", "mean_error", "redetect_latency")
     rows = []
@@ -112,20 +118,15 @@ def _sweep(args) -> int:
     return 0
 
 
+def _describe(args) -> int:
+    print(describe_schema())
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        if args.command == "metrics":
-            return _metrics(args)
-        if args.command == "sweep":
-            return _sweep(args)
-        if args.command == "describe-config":
-            print(describe_schema())
-            return 0
-        parser.error(f"unknown command {args.command}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -135,7 +136,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from typing import Any
 
 from .background import BackgroundBuildParams
 from .filters import FilterParams
-from .geometry import SensorPose
 from .scene import PATTERN_KEYS, PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
 from .sensor import RosetteParams, event_count
 from .tracker import TrackerParams
@@ -105,7 +104,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "surveillance_hi": FieldSpec("vec3", TrackerParams.surveillance_hi, "initial particle volume upper corner, m"),
     },
     "turret": {
-        "origin": FieldSpec("vec3", (0.0, 0.0, 1.0), "sensor mounting point, world frame, m"),
+        "origin": FieldSpec("vec3", TurretParams.origin, "sensor mounting point, world frame, m"),
         "max_slew_rate": FieldSpec("float", TurretParams.max_slew_rate, "max angular rate per axis, rad/s"),
         "command_rate": FieldSpec("float", TurretParams.command_rate, "command sampling rate, Hz"),
         "deadband_deg": FieldSpec("float", math.degrees(TurretParams.deadband), "hold commands below this angular change, degrees"),
@@ -142,7 +141,6 @@ class ScenarioConfig:
     background: BackgroundBuildParams
     tracker: TrackerParams
     turret: TurretParams
-    turret_origin: tuple[float, float, float]
     lidar_rate: float
     filter_rate: float
     pipeline_latency: float
@@ -295,7 +293,6 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
                   tm["lidar_rate"], 1, "raster frames")
     _check_events("run.duration", rn["duration"], "timing.filter_rate",
                   tm["filter_rate"], 0, "filter ticks")
-    domain("turret", lambda: SensorPose(tu["origin"]))
 
     target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
         make_pattern(tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}),
@@ -303,7 +300,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     return ScenarioConfig(
         scene=Scene(s["ground_z"], list(s["obstacles"]), target, weather),
         sensor=sensor, filters=filters, background=background, tracker=tracker,
-        turret=turret, turret_origin=tu["origin"],
+        turret=turret,
         lidar_rate=tm["lidar_rate"], filter_rate=tm["filter_rate"],
         pipeline_latency=tm["pipeline_latency"],
         duration=rn["duration"], seed=rn["seed"],

@@ -66,30 +66,28 @@ def subtract_background(cloud: PointCloud, octree: "OccupancyOctree") -> PointCl
     return cloud.select(~octree.contains_points(cloud.xyz))
 
 
-def radius_outlier_removal(cloud: PointCloud, radius: float, min_neighbors: int) -> PointCloud:
-    """Keep a point iff at least min_neighbors other points lie within radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+def radius_outlier_removal(cloud: PointCloud, params: FilterParams) -> PointCloud:
+    """Keep a point iff at least ror_min_neighbors other points lie within ror_radius."""
     tree = cKDTree(cloud.xyz)
-    counts = np.array(tree.query_ball_point(cloud.xyz, radius, return_length=True)) - 1
-    return cloud.select(counts >= min_neighbors)
+    counts = np.array(tree.query_ball_point(cloud.xyz, params.ror_radius, return_length=True)) - 1
+    return cloud.select(counts >= params.ror_min_neighbors)
 
 
-def statistical_outlier_removal(cloud: PointCloud, k: int, alpha: float) -> PointCloud:
-    """Keep points whose mean k-nearest-neighbor distance is within
-    mu + alpha * sigma of the cloud-wide statistics.
+def statistical_outlier_removal(cloud: PointCloud, params: FilterParams) -> PointCloud:
+    """Keep points whose mean sor_k-nearest-neighbor distance is within
+    mu + sor_alpha * sigma of the cloud-wide statistics.
 
-    Clouds with at most k points are returned unchanged (too few points to
-    judge). Self-distances are excluded from the neighbor sets.
+    Clouds with at most sor_k points are returned unchanged (too few points
+    to judge). Self-distances are excluded from the neighbor sets.
     """
-    n = len(cloud)
-    if n <= k:
+    k = params.sor_k
+    if len(cloud) <= k:
         return cloud
     dist, _ = cKDTree(cloud.xyz).query(cloud.xyz, k=k + 1)
     mean_knn = dist[:, 1:].mean(axis=1)  # column 0 is the self-distance
     mu = mean_knn.mean()
     sigma = mean_knn.std()
-    return cloud.select(mean_knn <= mu + alpha * sigma)
+    return cloud.select(mean_knn <= mu + params.sor_alpha * sigma)
 
 
 def preprocess_cloud(cloud: PointCloud, params: FilterParams, ground_z: float,
@@ -97,5 +95,5 @@ def preprocess_cloud(cloud: PointCloud, params: FilterParams, ground_z: float,
     """Full chain in pipeline order: range -> background -> radius -> statistical."""
     out = range_filter(cloud, params, ground_z, sensor_origin)
     out = subtract_background(out, octree)
-    out = radius_outlier_removal(out, params.ror_radius, params.ror_min_neighbors)
-    return statistical_outlier_removal(out, params.sor_k, params.sor_alpha)
+    out = radius_outlier_removal(out, params)
+    return statistical_outlier_removal(out, params)

@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Hard stops of the turret, rad: pan in [-PAN_LIMIT, PAN_LIMIT], tilt in
+# [-TILT_LIMIT, TILT_LIMIT]. PanTiltPose enforces them; the turret clamps to them.
+PAN_LIMIT = math.pi
+TILT_LIMIT = math.pi / 2
+
 
 @dataclass
 class PointCloud:
@@ -46,9 +51,9 @@ class PanTiltPose:
     tilt: float
 
     def __post_init__(self):
-        if not -math.pi <= self.pan <= math.pi:
+        if not -PAN_LIMIT <= self.pan <= PAN_LIMIT:
             raise ValueError(f"pan {self.pan} outside [-pi, pi]")
-        if not -math.pi / 2 <= self.tilt <= math.pi / 2:
+        if not -TILT_LIMIT <= self.tilt <= TILT_LIMIT:
             raise ValueError(f"tilt {self.tilt} outside [-pi/2, pi/2]")
 
 

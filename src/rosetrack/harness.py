@@ -103,8 +103,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     static = replace(scene, target=None)  # what the sensor sees before takeoff
     traj = scene.target.trajectory
     spawn_t = traj.start_time
-    origin = config.turret_origin
     tparams = config.turret
+    origin = tparams.origin
 
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
@@ -118,6 +118,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         points, _ = scan(static, pose, t0, config.sensor, bg_rng)
         bg_scans.append((points, pose))
     octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
+    del bg_scans, points  # the raster frames are in the map now
 
     # --- tracking phase ----------------------------------------------------
     track_rng = np.random.default_rng(scan_ss)
@@ -155,7 +156,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             track[i] = (ev_t, *est.position, est.sigma_particles, est.status.value,
                         state.pose.pan, state.pose.tilt)
             if est.status is not TrackStatus.LOST:
-                last_cmd = tracking_command(state, est, origin, tparams)
+                last_cmd = tracking_command(state, est, tparams)
         if progress is not None:
             progress(ev_t)
 
@@ -212,7 +213,7 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     if len(track) != len(truth):
         raise ValueError(f"track and truth logs must be aligned row for row "
                          f"({len(track)} vs {len(truth)} rows)")
-    origin = np.asarray(config.turret_origin, dtype=float)
+    origin = np.asarray(config.turret.origin, dtype=float)
     d = positions(truth) - origin
     dist = np.linalg.norm(d, axis=1)
     far = min(config.filters.far_max, config.sensor.range_max)
@@ -273,7 +274,7 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
 
     # detection distance: max target range over *sustained* Stable ticks
     min_run = max(1, int(round(SUSTAIN_WINDOW * config.filter_rate)))
-    ranges = np.linalg.norm(true_pos - np.asarray(config.turret_origin), axis=1)
+    ranges = np.linalg.norm(true_pos - np.asarray(config.turret.origin), axis=1)
     edges = np.diff(stable.astype(np.int8), prepend=0, append=0)
     run_starts, run_ends = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
     sustained = [ranges[a:b].max() for a, b in zip(run_starts, run_ends) if b - a >= min_run]

@@ -348,6 +348,10 @@ def make_pattern(name: str, center=(4.0, 0.0, 1.2), extent: float = 1.8,
         start = (cx, cy, cz)
         far = (cx + max_range, cy, cz)
         duration = max_range * math.pi / (2.0 * sweep_speed)
+        if not 0 < duration < math.inf:
+            raise ValueError(f"max_range * pi / (2 * sweep_speed) ({max_range:g} * pi / "
+                             f"(2 * {sweep_speed:g})) gives segment duration {duration:g} s; "
+                             f"it must be positive and finite")
         return Trajectory([(start, 3.0), (far, 1.0), (start, 0.0)],
                           segment_duration=duration, repeat_count=1)
     if name == "hover":

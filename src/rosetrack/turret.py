@@ -9,18 +9,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PanTiltPose
+from .geometry import PAN_LIMIT, TILT_LIMIT, PanTiltPose, SensorPose
+from .sensor import event_count
 from .tracker import TrackEstimate, TrackStatus
 
 
 # Most turret steps the raster may take (scan_duration * command_rate): 14000x
 # the bundled 75. The raster is stepped one command at a time, so a larger
-# count stops at parse time.
+# count stops at parse time. It also caps the raster's rows.
 MAX_RASTER_STEPS = 2**20
 
 
 @dataclass(frozen=True)
 class TurretParams:
+    origin: tuple[float, float, float] = (0.0, 0.0, 1.0)  # sensor mount, world frame
     max_slew_rate: float = math.pi          # rad/s, per axis
     command_rate: float = 15.0              # Hz
     deadband: float = math.radians(0.5)
@@ -32,6 +34,7 @@ class TurretParams:
     scan_duration: float = 5.0
 
     def __post_init__(self):
+        SensorPose(self.origin)  # the mount's own rule
         if self.max_slew_rate <= 0:
             raise ValueError("max_slew_rate must be positive")
         if not 0 < self.command_rate < math.inf:
@@ -42,11 +45,17 @@ class TurretParams:
             raise ValueError("scan area must have positive pan extent")
         if self.scan_tilt_min > self.scan_tilt_max:
             raise ValueError("scan_tilt_min must be <= scan_tilt_max")
-        if not (-math.pi <= self.scan_pan_min and self.scan_pan_max <= math.pi
-                and -math.pi / 2 <= self.scan_tilt_min and self.scan_tilt_max <= math.pi / 2):
-            raise ValueError("scan area must lie within pose limits")
+        try:  # the raster's corners are poses
+            PanTiltPose(self.scan_pan_min, self.scan_tilt_min)
+            PanTiltPose(self.scan_pan_max, self.scan_tilt_max)
+        except ValueError as exc:
+            raise ValueError(f"scan area must lie within pose limits: {exc}") from None
         if not 0 < self.scan_line_spacing < math.inf:
             raise ValueError("scan_line_spacing must be positive and finite")
+        span, row_rate = self.scan_tilt_max - self.scan_tilt_min, 1.0 / self.scan_line_spacing
+        if not span * row_rate <= MAX_RASTER_STEPS:  # 0 * inf is NaN: refused too
+            raise ValueError(f"(scan_tilt_max - scan_tilt_min) * (1 / scan_line_spacing) "
+                             f"({span:g} * {row_rate:g}) exceeds {MAX_RASTER_STEPS} raster rows")
         if not 0 < self.scan_duration < math.inf:
             raise ValueError("scan_duration must be positive and finite")
         if self.scan_duration * self.command_rate > MAX_RASTER_STEPS:
@@ -55,8 +64,8 @@ class TurretParams:
 
     @property
     def scan_rows(self) -> int:
-        return int(math.floor((self.scan_tilt_max - self.scan_tilt_min)
-                              / self.scan_line_spacing)) + 1
+        """The first row plus one per scan_line_spacing that fits the tilt range."""
+        return event_count(self.scan_tilt_max - self.scan_tilt_min, 1.0 / self.scan_line_spacing) + 1
 
 
 @dataclass
@@ -68,8 +77,9 @@ class TurretState:
 def scan_mode_command(t: float, params: TurretParams) -> PanTiltPose:
     """Serpentine raster over the scan area, completing once in scan_duration.
 
-    Tilt rows are scan_line_spacing apart; pan sweeps alternately
-    left-to-right and right-to-left at constant rate. Times outside
+    Tilt rows are scan_line_spacing apart, the top one clamped to
+    scan_tilt_max (row * spacing may overshoot it by float error); pan sweeps
+    alternately left-to-right and right-to-left at constant rate. Times outside
     [0, scan_duration] clamp to the nearest endpoint.
     """
     t = min(max(t, 0.0), params.scan_duration)
@@ -78,7 +88,7 @@ def scan_mode_command(t: float, params: TurretParams) -> PanTiltPose:
     row = min(int(t / row_time), rows - 1)
     frac = (t - row * row_time) / row_time
     frac = min(max(frac, 0.0), 1.0)
-    tilt = params.scan_tilt_min + row * params.scan_line_spacing
+    tilt = min(params.scan_tilt_min + row * params.scan_line_spacing, params.scan_tilt_max)
     if row % 2 == 0:
         pan = params.scan_pan_min + frac * (params.scan_pan_max - params.scan_pan_min)
     else:
@@ -86,9 +96,9 @@ def scan_mode_command(t: float, params: TurretParams) -> PanTiltPose:
     return PanTiltPose(pan, tilt)
 
 
-def tracking_command(state: TurretState, est: TrackEstimate, turret_origin,
-                     params: TurretParams) -> PanTiltPose:
-    """Point the boresight at the estimate; hold inside the deadband.
+def tracking_command(state: TurretState, est: TrackEstimate, params: TurretParams) -> PanTiltPose:
+    """Point the boresight, mounted at params.origin, at the estimate; hold
+    inside the deadband.
 
     The command is pan = atan2(dy, dx), tilt = atan2(dz, hypot(dx, dy)). When
     both axes would move less than the deadband the current pose is returned
@@ -96,11 +106,11 @@ def tracking_command(state: TurretState, est: TrackEstimate, turret_origin,
     """
     if est.status is TrackStatus.LOST:
         raise ValueError("tracking_command requires a non-Lost estimate; hold the last command instead")
-    d = np.asarray(est.position, dtype=float) - np.asarray(turret_origin, dtype=float)
+    d = np.asarray(est.position, dtype=float) - np.asarray(params.origin, dtype=float)
     horiz = math.hypot(d[0], d[1])
     if horiz == 0.0:
         # gimbal singularity: estimate straight above/below the pan axis
-        tilt = math.copysign(math.pi / 2, d[2]) if d[2] != 0.0 else math.pi / 2
+        tilt = math.copysign(TILT_LIMIT, d[2]) if d[2] != 0.0 else TILT_LIMIT
         return PanTiltPose(state.pose.pan, tilt)
     pan = math.atan2(d[1], d[0])
     tilt = math.atan2(d[2], horiz)
@@ -127,7 +137,7 @@ def step_dynamics(state: TurretState, command: PanTiltPose, dt: float,
         return min(max(current + delta, lo), hi)
 
     pose = PanTiltPose(
-        follow(state.pose.pan, command.pan, -math.pi, math.pi),
-        follow(state.pose.tilt, command.tilt, -math.pi / 2, math.pi / 2),
+        follow(state.pose.pan, command.pan, -PAN_LIMIT, PAN_LIMIT),
+        follow(state.pose.tilt, command.tilt, -TILT_LIMIT, TILT_LIMIT),
     )
     return TurretState(pose=pose, t=state.t + dt)

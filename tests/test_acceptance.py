@@ -213,15 +213,17 @@ class TestCriterion07CenteringGain:
 class TestCriterion08OracleEquivalence:
     def test_filters_match_brute_force(self):
         rng = np.random.default_rng(42)
+        ror = FilterParams(ror_radius=0.7, ror_min_neighbors=2)
+        sor = FilterParams(sor_k=6, sor_alpha=1.0)
         mismatches = 0
         for _ in range(100):
             n = int(rng.integers(5, 501))
             cloud = world_cloud(rng.uniform(-4, 4, (n, 3)))
-            a = radius_outlier_removal(cloud, 0.7, 2)
+            a = radius_outlier_removal(cloud, ror)
             b = brute_force_ror(cloud, 0.7, 2)
             if not np.array_equal(a.xyz, b.xyz):
                 mismatches += 1
-            c = statistical_outlier_removal(cloud, 6, 1.0)
+            c = statistical_outlier_removal(cloud, sor)
             d = brute_force_sor(cloud, 6, 1.0)
             if not np.array_equal(c.xyz, d.xyz):
                 mismatches += 1
@@ -296,18 +298,18 @@ class TestCriterion10PerformanceEnvelope:
         rng = np.random.default_rng(2)
         scans = []
         for k in range(20):
-            pose = SensorPose(cfg.turret_origin, scan_mode_command(k / 10.0, tp))
+            pose = SensorPose(cfg.turret.origin, scan_mode_command(k / 10.0, tp))
             scans.append((scan(replace(scene, target=None), pose, k / 10.0, cfg.sensor, rng)[0],
                           pose))
         octree = build_background(scans, cfg.background, cfg.filters, cfg.scene.ground_z)
         from rosetrack.geometry import transform_cloud
-        pose = SensorPose(cfg.turret_origin)
+        pose = SensorPose(cfg.turret.origin)
         frames = [transform_cloud(scan(scene, pose, 2.0 + k / 10.0, cfg.sensor, rng)[0], pose)
                   for k in range(15)]
-        preprocess_cloud(frames[0], cfg.filters, cfg.scene.ground_z, octree, cfg.turret_origin)
+        preprocess_cloud(frames[0], cfg.filters, cfg.scene.ground_z, octree, cfg.turret.origin)
         start = time.perf_counter()
         for frame in frames:
-            preprocess_cloud(frame, cfg.filters, cfg.scene.ground_z, octree, cfg.turret_origin)
+            preprocess_cloud(frame, cfg.filters, cfg.scene.ground_z, octree, cfg.turret.origin)
         pre_ms = (time.perf_counter() - start) / len(frames) * 1e3
         sizes = max(len(f) for f in frames)
 

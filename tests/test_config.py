@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosetrack.config import (MAX_EVENTS, SCHEMA, ConfigError, default_config, describe_schema,
                               parse_config)
@@ -109,6 +111,23 @@ seed = 11
             default_config(["target.pattern=range_sweep", f"target.max_range={max_range}"])
         assert err.value.category == "config-domain"
         assert "max_range" in str(err.value)
+
+    @pytest.mark.parametrize("max_range, speed", [("5e-324", "6"), ("1e308", "1e-300"),
+                                                  ("160", "1e-320")])
+    def test_sweep_segment_duration_must_be_positive_and_finite(self, max_range, speed):
+        # max_range * pi / (2 * sweep_speed) underflowed to 0 (an error naming
+        # no key that was set) or overflowed to inf (a target that never left)
+        with pytest.raises(ConfigError) as err:
+            default_config(["target.pattern=range_sweep", f"target.max_range={max_range}",
+                            f"target.sweep_speed={speed}"])
+        assert err.value.category == "config-domain"
+        assert "max_range * pi / (2 * sweep_speed)" in str(err.value)
+
+    def test_infinite_turret_origin_names_the_rule(self):
+        with pytest.raises(ConfigError) as err:
+            default_config(["turret.origin=inf,0,1"])
+        assert err.value.category == "config-domain"
+        assert str(err.value) == "section [turret]: sensor origin must be finite"
 
     def test_rays_per_frame_above_the_cap_rejected(self):
         # parse only, never run: 1e12 points/s is 1e11 rays per frame
@@ -235,6 +254,59 @@ def test_every_key_reaches_the_built_config(section, key):
     base = [PATTERN_FOR_KEY[(section, key)]] if (section, key) in PATTERN_FOR_KEY else []
     changed = default_config([*base, f"{section}.{key}={other_value(SCHEMA[section][key])}"])
     assert repr(changed) != repr(default_config(base))
+
+
+# A number: one near the default (in domain or not), a boundary value, or one
+# out of any domain.
+EDGE_NUMBERS = ("0", "-0.0", "5e-324", "1e308", "inf", "-inf")
+BAD_NUMBERS = ("-1", "-1e308", "nan")
+
+
+def number_texts(default) -> st.SearchStrategy[str]:
+    scale = 2 * abs(default or 1)
+    near = st.floats(-scale, scale, allow_nan=False).map(repr)
+    return st.one_of(near, st.sampled_from(EDGE_NUMBERS + BAD_NUMBERS))
+
+
+def value_texts(spec) -> st.SearchStrategy[str]:
+    if spec.kind == "choice":
+        return st.sampled_from(spec.choices)
+    if spec.kind == "vec3":
+        return st.tuples(*(number_texts(v) for v in spec.default)).map(",".join)
+    if spec.kind == "boxes":
+        box = st.tuples(*[number_texts(1.0)] * 6).map(",".join)
+        return st.lists(box, max_size=2).map(";".join)
+    if spec.kind == "int":
+        return st.one_of(st.integers(-2, 2 * spec.default + 2).map(str), number_texts(spec.default))
+    return number_texts(spec.default)
+
+
+KEYS = [(s, k) for s, keys in SCHEMA.items() for k in keys]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_single_key_value_parses_or_is_a_config_error(data):
+    # parse only, never run: a value either builds a config or is refused
+    # as config-value / config-domain, never another exception or a warning
+    section, key = data.draw(st.sampled_from(KEYS), label="key")
+    text = data.draw(value_texts(SCHEMA[section][key]), label="value")
+    base = [PATTERN_FOR_KEY[(section, key)]] if (section, key) in PATTERN_FOR_KEY else []
+    try:
+        default_config([*base, f"{section}.{key}={text}"])
+    except ConfigError as err:
+        assert err.category in ("config-value", "config-domain")
+
+
+@pytest.mark.parametrize("override", ["background.resolution=5e-324",
+                                      "background.bounds_hi=1e308,5,4",
+                                      "background.bounds_lo=-1e308,-5,-0.5"])
+def test_voxel_index_overflow_is_refused_without_a_warning(override):
+    # the divisions in grid_shape overflowed to inf with a RuntimeWarning
+    with pytest.raises(ConfigError) as err:
+        default_config([override])
+    assert err.value.category == "config-domain"
+    assert "voxel indices beyond 2**62" in str(err.value)
 
 
 @pytest.mark.parametrize("key", ["center", "extent", "wait", "max_range", "sweep_speed"])

@@ -114,13 +114,16 @@ class TestSubtractBackground:
         assert out.xyz.tolist() == [[6.0, 0.0, 1.0]]
 
 
+ONE_NEIGHBOR = FilterParams(ror_radius=0.5, ror_min_neighbors=1)
+
+
 class TestRadiusOutlierRemoval:
     def test_isolated_point_removed(self):
-        out = radius_outlier_removal(world_cloud([[0, 0, 0]]), 0.5, 1)
+        out = radius_outlier_removal(world_cloud([[0, 0, 0]]), ONE_NEIGHBOR)
         assert len(out) == 0
 
     def test_mutual_neighbors_kept(self):
-        out = radius_outlier_removal(world_cloud([[0, 0, 0], [0.01, 0, 0]]), 0.5, 1)
+        out = radius_outlier_removal(world_cloud([[0, 0, 0], [0.01, 0, 0]]), ONE_NEIGHBOR)
         assert len(out) == 2
 
     @given(seed=st.integers(0, 10_000))
@@ -130,27 +133,33 @@ class TestRadiusOutlierRemoval:
         n = int(rng.integers(2, 500))
         pts = rng.uniform(-3, 3, (n, 3))
         cloud = world_cloud(pts)
-        fast = radius_outlier_removal(cloud, 0.8, 3)
+        fast = radius_outlier_removal(cloud, FilterParams(ror_radius=0.8, ror_min_neighbors=3))
         slow = brute_force_ror(cloud, 0.8, 3)
         assert np.array_equal(fast.xyz, slow.xyz)
 
     def test_permutation_invariant_kept_set(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2, 2, (120, 3))
-        kept_a = radius_outlier_removal(world_cloud(pts), 0.6, 2)
+        kept_a = radius_outlier_removal(world_cloud(pts), FilterParams(ror_radius=0.6))
         perm = rng.permutation(120)
-        kept_b = radius_outlier_removal(world_cloud(pts[perm]), 0.6, 2)
+        kept_b = radius_outlier_removal(world_cloud(pts[perm]), FilterParams(ror_radius=0.6))
         assert {tuple(p) for p in kept_a.xyz.tolist()} == {tuple(p) for p in kept_b.xyz.tolist()}
 
+    def test_min_neighbors_come_from_the_params(self):
+        # 0.3 m apart in a row: each end has one neighbor within 0.5 m, the middle two
+        cloud = world_cloud([[0, 0, 0], [0.3, 0, 0], [0.6, 0, 0]])
+        assert kept_ids(cloud, radius_outlier_removal(cloud, ONE_NEIGHBOR)) == [0, 1, 2]
+        assert kept_ids(cloud, radius_outlier_removal(cloud, FilterParams())) == [1]
+
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            radius_outlier_removal(world_cloud([[0, 0, 0]]), 0.0, 1)
+        with pytest.raises(ValueError, match="ror_radius must be positive"):
+            radius_outlier_removal(world_cloud([[0, 0, 0]]), FilterParams(ror_radius=0.0))
 
 
 class TestStatisticalOutlierRemoval:
     def test_identical_points_all_kept(self):
         cloud = world_cloud([[1, 1, 1]] * 10)
-        out = statistical_outlier_removal(cloud, 3, 1.0)
+        out = statistical_outlier_removal(cloud, FilterParams(sor_k=3))
         assert len(out) == 10
 
     def test_far_straggler_removed(self):
@@ -158,14 +167,14 @@ class TestStatisticalOutlierRemoval:
         cluster = rng.normal(0, 0.05, (20, 3))
         pts = np.vstack([cluster, [[10.0, 0.0, 0.0]]])
         cloud = world_cloud(pts)
-        out = statistical_outlier_removal(cloud, 5, 1.0)
+        out = statistical_outlier_removal(cloud, FilterParams(sor_k=5))
         ids = kept_ids(cloud, out)
         assert 20 not in ids
         assert len(ids) >= 15
 
     def test_small_cloud_returned_unchanged(self):
         cloud = world_cloud([[0, 0, 0], [1, 1, 1]])
-        out = statistical_outlier_removal(cloud, 5, 1.0)
+        out = statistical_outlier_removal(cloud, FilterParams(sor_k=5))
         assert out is cloud
 
     @given(seed=st.integers(0, 10_000))
@@ -175,7 +184,7 @@ class TestStatisticalOutlierRemoval:
         n = int(rng.integers(10, 300))
         pts = rng.uniform(-3, 3, (n, 3))
         cloud = world_cloud(pts)
-        fast = statistical_outlier_removal(cloud, 6, 1.0)
+        fast = statistical_outlier_removal(cloud, FilterParams(sor_k=6))
         slow = brute_force_sor(cloud, 6, 1.0)
         assert np.array_equal(fast.xyz, slow.xyz)
 
@@ -187,9 +196,17 @@ class TestStatisticalOutlierRemoval:
         knn = np.sort(d, axis=1)[:, 1:3].mean(axis=1)  # k = 2
         mu, sigma = knn.mean(), knn.std()
         keep = knn <= mu + 1.0 * sigma
-        out = statistical_outlier_removal(cloud, 2, 1.0)
+        out = statistical_outlier_removal(cloud, FilterParams(sor_k=2))
         assert kept_ids(cloud, out) == list(np.nonzero(keep)[0])
         assert 3 not in kept_ids(cloud, out)
+
+
+    def test_alpha_comes_from_the_params(self):
+        # mean 2-NN distances 1.5, 1, 1.5, 8.5: mu + sigma is 6.2, mu + 2 sigma 9.3
+        cloud = world_cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0], [10, 0, 0]])
+        assert kept_ids(cloud, statistical_outlier_removal(cloud, FilterParams(sor_k=2))) == [0, 1, 2]
+        wide = FilterParams(sor_k=2, sor_alpha=2.0)
+        assert kept_ids(cloud, statistical_outlier_removal(cloud, wide)) == [0, 1, 2, 3]
 
 
 class TestChainProperties:
@@ -233,9 +250,9 @@ def _occupied_map():
 ZERO_POINT_STAGES = {
     "range": lambda c: range_filter(c, FilterParams(), 0.0, sensor_origin=(0, 0, 0)),
     "background": lambda c: subtract_background(c, _occupied_map()),
-    "ror": lambda c: radius_outlier_removal(c, 0.5, 2),
+    "ror": lambda c: radius_outlier_removal(c, FilterParams()),
     "ror_brute_force": lambda c: brute_force_ror(c, 0.5, 2),
-    "sor": lambda c: statistical_outlier_removal(c, 8, 1.0),
+    "sor": lambda c: statistical_outlier_removal(c, FilterParams()),
     "sor_brute_force": lambda c: brute_force_sor(c, 8, 1.0),
     "preprocess": lambda c: preprocess_cloud(c, FilterParams(), 0.0, octree=_occupied_map(),
                                              sensor_origin=(0, 0, 0)),

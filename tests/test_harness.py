@@ -330,7 +330,7 @@ class TestRunScenario:
         assert np.array_equal(result.truth["speed"], traj.speed(tick_t))
         mid = traj.position(result.scans["t"] + cfg.sensor.integration_time / 2.0)
         assert np.array_equal(result.scans["target_range"],
-                              np.linalg.norm(mid - np.asarray(cfg.turret_origin), axis=1))
+                              np.linalg.norm(mid - np.asarray(cfg.turret.origin), axis=1))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("override", ["scene.ground_z=1e308", "tracker.sigma_meas=1e-300"])
@@ -353,7 +353,7 @@ class TestRunScenario:
         vis = target_visibility(result.track, result.truth, cfg)
         t = result.track["t"]
         settled = t > 4.0
-        origin = np.asarray(cfg.turret_origin)
+        origin = np.asarray(cfg.turret.origin)
         offsets = []
         for trec, pos in zip(result.track, positions(result.truth)):
             if trec["t"] <= 4.0:

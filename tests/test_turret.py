@@ -1,30 +1,41 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.geometry import PanTiltPose, pan_tilt_to_rotation
+from rosetrack.geometry import TILT_LIMIT, PanTiltPose, pan_tilt_to_rotation
 from rosetrack.tracker import TrackEstimate, TrackStatus
-from rosetrack.turret import (TurretParams, TurretState, scan_mode_command,
+from rosetrack.turret import (MAX_RASTER_STEPS, TurretParams, TurretState, scan_mode_command,
                               step_dynamics, tracking_command)
 
-PARAMS = TurretParams(scan_pan_min=-0.6, scan_pan_max=0.6,
+PARAMS = TurretParams(origin=(0.0, 0.0, 0.0), scan_pan_min=-0.6, scan_pan_max=0.6,
                       scan_tilt_min=0.0, scan_tilt_max=0.4,
                       scan_line_spacing=0.2, scan_duration=6.0)
+
+
+def decimal(x: float) -> Fraction:
+    """The number a config writes for x: its shortest repr, exactly."""
+    return Fraction(repr(x))
+
+
+def oracle_rows(p) -> int:
+    """Raster rows counted in the decimals of the tilt keys, free of float error."""
+    return int((decimal(p.scan_tilt_max) - decimal(p.scan_tilt_min)) // decimal(p.scan_line_spacing)) + 1
 
 
 def raster_oracle(t, p):
     """Closed-form serpentine schedule: equal time per row, pan linear."""
     t = min(max(t, 0.0), p.scan_duration)
-    rows = int((p.scan_tilt_max - p.scan_tilt_min) / p.scan_line_spacing) + 1
+    rows = oracle_rows(p)
     row_time = p.scan_duration / rows
     row = min(int(t // row_time), rows - 1)
     frac = (t - row * row_time) / row_time
     span = p.scan_pan_max - p.scan_pan_min
     pan = p.scan_pan_min + frac * span if row % 2 == 0 else p.scan_pan_max - frac * span
-    return pan, p.scan_tilt_min + row * p.scan_line_spacing
+    return pan, float(decimal(p.scan_tilt_min) + row * decimal(p.scan_line_spacing))
 
 
 class TestScanModeCommand:
@@ -70,6 +81,25 @@ class TestScanModeCommand:
         d1 = scan_mode_command(1.6 * row_time, PARAMS).pan - p1.pan
         assert d0 > 0 > d1
 
+    @pytest.mark.parametrize("tilt_min, tilt_max, spacing",
+                             [(0.0, 0.3, 0.1), (0.0, 0.6, 0.2), (0.1, 0.7, 0.2)])
+    def test_rows_that_divide_in_decimal_are_all_scanned(self, tilt_min, tilt_max, spacing):
+        # span / spacing is a hair under 3 in float: a bare floor gave 3 rows
+        # and the top row was never scanned
+        params = TurretParams(scan_tilt_min=tilt_min, scan_tilt_max=tilt_max,
+                              scan_line_spacing=spacing, scan_duration=4.0)
+        assert params.scan_rows == oracle_rows(params) == 4
+        # 3 * 0.1 is 0.30000000000000004: the top row is clamped to scan_tilt_max
+        assert scan_mode_command(params.scan_duration, params).tilt == tilt_max
+
+    def test_top_row_at_the_tilt_limit_is_a_pose(self):
+        # 25 * (pi / 50) overshoots pi / 2 by one ulp, which PanTiltPose refuses
+        params = TurretParams(scan_tilt_min=0.0, scan_tilt_max=TILT_LIMIT,
+                              scan_line_spacing=TILT_LIMIT / 25, scan_duration=5.2)
+        assert params.scan_rows == 26
+        assert 25 * params.scan_line_spacing > TILT_LIMIT
+        assert scan_mode_command(params.scan_duration, params).tilt == TILT_LIMIT
+
 
 def est_at(position, status=TrackStatus.STABLE):
     return TrackEstimate(np.asarray(position, dtype=float), 0.05, status)
@@ -78,18 +108,18 @@ def est_at(position, status=TrackStatus.STABLE):
 class TestTrackingCommand:
     def test_centered_target_holds_pose(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        cmd = tracking_command(state, est_at((10.0, 0.0, 0.0)), (0, 0, 0), PARAMS)
+        cmd = tracking_command(state, est_at((10.0, 0.0, 0.0)), PARAMS)
         assert cmd == state.pose
 
     def test_diagonal_target_geometry(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        cmd = tracking_command(state, est_at((10.0, 10.0, 0.0)), (0, 0, 0), PARAMS)
+        cmd = tracking_command(state, est_at((10.0, 10.0, 0.0)), PARAMS)
         assert cmd.pan == pytest.approx(math.pi / 4)
         assert cmd.tilt == pytest.approx(0.0)
 
     def test_forty_five_degree_tilt_round_trips_through_rotation(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        cmd = tracking_command(state, est_at((3.0, 0.0, 3.0)), (0, 0, 0), PARAMS)
+        cmd = tracking_command(state, est_at((3.0, 0.0, 3.0)), PARAMS)
         assert cmd.tilt == pytest.approx(math.pi / 4)
         # forward kinematics: the commanded boresight passes through the target
         boresight = pan_tilt_to_rotation(cmd) @ np.array([1.0, 0.0, 0.0])
@@ -101,28 +131,28 @@ class TestTrackingCommand:
         small = math.radians(0.2)
         big = math.radians(2.0)
         near = est_at((10.0, 10.0 * math.tan(small), 0.0))
-        assert tracking_command(state, near, (0, 0, 0), PARAMS) == state.pose
+        assert tracking_command(state, near, PARAMS) == state.pose
         far = est_at((10.0, 10.0 * math.tan(big), 0.0))
-        assert tracking_command(state, far, (0, 0, 0), PARAMS) != state.pose
+        assert tracking_command(state, far, PARAMS) != state.pose
 
     def test_deadband_idempotent(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         est = est_at((8.0, 1.5, 0.5))
-        cmd1 = tracking_command(state, est, (0, 0, 0), PARAMS)
+        cmd1 = tracking_command(state, est, PARAMS)
         state2 = TurretState(cmd1, 0.1)
-        cmd2 = tracking_command(state2, est, (0, 0, 0), PARAMS)
+        cmd2 = tracking_command(state2, est, PARAMS)
         assert cmd2 == cmd1
 
     def test_gimbal_singularity_straight_above(self):
         state = TurretState(PanTiltPose(0.7, 0.1), 0.0)
-        cmd = tracking_command(state, est_at((0.0, 0.0, 5.0)), (0, 0, 0), PARAMS)
+        cmd = tracking_command(state, est_at((0.0, 0.0, 5.0)), PARAMS)
         assert cmd.pan == 0.7
         assert cmd.tilt == pytest.approx(math.pi / 2)
 
     def test_lost_estimate_rejected(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
-            tracking_command(state, est_at((5, 0, 0), TrackStatus.LOST), (0, 0, 0), PARAMS)
+            tracking_command(state, est_at((5, 0, 0), TrackStatus.LOST), PARAMS)
 
 
 def follower_oracle(start, commands, dt, rate):
@@ -197,6 +227,22 @@ class TestParamInvariants:
             TurretParams(scan_pan_min=-4.0)
         with pytest.raises(ValueError):
             TurretParams(scan_tilt_max=2.0)
+
+    def test_scan_area_error_names_the_pose_rule(self):
+        with pytest.raises(ValueError, match=r"scan area must lie within pose limits: tilt 2.0 outside"):
+            TurretParams(scan_tilt_max=2.0)
+
+    @pytest.mark.parametrize("origin", [(math.inf, 0.0, 0.0), (0.0, math.nan, 1.0)])
+    def test_origin_must_be_finite(self, origin):
+        with pytest.raises(ValueError, match="sensor origin must be finite"):
+            TurretParams(origin=origin)
+
+    def test_more_rows_than_raster_steps_rejected(self):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_RASTER_STEPS} raster rows"):
+            TurretParams(scan_line_spacing=1e-7)
+        with pytest.raises(ValueError, match=f"exceeds {MAX_RASTER_STEPS} raster rows"):
+            TurretParams(scan_tilt_max=0.0, scan_line_spacing=1e-320)  # 1 / spacing is inf
+        assert TurretParams(scan_line_spacing=0.25 / MAX_RASTER_STEPS).scan_rows == MAX_RASTER_STEPS + 1
 
     def test_positive_rates(self):
         with pytest.raises(ValueError):
