@@ -140,28 +140,41 @@ class BackgroundBuildParams:
         return OccupancyOctree(self.resolution, self.bounds_lo, self.bounds_hi)
 
 
+def _dilation_steps(radius: int) -> list[int]:
+    """Shifts 1, 2, 4, ... and then the remainder, summing to radius. Each is
+    at most one more than the sum before it, so the sum of the sets
+    {-p, 0, p} over the steps is exactly [-radius, radius]."""
+    steps, total = [], 0
+    while total < radius:
+        steps.append(min(total + 1, radius - total))
+        total += steps[-1]
+    return steps
+
+
 def inflate(octree: OccupancyOctree, radius: int) -> OccupancyOctree:
     """Chebyshev dilation: occupy every voxel within `radius` of an occupied one.
 
     Returns a new octree. The dilation is separable (exact for the Chebyshev
-    ball): per axis, the occupied keys are shifted along it, clipped to the
-    bounds box, and set into the cleared grid, whose bits absorb duplicates.
+    ball), and along each axis it is a chain of dilations by {-p, 0, p} over
+    _dilation_steps: each pass shifts the occupied keys by -p and +p, clipped
+    to the bounds box, and sets them into the grid, whose bits absorb
+    duplicates. So a pass holds a few arrays the size of the keys whatever
+    the radius, and there are about log2(radius) passes per axis; the
+    radius is clamped to the grid, since a longer shift leaves it.
     """
     if radius < 0:
         raise ValueError("inflation radius must be >= 0")
     out = OccupancyOctree(octree.resolution, octree.lo, octree.hi)
     out._bits[:] = octree._bits
     if radius and out._bits.any():
-        shifts = np.arange(-radius, radius + 1, dtype=np.int64)
         dims = octree._dims
         for axis in range(3):
-            keys = out._occupied_keys()
             stride = int(np.prod(dims[axis + 1:]))
-            coord = (keys // stride) % dims[axis]
-            grown = keys[None, :] + shifts[:, None] * stride
-            moved = coord[None, :] + shifts[:, None]
-            out._bits[:] = 0
-            out._set(grown[(moved >= 0) & (moved < dims[axis])])
+            for p in _dilation_steps(min(radius, int(dims[axis]) - 1)):
+                keys = out._occupied_keys()
+                coord = (keys // stride) % dims[axis]
+                out._set(keys[coord >= p] - p * stride)
+                out._set(keys[coord < dims[axis] - p] + p * stride)
     return out
 
 

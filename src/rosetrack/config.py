@@ -28,6 +28,11 @@ from .turret import TurretParams
 # The tracking phase has no more frames than ticks: filter_rate >= lidar_rate.
 MAX_EVENTS = 2**20
 
+# Most frames in flight (pipeline_latency * lidar_rate): 213x the bundled 1.2.
+# The loop holds each delivered frame's cloud until its tick, so a longer
+# pipeline stops at parse time.
+MAX_IN_FLIGHT = 2**8
+
 
 class ConfigError(ValueError):
     def __init__(self, category: str, message: str):
@@ -118,11 +123,11 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
     "timing": {
         "lidar_rate": FieldSpec("float", 10.0, "LiDAR frame rate, Hz"),
         "filter_rate": FieldSpec("float", 15.0, "particle filter tick rate, Hz"),
-        "pipeline_latency": FieldSpec("float", 0.12, "integration start to filter delivery, s (>= integration_time)"),
+        "pipeline_latency": FieldSpec("float", 0.12, f"integration start to filter delivery, s (>= integration_time, <= {MAX_IN_FLIGHT} frame periods)"),
     },
     "run": {
         "duration": FieldSpec("float", 20.0, "tracking phase length, s (0 allowed: build-only run)"),
-        "seed": FieldSpec("int", 0, "root RNG seed"),
+        "seed": FieldSpec("int", 0, "root RNG seed, >= 0"),
     },
 }
 
@@ -231,12 +236,12 @@ def _reject_unread_pattern_keys(values: dict[tuple[str, str], tuple[str, str]],
 
 
 def _check_events(span_key: str, span: float, rate_key: str, rate: float,
-                  least: int, what: str) -> None:
-    """Reject unless least <= event_count(span, rate) <= MAX_EVENTS. The cap
-    is tested on the product first, which may overflow to inf."""
+                  least: int, what: str, cap: int = MAX_EVENTS) -> None:
+    """Reject unless least <= event_count(span, rate) <= cap. The cap is
+    tested on the product first, which may overflow to inf."""
     given = f"{span_key} * {rate_key} ({span:g} * {rate:g})"
-    if span * rate > MAX_EVENTS:
-        raise ConfigError("config-domain", f"{given} exceeds {MAX_EVENTS} {what}")
+    if span * rate > cap:
+        raise ConfigError("config-domain", f"{given} exceeds {cap} {what}")
     n = event_count(span, rate)
     if n < least:
         raise ConfigError("config-domain", f"{given} gives {n} {what}; at least {least} needed")
@@ -282,6 +287,8 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
                           f"sensor.integration_time ({sn['integration_time']:g})")
     if not 0 <= rn["duration"] < math.inf:
         raise ConfigError("config-domain", f"run.duration ({rn['duration']:g}) must be finite and >= 0")
+    if rn["seed"] < 0:
+        raise ConfigError("config-domain", f"run.seed ({rn['seed']}) must be >= 0")
     if not (0 < tm["lidar_rate"] < math.inf and 0 < tm["filter_rate"] < math.inf):
         raise ConfigError("config-domain",
                           "timing.lidar_rate and timing.filter_rate must be positive and finite")
@@ -293,6 +300,8 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
                   tm["lidar_rate"], 1, "raster frames")
     _check_events("run.duration", rn["duration"], "timing.filter_rate",
                   tm["filter_rate"], 0, "filter ticks")
+    _check_events("timing.pipeline_latency", tm["pipeline_latency"], "timing.lidar_rate",
+                  tm["lidar_rate"], 0, "frames in flight", MAX_IN_FLIGHT)
 
     target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
         make_pattern(tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}),

@@ -4,8 +4,9 @@ The simulation is logically sequential: LiDAR frames fire at lidar_rate,
 filter ticks at filter_rate, both clocks starting at the beginning of the
 tracking phase. A frame integrated over [t0, t0 + integration_time] becomes
 visible to the filter at t0 + pipeline_latency, never earlier, and is
-consumed by the first tick at or after that instant. Everything is
-deterministic under the config seed.
+consumed by the first tick at or after that instant (receiving_ticks). Two
+clock values are the same instant when they differ by rounding alone
+(at_or_before). Everything is deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .background import build_background
 from .config import ScenarioConfig
 from .filters import preprocess_cloud
 from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
-from .scene import ray_cast_arrays
+from .scene import MISS, TARGET, ray_cast_arrays
 from .sensor import event_count, scan
 from .tracker import TrackStatus, init_filter, step
 from .turret import TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
@@ -79,11 +80,44 @@ class RunResult:
     metrics: MetricsReport
 
 
+# Clock values are sums and quotients of config floats, so two spellings of
+# one instant differ by rounding, which grows with the value: the slack is
+# relative, and absolute below 1 s.
+CLOCK_SLACK = 1e-12
+
+
+def _latest(deadline):
+    """The largest clock value that is still at or before deadline."""
+    return deadline + CLOCK_SLACK * np.maximum(1.0, np.abs(deadline))
+
+
+def at_or_before(t, deadline):
+    """t is at or before deadline up to clock rounding; scalars or arrays."""
+    return t <= _latest(deadline)
+
+
+def event_times(t0: float, span: float, rate: float) -> np.ndarray:
+    """Start times t0 + k / rate of the event_count(span, rate) events of a clock."""
+    return t0 + np.arange(event_count(span, rate)) / rate
+
+
+def receiving_ticks(frame_t: np.ndarray, tick_t: np.ndarray, latency: float) -> np.ndarray:
+    """Index into tick_t of the tick that receives each frame; len(tick_t)
+    where no tick does.
+
+    A frame starting at f is delivered at f + latency and goes to the first
+    tick that the delivery is at_or_before, but never to a tick that fires
+    before f (ticks at f come after the frame). Both arrays are increasing.
+    """
+    return np.maximum(np.searchsorted(tick_t, frame_t),
+                      np.searchsorted(_latest(tick_t), frame_t + latency))
+
+
 def _raster_turret(state: TurretState, t_target: float, params: TurretParams) -> TurretState:
     """Step the turret forward to t_target along the raster schedule,
     resampled at command_rate."""
     step_dt = 1.0 / params.command_rate
-    while state.t + 1e-12 < t_target:
+    while not at_or_before(t_target, state.t):
         state = step_dynamics(state, scan_mode_command(state.t, params),
                               min(step_dt, t_target - state.t), params)
     return state
@@ -109,10 +143,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
     state = TurretState(pose=scan_mode_command(0.0, tparams), t=0.0)
-    n_bg = event_count(tparams.scan_duration, config.lidar_rate)
     bg_scans = []
-    for k in range(n_bg):
-        t0 = k / config.lidar_rate
+    for t0 in event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist():
         state = _raster_turret(state, t0, tparams)
         pose = SensorPose(origin, state.pose)
         points, _ = scan(static, pose, t0, config.sensor, bg_rng)
@@ -123,29 +155,31 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     # --- tracking phase ----------------------------------------------------
     track_rng = np.random.default_rng(scan_ss)
     pset = init_filter(config.tracker, np.random.default_rng(pf_ss))
-    n_frames = event_count(config.duration, config.lidar_rate)
-    n_ticks = event_count(config.duration, config.filter_rate)
+    frame_t = event_times(t_track0, config.duration, config.lidar_rate)
+    tick_t = event_times(t_track0, config.duration, config.filter_rate)
+    receiver = receiving_ticks(frame_t, tick_t, config.pipeline_latency).tolist()
+    n_ticks = len(tick_t)
     track = np.zeros(n_ticks, TRACK_DTYPE)
-    scans = np.zeros(n_frames, SCAN_DTYPE)
-    events = sorted(
-        [(t_track0 + k / config.lidar_rate, 0, k) for k in range(n_frames)]
-        + [(t_track0 + j / config.filter_rate, 1, j) for j in range(n_ticks)]
-    )
-    pending: list[tuple[float, PointCloud]] = []
+    scans = np.zeros(len(frame_t), SCAN_DTYPE)
+    scans["t"] = frame_t
+    events = sorted([(t, 0, k) for k, t in enumerate(frame_t.tolist())]
+                    + [(t, 1, j) for j, t in enumerate(tick_t.tolist())])
+    inbox: dict[int, list[PointCloud]] = {}  # tick index -> the clouds it receives
     last_cmd = state.pose
 
     for ev_t, kind, i in events:
-        if state.t + 1e-12 < ev_t:  # hold the last command up to the event
+        if not at_or_before(ev_t, state.t):  # hold the last command up to the event
             state = step_dynamics(state, last_cmd, ev_t - state.t, tparams)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
-            points, surfaces = scan(scene if ev_t + 1e-12 >= spawn_t else static,
+            points, surfaces = scan(scene if at_or_before(spawn_t, ev_t) else static,
                                     pose, ev_t, config.sensor, track_rng)
-            pending.append((ev_t + config.pipeline_latency, transform_cloud(points, pose)))
-            scans["t"][i], scans["n_points"][i] = ev_t, np.sum(surfaces == 2)
+            cloud = transform_cloud(points, pose)
+            if receiver[i] < n_ticks:  # else no tick receives it
+                inbox.setdefault(receiver[i], []).append(cloud)
+            scans["n_points"][i] = np.sum(surfaces == TARGET)
         else:  # filter tick
-            ready = [c for dt, c in pending if dt <= ev_t + 1e-12]
-            pending = [(dt, c) for dt, c in pending if dt > ev_t + 1e-12]
+            ready = inbox.pop(i, [])
             delivered = None
             if ready:
                 delivered = ready[0] if len(ready) == 1 else PointCloud(
@@ -155,8 +189,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             pset, est = step(pset, delivered, config.tracker)
             track[i] = (ev_t, *est.position, est.sigma_particles, est.status.value,
                         state.pose.pan, state.pose.tilt)
-            if est.status is not TrackStatus.LOST:
-                last_cmd = tracking_command(state, est, tparams)
+            if est.status is not TrackStatus.LOST:  # else hold the last command
+                last_cmd = tracking_command(state, est.position, tparams)
         if progress is not None:
             progress(ev_t)
 
@@ -230,7 +264,7 @@ def target_visibility(track: np.ndarray, truth: np.ndarray, config: ScenarioConf
     rng_hit, surf = ray_cast_arrays(replace(config.scene, target=None), origin, u,
                                     track["t"][ticks])
     out = np.zeros(len(track), dtype=bool)
-    out[ticks] = ~((surf >= 0) & (rng_hit < dist[ticks] - config.scene.target.diameter / 2.0))
+    out[ticks] = ~((surf != MISS) & (rng_hit < dist[ticks] - config.scene.target.diameter / 2.0))
     return out
 
 
@@ -239,9 +273,10 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     """Error statistics over Stable ticks, detection distance, re-detection
     latency, initial lock time, and the points-vs-range histogram.
 
-    Each track row is paired once with the truth row nearest in time; a
-    non-finite t in any log, or skew beyond half a filter period, is an
-    error. Every metric uses that pairing.
+    The logs are in time order, as run_scenario writes them. Each track row
+    is paired once with the truth row nearest in time; a non-finite t in any
+    log, or skew beyond half a filter period, is an error. Every metric uses
+    that pairing.
     """
     if not len(track) or not len(truth):
         raise ValueError("cannot compute metrics from empty logs")
@@ -296,18 +331,17 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     if not np.all(np.isnan(latencies)):
         report.redetect_latency = float(np.nanmax(latencies))
 
-    # initial lock: first Stable tick relative to the first update tick fed
-    # by a frame with target returns
+    # initial lock: first Stable tick relative to the tick that receives the
+    # first frame with target returns, under the loop's delivery rule
     if scans is not None and len(scans):
         n_pts = scans["n_points"]
         frame_t = scans["t"]
         with_target = n_pts > 0
         if np.any(with_target):
-            deliver = frame_t[with_target][0] + config.pipeline_latency
-            tick_after = tt[tt >= deliver - 1e-12]
-            first_stable = tt[stable & (tt >= deliver - 1e-12)]
-            if len(tick_after) and len(first_stable):
-                report.initial_lock_time = float(first_stable[0] - tick_after[0])
+            first = receiving_ticks(frame_t[with_target][:1], tt, config.pipeline_latency)[0]
+            stable_after = np.flatnonzero(stable[first:])
+            if len(stable_after):
+                report.initial_lock_time = float(tt[first + stable_after[0]] - tt[first])
         finite = np.isfinite(scans["target_range"])
         if np.any(finite):
             r = scans["target_range"][finite]

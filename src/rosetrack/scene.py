@@ -19,6 +19,9 @@ _EPS = 1e-9
 # the arithmetic.
 _BLOCK = 4096
 
+# The surface code of each ray, as ray_cast_arrays returns it (int8).
+MISS, GROUND, OBSTACLE, TARGET = -1, 0, 1, 2
+
 
 @dataclass(frozen=True)
 class Box:
@@ -59,6 +62,8 @@ class Trajectory:
             raise ValueError("waypoint wait times must be >= 0")
         if not all(math.isfinite(c) for p, _ in self.waypoints for c in p):
             raise ValueError("waypoint coordinates must be finite")
+        if not math.isfinite(self.start_time):
+            raise ValueError("trajectory start_time (the takeoff time) must be finite")
         self._compile()
 
     def _compile(self):
@@ -191,8 +196,8 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
     the emission times; the target sphere is evaluated at each ray's own
     time, and a scene whose target is None casts no target ray. Any other
     shape raises ValueError.
-    Returns (ranges, surfaces) where surfaces is int8 coded
-    (-1 miss, 0 ground, 1 obstacle, 2 target) and ranges is inf on miss.
+    Returns (ranges, surfaces) where surfaces holds the int8 codes MISS,
+    GROUND, OBSTACLE or TARGET and ranges is inf on MISS.
 
     Box faces are open to rays that lie in their plane: a ray parallel to a
     face (its component along that axis +0.0 or -0.0) whose origin lies
@@ -215,7 +220,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
         raise ValueError(f"ray_cast_arrays needs dirs (n, 3) and times (n,), "
                          f"got {dirs.shape} and {times.shape}")
     best = np.full(n, np.inf)
-    surf = np.full(n, -1, dtype=np.int8)
+    surf = np.full(n, MISS, dtype=np.int8)
     slabs = [(np.asarray(box.lo) - origin, np.asarray(box.hi) - origin)
              for box in scene.obstacles]
     ground = scene.ground_z - origin[2]
@@ -248,7 +253,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
             tg = ground * inv[2]
             hit = (rows[2] != 0.0) & (tg > _EPS) & (tg < blk_best)
             blk_best[hit] = tg[hit]
-            blk_surf[hit] = 0
+            blk_surf[hit] = GROUND
 
             for lo, hi in slabs:
                 near, far = [], []
@@ -262,7 +267,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
                 thit = np.where(tmin > _EPS, tmin, tmax)  # tmax covers an origin inside the box
                 hit = (tmax >= np.maximum(tmin, _EPS)) & (thit > _EPS) & (thit < blk_best)
                 blk_best[hit] = thit[hit]
-                blk_surf[hit] = 1
+                blk_surf[hit] = OBSTACLE
 
         if target and culled:
             dw = w @ rows
@@ -282,7 +287,7 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
         thit = np.where(t_near > _EPS, t_near, t_far)
         hit = ok & (thit > _EPS) & (thit < best[cand])
         best[cand[hit]] = thit[hit]
-        surf[cand[hit]] = 2
+        surf[cand[hit]] = TARGET
 
     return best, surf
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import SensorPose, pan_tilt_to_rotation
-from .scene import Scene, ray_cast_arrays, return_probability_arrays
+from .scene import MISS, TARGET, Scene, ray_cast_arrays, return_probability_arrays
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class RosetteParams:
     def __post_init__(self):
         if self.f1 == self.f2:
             raise ValueError("prism frequencies must differ")
-        if self.f1 <= 0 or self.f2 <= 0:
-            raise ValueError("prism frequencies must be positive")
+        if not (0 < self.f1 < math.inf and 0 < self.f2 < math.inf):
+            raise ValueError("prism frequencies must be positive and finite")
         if not 0 < self.fov_h < math.pi:
             raise ValueError("fov_h must be in (0, pi)")
         if not 0 < self.fov_v < math.pi:
@@ -150,9 +150,9 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     times = t0 + offsets
 
     ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times)
-    hit = (surf >= 0) & (ranges <= params.range_max)
+    hit = (surf != MISS) & (ranges <= params.range_max)
     kept = np.nonzero(hit)[0]
-    p = return_probability_arrays(ranges[kept], surf[kept] == 2, scene)
+    p = return_probability_arrays(ranges[kept], surf[kept] == TARGET, scene)
     kept = kept[rng.random(len(kept)) < p]
 
     r = ranges[kept]

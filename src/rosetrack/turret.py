@@ -11,7 +11,6 @@ import numpy as np
 
 from .geometry import PAN_LIMIT, TILT_LIMIT, PanTiltPose, SensorPose
 from .sensor import event_count
-from .tracker import TrackEstimate, TrackStatus
 
 
 # Most turret steps the raster may take (scan_duration * command_rate): 14000x
@@ -96,20 +95,18 @@ def scan_mode_command(t: float, params: TurretParams) -> PanTiltPose:
     return PanTiltPose(pan, tilt)
 
 
-def tracking_command(state: TurretState, est: TrackEstimate, params: TurretParams) -> PanTiltPose:
-    """Point the boresight, mounted at params.origin, at the estimate; hold
-    inside the deadband.
+def tracking_command(state: TurretState, target, params: TurretParams) -> PanTiltPose:
+    """Point the boresight, mounted at params.origin, at the target position
+    (the track estimate's); hold inside the deadband.
 
     The command is pan = atan2(dy, dx), tilt = atan2(dz, hypot(dx, dy)). When
     both axes would move less than the deadband the current pose is returned
-    unchanged, so repeated calls with the same estimate are idempotent.
+    unchanged, so repeated calls with the same target are idempotent.
     """
-    if est.status is TrackStatus.LOST:
-        raise ValueError("tracking_command requires a non-Lost estimate; hold the last command instead")
-    d = np.asarray(est.position, dtype=float) - np.asarray(params.origin, dtype=float)
+    d = np.asarray(target, dtype=float) - np.asarray(params.origin, dtype=float)
     horiz = math.hypot(d[0], d[1])
     if horiz == 0.0:
-        # gimbal singularity: estimate straight above/below the pan axis
+        # gimbal singularity: target straight above/below the pan axis
         tilt = math.copysign(TILT_LIMIT, d[2]) if d[2] != 0.0 else TILT_LIMIT
         return PanTiltPose(state.pose.pan, tilt)
     pan = math.atan2(d[1], d[0])

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from rosetrack.background import (MAX_CELLS, BackgroundBuildParams, OccupancyOctree,
-                                  build_background, grid_shape, inflate)
+                                  _dilation_steps, build_background, grid_shape, inflate)
 from rosetrack.filters import FilterParams
 from rosetrack.geometry import SensorPose
 from rosetrack.scene import Box, Scene, WeatherModel
@@ -161,7 +162,7 @@ class TestInflate:
         assert out.contains_points((1.0 + 0.1, 1.0, 1.0))[0]
         assert not out.contains_points((1.0 + 0.25, 1.0, 1.0))[0]
 
-    @given(seed=st.integers(0, 5000), radius=st.integers(1, 2))
+    @given(seed=st.integers(0, 5000), radius=st.integers(1, 7))
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_grid_dilation_oracle(self, seed, radius):
         rng = np.random.default_rng(seed)
@@ -178,7 +179,8 @@ class TestInflate:
         got = set(map(tuple, out.occupied_indices().tolist()))
         assert got == want
 
-    @given(seed=st.integers(0, 5000), radius=st.integers(1, 2))
+    # radii up to 7 reach past the 5- and 7-voxel axes, where the radius is clamped
+    @given(seed=st.integers(0, 5000), radius=st.integers(1, 7))
     @settings(max_examples=25, deadline=None)
     def test_odd_dims_with_every_face_touched_match_dilation_oracle(self, seed, radius):
         rng = np.random.default_rng(seed)
@@ -198,6 +200,30 @@ class TestInflate:
         out = inflate(octree, radius)
         assert set(map(tuple, out.occupied_indices().tolist())) == want
         assert len(out) == len(want)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 100])
+    def test_dilation_steps_cover_the_radius_exactly(self, radius):
+        steps = _dilation_steps(radius)
+        reach = {0}
+        for p in steps:
+            reach = {r + d for r in reach for d in (-p, 0, p)}
+        assert reach == set(range(-radius, radius + 1))
+        assert len(steps) <= radius.bit_length() + 1
+
+    def test_large_radius_peak_memory_does_not_grow_with_the_radius(self):
+        # 24^3 voxels, radius 50: a pass that shifted the keys by every
+        # offset in [-50, 50] at once would hold 101 copies of them
+        octree = OccupancyOctree(1.0, (0, 0, 0), (23.999, 23.999, 23.999))
+        octree.insert_points(np.random.default_rng(0).uniform(0.0, 23.95, (100, 3)))
+        tracemalloc.start()
+        try:
+            out = inflate(octree, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 24 ** 3
+        # eight int64 arrays of one key per voxel of the grid
+        assert peak <= 8 * 8 * 24 ** 3
 
     @given(a=st.integers(0, 2), b=st.integers(0, 2), seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)

@@ -104,7 +104,11 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
         # OverflowError traceback, or write non-finite logs with exit 0
         "tracker.sigma_pred=inf", "tracker.sigma_pred=1e200", "turret.origin=inf,0,1",
         "tracker.surveillance_lo=-inf,0,0", "tracker.surveillance_hi=inf,4,3",
-        "turret.scan_line_spacing=inf", "target.center=inf,0,1", "target.extent=inf")),
+        "turret.scan_line_spacing=inf", "target.center=inf,0,1", "target.extent=inf",
+        # a negative seed, an infinite prism frequency or takeoff time, and a
+        # pipeline that holds more than MAX_IN_FLIGHT frames
+        "run.seed=-1", "sensor.f1=inf", "sensor.f2=inf", "target.takeoff_delay=-inf",
+        "timing.pipeline_latency=inf", "timing.pipeline_latency=1e9")),
     # the tracker has one measurement model and one stability rule, and no key selects either
     *((o, "config-unknown-key") for o in (
         "tracker.sigma_threshold=0.2", "tracker.likelihood=nearest")),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosetrack.config import (MAX_EVENTS, SCHEMA, ConfigError, default_config, describe_schema,
-                              parse_config)
+from rosetrack.config import (MAX_EVENTS, MAX_IN_FLIGHT, SCHEMA, ConfigError, default_config,
+                              describe_schema, parse_config)
 from rosetrack.scene import PATTERN_KEYS, PATTERN_NAMES, make_pattern
 from rosetrack.sensor import MAX_RAYS_PER_FRAME
 from rosetrack.tracker import MAX_PARTICLES
@@ -162,6 +162,33 @@ seed = 11
         assert cfg.tracker.n_particles == MAX_PARTICLES
         assert cfg.duration * cfg.filter_rate == MAX_EVENTS
         assert cfg.turret.scan_duration * cfg.turret.command_rate == MAX_RASTER_STEPS
+
+    @pytest.mark.parametrize("latency", ["inf", "1e9", "29"])
+    def test_frames_in_flight_above_the_cap_name_both_keys(self, latency):
+        # parse only, never run: the loop would hold every frame in flight
+        with pytest.raises(ConfigError) as err:
+            parse_config(CONFIG_DIR / "indoor_vertical.cfg", [f"timing.pipeline_latency={latency}"])
+        assert err.value.category == "config-domain"
+        assert str(err.value).startswith("timing.pipeline_latency * timing.lidar_rate")
+        assert f"exceeds {MAX_IN_FLIGHT} frames in flight" in str(err.value)
+
+    def test_frames_in_flight_cap_is_inclusive(self):
+        cfg = default_config(["timing.pipeline_latency=32", "timing.lidar_rate=8"])
+        assert cfg.pipeline_latency * cfg.lidar_rate == MAX_IN_FLIGHT
+
+    @pytest.mark.parametrize("override, message", [
+        ("run.seed=-1", "run.seed (-1) must be >= 0"),
+        ("sensor.f1=inf", "section [sensor]: prism frequencies must be positive and finite"),
+        ("sensor.f2=inf", "section [sensor]: prism frequencies must be positive and finite"),
+        ("target.takeoff_delay=-inf", "section [target]: trajectory start_time"),
+    ])
+    def test_values_that_failed_mid_run_are_config_domain(self, override, message):
+        # seed -1 failed after parsing, an infinite prism frequency raised an
+        # OverflowError, and a takeoff at -inf ran into a RuntimeWarning
+        with pytest.raises(ConfigError) as err:
+            default_config([override])
+        assert err.value.category == "config-domain"
+        assert str(err.value).startswith(message)
 
     def test_raster_without_a_frame_names_both_keys(self):
         with pytest.raises(ConfigError) as err:

@@ -1,16 +1,17 @@
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rosetrack.harness as harness
-from rosetrack.config import default_config, parse_config
-from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport,
-                               compute_metrics, export_csv, export_run, positions, read_scan_log,
-                               read_track_log, read_truth_log, run_many, run_scenario,
-                               target_visibility)
+from rosetrack.config import MAX_EVENTS, default_config, parse_config
+from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, at_or_before,
+                               compute_metrics, event_times, export_csv, export_run, positions,
+                               read_scan_log, read_track_log, read_truth_log, receiving_ticks,
+                               run_many, run_scenario, target_visibility)
 from rosetrack.sensor import event_count
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -100,6 +101,58 @@ class TestComputeMetrics:
         edges = [(lo, hi) for lo, hi, _ in m.points_per_scan]
         assert all(lo < hi for lo, hi in edges)
         assert all(edges[i][1] <= edges[i + 1][0] + 1e-9 for i in range(len(edges) - 1))
+
+
+class TestClock:
+    # (lidar_rate, filter_rate, pipeline_latency) with deliveries on the tick
+    # grid; t0 is the raster length, where both clocks start
+    @pytest.mark.parametrize("rates", [("10", "15", "0.2"), ("10", "10", "0.1"),
+                                       ("10", "20", "0.15")], ids=lambda r: "/".join(r))
+    @pytest.mark.parametrize("t0", [3.0, 5.0])
+    def test_schedule_matches_an_exact_integer_oracle_over_the_longest_run(self, rates, t0):
+        lidar, tick, latency = map(Fraction, rates)
+        duration = MAX_EVENTS / float(tick)  # the most ticks a run may have
+        frames = event_times(t0, duration, float(lidar))
+        ticks = event_times(t0, duration, float(tick))
+        got = receiving_ticks(frames, ticks, float(latency))
+        # frame k goes to tick ceil(tick * (k / lidar + latency)), or to none
+        a, b = tick / lidar, tick * latency
+        k = np.arange(len(frames), dtype=np.int64)
+        num = a.numerator * b.denominator * k + b.numerator * a.denominator
+        want = np.minimum(-(-num // (a.denominator * b.denominator)), len(ticks))
+        assert len(ticks) >= MAX_EVENTS - 1
+        assert np.array_equal(got, want)
+
+    def test_same_instant_slack_scales_with_the_clock(self):
+        assert at_or_before(1.0 + 1e-13, 1.0) and not at_or_before(1.0 + 1e-11, 1.0)
+        big = 65536.1
+        assert at_or_before(np.nextafter(big, math.inf), big)
+        assert not at_or_before(big + 1e-6, big)
+        assert np.array_equal(at_or_before(np.array([0.5, 1.0, 1.5]), 1.0), [True, True, False])
+
+    def test_no_tick_before_the_frame_starts_receives_it(self):
+        # a latency below the clock's rounding cannot hand a frame to a tick
+        # that fires before the frame in the event order
+        ticks = np.array([1e5 - 1e-8, 1e5, 1e5 + 1.0])
+        assert receiving_ticks(np.array([1e5]), ticks, 1e-9).tolist() == [1]
+        assert receiving_ticks(np.array([1e5 + 2.0]), ticks, 0.1).tolist() == [3]
+
+    def test_initial_lock_counts_from_the_tick_the_loop_delivers_to(self):
+        # at t = 65536 s a float step (1.5e-11 s) exceeds a fixed 1e-12 s
+        # slack: deliveries of frame k that round one step past tick k + 1
+        # still go to it, in the metric as in the loop
+        cfg = default_config(["timing.filter_rate=10", "timing.pipeline_latency=0.1"])
+        t = event_times(65536.0, 5.0, 10.0)
+        k = int(np.flatnonzero(t[:-1] + 0.1 > t[1:])[0])
+        assert receiving_ticks(t[k:k + 1], t, 0.1).tolist() == [k + 1]
+        track, truth = synthetic_logs(n=len(t))
+        track["t"] = truth["t"] = t
+        track["status"][:k + 3] = "searching"
+        scans = np.zeros(len(t), SCAN_DTYPE)
+        scans["t"], scans["target_range"] = t, 5.0
+        scans["n_points"][k:] = 10
+        m = compute_metrics(track, truth, cfg, scans)
+        assert m.initial_lock_time == t[k + 3] - t[k + 1]
 
 
 class TestVisibility:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosetrack.geometry import TILT_LIMIT, PanTiltPose, pan_tilt_to_rotation
-from rosetrack.tracker import TrackEstimate, TrackStatus
 from rosetrack.turret import (MAX_RASTER_STEPS, TurretParams, TurretState, scan_mode_command,
                               step_dynamics, tracking_command)
 
@@ -101,25 +100,21 @@ class TestScanModeCommand:
         assert scan_mode_command(params.scan_duration, params).tilt == TILT_LIMIT
 
 
-def est_at(position, status=TrackStatus.STABLE):
-    return TrackEstimate(np.asarray(position, dtype=float), 0.05, status)
-
-
 class TestTrackingCommand:
     def test_centered_target_holds_pose(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        cmd = tracking_command(state, est_at((10.0, 0.0, 0.0)), PARAMS)
+        cmd = tracking_command(state, (10.0, 0.0, 0.0), PARAMS)
         assert cmd == state.pose
 
     def test_diagonal_target_geometry(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        cmd = tracking_command(state, est_at((10.0, 10.0, 0.0)), PARAMS)
+        cmd = tracking_command(state, (10.0, 10.0, 0.0), PARAMS)
         assert cmd.pan == pytest.approx(math.pi / 4)
         assert cmd.tilt == pytest.approx(0.0)
 
     def test_forty_five_degree_tilt_round_trips_through_rotation(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        cmd = tracking_command(state, est_at((3.0, 0.0, 3.0)), PARAMS)
+        cmd = tracking_command(state, (3.0, 0.0, 3.0), PARAMS)
         assert cmd.tilt == pytest.approx(math.pi / 4)
         # forward kinematics: the commanded boresight passes through the target
         boresight = pan_tilt_to_rotation(cmd) @ np.array([1.0, 0.0, 0.0])
@@ -130,29 +125,24 @@ class TestTrackingCommand:
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
         small = math.radians(0.2)
         big = math.radians(2.0)
-        near = est_at((10.0, 10.0 * math.tan(small), 0.0))
+        near = (10.0, 10.0 * math.tan(small), 0.0)
         assert tracking_command(state, near, PARAMS) == state.pose
-        far = est_at((10.0, 10.0 * math.tan(big), 0.0))
+        far = (10.0, 10.0 * math.tan(big), 0.0)
         assert tracking_command(state, far, PARAMS) != state.pose
 
     def test_deadband_idempotent(self):
         state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        est = est_at((8.0, 1.5, 0.5))
-        cmd1 = tracking_command(state, est, PARAMS)
+        target = (8.0, 1.5, 0.5)
+        cmd1 = tracking_command(state, target, PARAMS)
         state2 = TurretState(cmd1, 0.1)
-        cmd2 = tracking_command(state2, est, PARAMS)
+        cmd2 = tracking_command(state2, target, PARAMS)
         assert cmd2 == cmd1
 
     def test_gimbal_singularity_straight_above(self):
         state = TurretState(PanTiltPose(0.7, 0.1), 0.0)
-        cmd = tracking_command(state, est_at((0.0, 0.0, 5.0)), PARAMS)
+        cmd = tracking_command(state, (0.0, 0.0, 5.0), PARAMS)
         assert cmd.pan == 0.7
         assert cmd.tilt == pytest.approx(math.pi / 2)
-
-    def test_lost_estimate_rejected(self):
-        state = TurretState(PanTiltPose(0.0, 0.0), 0.0)
-        with pytest.raises(ValueError):
-            tracking_command(state, est_at((5, 0, 0), TrackStatus.LOST), PARAMS)
 
 
 def follower_oracle(start, commands, dt, rate):
