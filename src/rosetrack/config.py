@@ -19,13 +19,13 @@ from .filters import FilterParams
 from .scene import PATTERN_KEYS, PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
 from .sensor import RosetteParams, event_count
 from .tracker import TrackerParams
-from .turret import TurretParams
+from .turret import MAX_RASTER_STEPS, TurretParams
 
 
-# Most filter ticks one run may have, and most raster frames: 1200x the
-# bundled 870 ticks (indoor_vertical). The loop runs once per tick and frame
-# and the logs hold a row per tick, so a larger count stops at parse time.
-# The tracking phase has no more frames than ticks: filter_rate >= lidar_rate.
+# Most filter ticks one run may have: 1200x the bundled 870 (indoor_vertical).
+# The loop runs once per tick and frame and the logs hold a row per tick, so a
+# larger count stops at parse time. The tracking phase has no more frames than
+# ticks, as the raster has no more frames than steps: filter_rate >= lidar_rate.
 MAX_EVENTS = 2**20
 
 # Most frames in flight (pipeline_latency * lidar_rate): 213x the bundled 1.2.
@@ -81,7 +81,6 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "fov_h_deg": FieldSpec("float", math.degrees(RosetteParams.fov_h), "horizontal field of view, degrees (full angle)"),
         "fov_v_deg": FieldSpec("float", math.degrees(RosetteParams.fov_v), "vertical field of view, degrees (full angle)"),
         "point_rate": FieldSpec("float", RosetteParams.point_rate, "emitted rays per second"),
-        "integration_time": FieldSpec("float", RosetteParams.integration_time, "frame integration window, s"),
         "range_max": FieldSpec("float", RosetteParams.range_max, "maximum measurable range, m"),
         "range_noise_sigma": FieldSpec("float", RosetteParams.range_noise_sigma, "Gaussian range noise sigma, m"),
     },
@@ -111,7 +110,6 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
     "turret": {
         "origin": FieldSpec("vec3", TurretParams.origin, "sensor mounting point, world frame, m"),
         "max_slew_rate": FieldSpec("float", TurretParams.max_slew_rate, "max angular rate per axis, rad/s"),
-        "command_rate": FieldSpec("float", TurretParams.command_rate, "command sampling rate, Hz"),
         "deadband_deg": FieldSpec("float", math.degrees(TurretParams.deadband), "hold commands below this angular change, degrees"),
         "scan_pan_min": FieldSpec("float", TurretParams.scan_pan_min, "raster pan start, rad"),
         "scan_pan_max": FieldSpec("float", TurretParams.scan_pan_max, "raster pan end, rad"),
@@ -121,9 +119,9 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "scan_duration": FieldSpec("float", TurretParams.scan_duration, "background build phase length, s"),
     },
     "timing": {
-        "lidar_rate": FieldSpec("float", 10.0, "LiDAR frame rate, Hz"),
-        "filter_rate": FieldSpec("float", 15.0, "particle filter tick rate, Hz"),
-        "pipeline_latency": FieldSpec("float", 0.12, f"integration start to filter delivery, s (>= integration_time, <= {MAX_IN_FLIGHT} frame periods)"),
+        "lidar_rate": FieldSpec("float", 1.0 / RosetteParams.integration_time, "LiDAR frame rate, Hz; each frame integrates for one period"),
+        "filter_rate": FieldSpec("float", 15.0, "particle filter tick and turret command rate, Hz"),
+        "pipeline_latency": FieldSpec("float", 0.12, f"integration start to filter delivery, s (1 to {MAX_IN_FLIGHT} frame periods)"),
     },
     "run": {
         "duration": FieldSpec("float", 20.0, "tracking phase length, s (0 allowed: build-only run)"),
@@ -270,6 +268,18 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         return domain(section, lambda: cls(**{k: v for k, v in cfg[section].items() if k in names}))
 
     s, tg, sn, tu, tm, rn = (cfg[k] for k in ("scene", "target", "sensor", "turret", "timing", "run"))
+    if not (0 < tm["lidar_rate"] < math.inf and 0 < tm["filter_rate"] < math.inf):
+        raise ConfigError("config-domain",
+                          "timing.lidar_rate and timing.filter_rate must be positive and finite")
+    if tm["filter_rate"] < tm["lidar_rate"]:
+        raise ConfigError("config-domain",
+                          f"timing.filter_rate ({tm['filter_rate']:g}) must be >= "
+                          f"timing.lidar_rate ({tm['lidar_rate']:g})")
+    sn["integration_time"] = 1.0 / tm["lidar_rate"]  # frames follow each other without a gap
+    if tm["pipeline_latency"] < sn["integration_time"]:
+        raise ConfigError("config-domain",
+                          f"timing.pipeline_latency ({tm['pipeline_latency']:g}) must be >= "
+                          f"1 / timing.lidar_rate ({sn['integration_time']:g})")
     weather = params(WeatherModel, "scene")
     sensor = params(RosetteParams, "sensor")
     filters = params(FilterParams, "filters")
@@ -277,29 +287,16 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     tracker = params(TrackerParams, "tracker")
     turret = params(TurretParams, "turret")
 
-    if tm["filter_rate"] < tm["lidar_rate"]:
-        raise ConfigError("config-domain",
-                          f"timing.filter_rate ({tm['filter_rate']:g}) must be >= "
-                          f"timing.lidar_rate ({tm['lidar_rate']:g})")
-    if tm["pipeline_latency"] < sn["integration_time"]:
-        raise ConfigError("config-domain",
-                          f"timing.pipeline_latency ({tm['pipeline_latency']:g}) must be >= "
-                          f"sensor.integration_time ({sn['integration_time']:g})")
     if not 0 <= rn["duration"] < math.inf:
         raise ConfigError("config-domain", f"run.duration ({rn['duration']:g}) must be finite and >= 0")
     if rn["seed"] < 0:
         raise ConfigError("config-domain", f"run.seed ({rn['seed']}) must be >= 0")
-    if not (0 < tm["lidar_rate"] < math.inf and 0 < tm["filter_rate"] < math.inf):
-        raise ConfigError("config-domain",
-                          "timing.lidar_rate and timing.filter_rate must be positive and finite")
-    if sn["integration_time"] > 1.0 / tm["lidar_rate"] + 1e-12:
-        raise ConfigError("config-domain",
-                          f"sensor.integration_time ({sn['integration_time']:g}) must fit the "
-                          f"timing.lidar_rate period ({1.0 / tm['lidar_rate']:g})")
-    _check_events("turret.scan_duration", tu["scan_duration"], "timing.lidar_rate",
-                  tm["lidar_rate"], 1, "raster frames")
     _check_events("run.duration", rn["duration"], "timing.filter_rate",
                   tm["filter_rate"], 0, "filter ticks")
+    _check_events("turret.scan_duration", tu["scan_duration"], "timing.filter_rate",
+                  tm["filter_rate"], 0, "raster steps", MAX_RASTER_STEPS)
+    _check_events("turret.scan_duration", tu["scan_duration"], "timing.lidar_rate",
+                  tm["lidar_rate"], 1, "raster frames")
     _check_events("timing.pipeline_latency", tm["pipeline_latency"], "timing.lidar_rate",
                   tm["lidar_rate"], 0, "frames in flight", MAX_IN_FLIGHT)
 

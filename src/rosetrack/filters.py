@@ -30,6 +30,8 @@ class FilterParams:
     sor_alpha: float = 1.0
 
     def __post_init__(self):
+        if self.near_min <= 0:
+            raise ValueError("near_min must be positive")
         if self.near_min >= self.far_max:
             raise ValueError("near_min must be below far_max")
         if self.ror_radius <= 0:

@@ -1,12 +1,15 @@
 """Scenario orchestration on a virtual clock, metrics, and CSV export.
 
-The simulation is logically sequential: LiDAR frames fire at lidar_rate,
-filter ticks at filter_rate, both clocks starting at the beginning of the
-tracking phase. A frame integrated over [t0, t0 + integration_time] becomes
-visible to the filter at t0 + pipeline_latency, never earlier, and is
-consumed by the first tick at or after that instant (receiving_ticks). Two
-clock values are the same instant when they differ by rounding alone
-(at_or_before). Everything is deterministic under the config seed.
+The simulation is logically sequential, and three values time it. LiDAR
+frames follow each other at lidar_rate, each integrating for one full
+period. Filter ticks fire at filter_rate, and the turret is commanded on that
+clock: once per tick while tracking, once per filter period along the
+background raster. A frame starting at t0 becomes visible to the filter at
+t0 + pipeline_latency, never earlier, and is consumed by the first tick at or
+after that instant (receiving_ticks). Frames and ticks both start at the
+beginning of the tracking phase. Two clock values are the same instant when
+they differ by rounding alone (at_or_before). Everything is deterministic
+under the config seed.
 """
 
 from __future__ import annotations
@@ -113,10 +116,10 @@ def receiving_ticks(frame_t: np.ndarray, tick_t: np.ndarray, latency: float) -> 
                       np.searchsorted(_latest(tick_t), frame_t + latency))
 
 
-def _raster_turret(state: TurretState, t_target: float, params: TurretParams) -> TurretState:
-    """Step the turret forward to t_target along the raster schedule,
-    resampled at command_rate."""
-    step_dt = 1.0 / params.command_rate
+def _raster_turret(state: TurretState, t_target: float, params: TurretParams,
+                   step_dt: float) -> TurretState:
+    """Step the turret forward to t_target along the raster schedule, one
+    command per step_dt (the filter period)."""
     while not at_or_before(t_target, state.t):
         state = step_dynamics(state, scan_mode_command(state.t, params),
                               min(step_dt, t_target - state.t), params)
@@ -145,7 +148,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     state = TurretState(pose=scan_mode_command(0.0, tparams), t=0.0)
     bg_scans = []
     for t0 in event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist():
-        state = _raster_turret(state, t0, tparams)
+        state = _raster_turret(state, t0, tparams, 1.0 / config.filter_rate)
         pose = SensorPose(origin, state.pose)
         points, _ = scan(static, pose, t0, config.sensor, bg_rng)
         bg_scans.append((points, pose))

@@ -49,8 +49,8 @@ class RosetteParams:
             raise ValueError("fov_v must be in (0, pi)")
         if self.range_max <= 0:
             raise ValueError("range_max must be positive")
-        if self.range_noise_sigma < 0:
-            raise ValueError("range_noise_sigma must be >= 0")
+        if not (0 <= self.range_noise_sigma < math.inf and self.range_noise_sigma <= self.range_max):
+            raise ValueError("range_noise_sigma must be finite, >= 0 and <= range_max")
         if not (0 < self.point_rate < math.inf and 0 < self.integration_time < math.inf):
             raise ValueError("point_rate and integration_time must be positive and finite")
         if self.point_rate * self.integration_time > MAX_RAYS_PER_FRAME:

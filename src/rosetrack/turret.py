@@ -13,9 +13,10 @@ from .geometry import PAN_LIMIT, TILT_LIMIT, PanTiltPose, SensorPose
 from .sensor import event_count
 
 
-# Most turret steps the raster may take (scan_duration * command_rate): 14000x
-# the bundled 75. The raster is stepped one command at a time, so a larger
-# count stops at parse time. It also caps the raster's rows.
+# Most rows the raster may have. The config holds the raster's turret steps
+# (scan_duration * filter_rate: 14000x the bundled 75) to the same bound, as
+# only the config knows the filter clock. The raster is stepped one command
+# at a time, so a larger count stops at parse time.
 MAX_RASTER_STEPS = 2**20
 
 
@@ -23,7 +24,6 @@ MAX_RASTER_STEPS = 2**20
 class TurretParams:
     origin: tuple[float, float, float] = (0.0, 0.0, 1.0)  # sensor mount, world frame
     max_slew_rate: float = math.pi          # rad/s, per axis
-    command_rate: float = 15.0              # Hz
     deadband: float = math.radians(0.5)
     scan_pan_min: float = -0.6
     scan_pan_max: float = 0.6
@@ -36,8 +36,6 @@ class TurretParams:
         SensorPose(self.origin)  # the mount's own rule
         if self.max_slew_rate <= 0:
             raise ValueError("max_slew_rate must be positive")
-        if not 0 < self.command_rate < math.inf:
-            raise ValueError("command_rate must be positive and finite")
         if self.deadband < 0:
             raise ValueError("deadband must be >= 0")
         if self.scan_pan_min >= self.scan_pan_max:
@@ -57,9 +55,6 @@ class TurretParams:
                              f"({span:g} * {row_rate:g}) exceeds {MAX_RASTER_STEPS} raster rows")
         if not 0 < self.scan_duration < math.inf:
             raise ValueError("scan_duration must be positive and finite")
-        if self.scan_duration * self.command_rate > MAX_RASTER_STEPS:
-            raise ValueError(f"scan_duration * command_rate ({self.scan_duration:g} * "
-                             f"{self.command_rate:g}) exceeds {MAX_RASTER_STEPS} raster steps")
 
     @property
     def scan_rows(self) -> int:

@@ -91,12 +91,11 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
         "run.seed=inf", "tracker.n_particles=inf")),
     # domain rules of the parameter classes apply at parse time, not mid-run
     *((o, "config-domain") for o in (
-        "turret.command_rate=0", "turret.command_rate=-5", "turret.command_rate=inf",
         "tracker.surveillance_lo=9,0,0", "background.resolution=0",
         "background.bounds_lo=10,10,10", "background.resolution=0.001",
         # infinite values that used to end in a bare OverflowError or an
         # invalid pan mid-run
-        "sensor.point_rate=inf", "sensor.integration_time=inf",
+        "sensor.point_rate=inf",
         "timing.filter_rate=inf", "run.duration=inf", "turret.scan_duration=inf",
         # a raster with no frame used to fail mid-run as invalid-input
         "turret.scan_duration=0.05",
@@ -108,13 +107,19 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
         # a negative seed, an infinite prism frequency or takeoff time, and a
         # pipeline that holds more than MAX_IN_FLIGHT frames
         "run.seed=-1", "sensor.f1=inf", "sensor.f2=inf", "target.takeoff_delay=-inf",
-        "timing.pipeline_latency=inf", "timing.pipeline_latency=1e9")),
+        "timing.pipeline_latency=inf", "timing.pipeline_latency=1e9",
+        # range noise that used to fail mid-run with an invalid value in matmul
+        "sensor.range_noise_sigma=inf", "sensor.range_noise_sigma=1e308")),
     # the tracker has one measurement model and one stability rule, and no key selects either
     *((o, "config-unknown-key") for o in (
         "tracker.sigma_threshold=0.2", "tracker.likelihood=nearest")),
     # the sensor has one scan pattern, the rosette, and no key selects or shapes another
     *((o, "config-unknown-key") for o in (
         "sensor.pattern=ring", "sensor.n_rings=8", "sensor.spin_rate=5")),
+    # a frame integrates for one LiDAR period and the turret is commanded on the
+    # filter clock, so no key sets either
+    *((o, "config-unknown-key") for o in (
+        "sensor.integration_time=0.1", "turret.command_rate=15")),
 ])
 def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
     code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"), "--out-dir", str(tmp_path),

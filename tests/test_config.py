@@ -85,7 +85,7 @@ seed = 11
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, "[timing]\npipeline_latency = 0.05\n"))
         assert "pipeline_latency" in str(err.value)
-        assert "integration_time" in str(err.value)
+        assert "1 / timing.lidar_rate" in str(err.value)
 
     def test_reversed_tilt_range_names_the_tilt_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -141,10 +141,7 @@ seed = 11
         (["run.duration=1e12"], f"exceeds {MAX_EVENTS} filter ticks"),
         (["timing.filter_rate=1e15"], f"exceeds {MAX_EVENTS} filter ticks"),
         (["run.duration=1e300", "timing.filter_rate=1e300"], f"exceeds {MAX_EVENTS} filter ticks"),
-        (["turret.command_rate=1e12"], f"exceeds {MAX_RASTER_STEPS} raster steps"),
-        (["turret.scan_duration=1e5", "turret.command_rate=1", "timing.lidar_rate=100",
-          "timing.filter_rate=100", "sensor.integration_time=0.01"],
-         f"exceeds {MAX_EVENTS} raster frames"),
+        (["timing.filter_rate=1e12", "run.duration=0"], f"exceeds {MAX_RASTER_STEPS} raster steps"),
     ])
     def test_sizes_above_the_caps_rejected(self, overrides, message):
         # parse only, never run: each would allocate or loop without bound
@@ -157,11 +154,10 @@ seed = 11
         # parse only: exactly at every cap
         cfg = default_config([f"tracker.n_particles={MAX_PARTICLES}",
                               f"run.duration={MAX_EVENTS / 16}", "timing.filter_rate=16",
-                              f"turret.scan_duration={MAX_RASTER_STEPS / 16}",
-                              "turret.command_rate=16"])
+                              f"turret.scan_duration={MAX_RASTER_STEPS / 16}"])
         assert cfg.tracker.n_particles == MAX_PARTICLES
         assert cfg.duration * cfg.filter_rate == MAX_EVENTS
-        assert cfg.turret.scan_duration * cfg.turret.command_rate == MAX_RASTER_STEPS
+        assert cfg.turret.scan_duration * cfg.filter_rate == MAX_RASTER_STEPS
 
     @pytest.mark.parametrize("latency", ["inf", "1e9", "29"])
     def test_frames_in_flight_above_the_cap_name_both_keys(self, latency):
@@ -195,6 +191,17 @@ seed = 11
             parse_config(CONFIG_DIR / "indoor_lock.cfg", ["turret.scan_duration=0.05"])
         assert err.value.category == "config-domain"
         assert "turret.scan_duration" in str(err.value) and "timing.lidar_rate" in str(err.value)
+
+    @pytest.mark.parametrize("near_min", ["0", "-1"])
+    def test_near_min_must_be_positive(self, near_min):
+        # 0 parsed and then failed mid-run dividing by a zero target range;
+        # a negative range has no meaning
+        with pytest.raises(ConfigError) as err:
+            default_config(["target.pattern=hover", "target.center=0,0,1",
+                            f"filters.near_min={near_min}", "run.duration=1",
+                            "turret.scan_duration=0.5"])
+        assert err.value.category == "config-domain"
+        assert "near_min must be positive" in str(err.value)
 
     def test_domain_violation_reported(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -384,6 +391,14 @@ class TestBundledConfigs:
         assert cfg.scene.target.trajectory == tracking_pattern(
             cfg, "fast", center=(4.0, 0.0, 1.6), extent=1.8, wait=2.0)
         assert cfg.tracker.stability_threshold == pytest.approx(0.15)
+
+    def test_frames_integrate_for_one_lidar_period(self):
+        # a frame lasts one period, so no key sets the integration window
+        cfgs = [parse_config(path) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+        cfgs.append(default_config(["timing.lidar_rate=20", "timing.filter_rate=20"]))
+        for cfg in cfgs:
+            assert cfg.sensor.integration_time == 1.0 / cfg.lidar_rate
+        assert cfgs[-1].sensor.integration_time == 0.05
 
     def test_sweep_configs_differ_only_in_weather(self):
         clear = parse_config(CONFIG_DIR / "outdoor_sweep_clear.cfg")

@@ -302,6 +302,19 @@ class TestRunScenario:
         assert len(result.track) == 0 and len(result.truth) == 0 and len(result.scans) == 0
         assert math.isnan(result.metrics.rmse)
 
+    def test_raster_is_commanded_on_the_filter_clock(self, monkeypatch):
+        # a build-only run: every turret step is a raster step
+        real_step, steps = harness.step_dynamics, []
+
+        def recording_step(state, command, dt, params):
+            steps.append(dt)
+            return real_step(state, command, dt, params)
+
+        monkeypatch.setattr(harness, "step_dynamics", recording_step)
+        run_scenario(default_config(["run.duration=0", "timing.filter_rate=30",
+                                     "turret.scan_duration=1.0", "sensor.point_rate=24000"]))
+        assert steps and max(steps) == 1.0 / 30.0
+
     def test_logs_strictly_increasing_time(self):
         cfg = default_config(QUICK)
         result = run_scenario(cfg)
