@@ -8,6 +8,7 @@ volume and points outside it are skipped on insert.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,8 +74,8 @@ class OccupancyOctree:
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1:] != (3,):
             raise ValueError(f"points need a last axis of 3, got shape {pts.shape}")
-        # in place where it can be: the build holds every raster scan in
-        # memory, so each temporary here adds to the run's peak
+        # in place where it can be: an (n, 3) frame's temporaries add to the
+        # peak of the build and of every tracking tick
         cols = np.divide(pts.reshape(-1, 3).T, self.resolution, order="C")
         rel = np.floor(cols, out=cols).astype(np.int64)
         del cols
@@ -182,17 +183,20 @@ def build_background(scans, params: BackgroundBuildParams, filters: FilterParams
                      ground_z: float) -> OccupancyOctree:
     """Transform, range/ground gate, and insert raster scans; inflate last.
 
-    `scans` is a sequence of (sensor-frame points, sensor pose) pairs from the
-    turret's initialization raster. The gate is the tracking phase's range
-    gate: `filters` near_min, far_max and ground_margin over `ground_z`.
+    `scans` is any iterable of (sensor-frame points, sensor pose) pairs from
+    the turret's initialization raster, read once: each scan is in the map
+    before the next is drawn, so a generator over the raster holds one frame
+    at a time. The gate is the tracking phase's range gate: `filters`
+    near_min, far_max and ground_margin over `ground_z`.
     """
     from .filters import range_filter
 
-    scans = list(scans)
-    if not scans:
+    scans = iter(scans)
+    first = next(scans, None)
+    if first is None:  # before the map, which can be 512 MiB, is allocated
         raise ValueError("cannot bootstrap a background model from zero scans")
     octree = params.empty_map()
-    for points, pose in scans:
+    for points, pose in itertools.chain([first], scans):
         world = transform_cloud(points, pose)
         kept = range_filter(world, filters, ground_z, sensor_origin=pose.origin)
         octree.insert_points(kept.xyz)

@@ -17,7 +17,7 @@ from typing import Any
 from .background import BackgroundBuildParams
 from .filters import FilterParams
 from .scene import PATTERN_KEYS, PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
-from .sensor import RosetteParams, event_count
+from .sensor import MAX_RAYS_PER_FRAME, RosetteParams, event_count
 from .tracker import TrackerParams
 from .turret import MAX_RASTER_STEPS, TurretParams
 
@@ -281,6 +281,12 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
                           f"timing.pipeline_latency ({tm['pipeline_latency']:g}) must be >= "
                           f"1 / timing.lidar_rate ({sn['integration_time']:g})")
     weather = params(WeatherModel, "scene")
+    # a frame lasts 1 / lidar_rate, so its rays are set in two sections
+    if not 0 < sn["point_rate"] < math.inf:
+        raise ConfigError("config-domain", f"sensor.point_rate ({sn['point_rate']:g}) "
+                          "must be positive and finite")
+    _check_events("(1 / timing.lidar_rate)", sn["integration_time"], "sensor.point_rate",
+                  sn["point_rate"], 1, "rays per frame", MAX_RAYS_PER_FRAME)
     sensor = params(RosetteParams, "sensor")
     filters = params(FilterParams, "filters")
     background = params(BackgroundBuildParams, "background")

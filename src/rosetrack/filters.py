@@ -69,7 +69,13 @@ def subtract_background(cloud: PointCloud, octree: "OccupancyOctree") -> PointCl
 
 
 def radius_outlier_removal(cloud: PointCloud, params: FilterParams) -> PointCloud:
-    """Keep a point iff at least ror_min_neighbors other points lie within ror_radius."""
+    """Keep a point iff at least ror_min_neighbors other points lie within ror_radius.
+
+    A neighbour at (dx, dy, dz) is within the radius iff, in float64,
+    (dx*dx + dy*dy) + dz*dz <= ror_radius * ror_radius: the k-d tree's
+    squared-distance rule, which at the boundary can differ from comparing
+    the rounded Euclidean norm with ror_radius.
+    """
     tree = cKDTree(cloud.xyz)
     counts = np.array(tree.query_ball_point(cloud.xyz, params.ror_radius, return_length=True)) - 1
     return cloud.select(counts >= params.ror_min_neighbors)

@@ -146,14 +146,16 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
     state = TurretState(pose=scan_mode_command(0.0, tparams), t=0.0)
-    bg_scans = []
-    for t0 in event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist():
-        state = _raster_turret(state, t0, tparams, 1.0 / config.filter_rate)
-        pose = SensorPose(origin, state.pose)
-        points, _ = scan(static, pose, t0, config.sensor, bg_rng)
-        bg_scans.append((points, pose))
-    octree = build_background(bg_scans, config.background, config.filters, scene.ground_z)
-    del bg_scans, points  # the raster frames are in the map now
+
+    def raster():
+        """The raster frames one at a time; leaves `state` at the last one."""
+        nonlocal state
+        for t0 in event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist():
+            state = _raster_turret(state, t0, tparams, 1.0 / config.filter_rate)
+            pose = SensorPose(origin, state.pose)
+            yield scan(static, pose, t0, config.sensor, bg_rng)[0], pose
+
+    octree = build_background(raster(), config.background, config.filters, scene.ground_z)
 
     # --- tracking phase ----------------------------------------------------
     track_rng = np.random.default_rng(scan_ss)

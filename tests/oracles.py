@@ -17,9 +17,12 @@ from rosetrack.sensor import _angles_to_directions
 
 
 def brute_force_ror(cloud, radius, min_neighbors):
-    """Twin of filters.radius_outlier_removal from all pairwise distances."""
-    d = np.linalg.norm(cloud.xyz[:, None, :] - cloud.xyz[None, :, :], axis=2)
-    counts = np.sum(d <= radius, axis=1) - 1  # drop self
+    """Twin of filters.radius_outlier_removal from all pairwise squared
+    distances, summed and compared as the fast path does."""
+    sq = cloud.xyz[:, None, :] - cloud.xyz[None, :, :]
+    sq *= sq
+    d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+    counts = np.sum(d2 <= radius * radius, axis=1) - 1  # drop self
     return cloud.select(counts >= min_neighbors)
 
 

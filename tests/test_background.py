@@ -324,9 +324,38 @@ class TestBuildBackground:
         assert len(build_background(scans, params, FilterParams(far_max=7.0), 0.0)) == 0
         assert len(build_background(scans, params, FilterParams(), 3.5)) == 0
 
-    def test_empty_scan_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            build_background([], BackgroundBuildParams(), FilterParams(), 0.0)
+    def test_each_scan_is_inserted_before_the_next_is_drawn(self, monkeypatch):
+        # the build reads its input once, in order, so a generator over the
+        # raster holds one frame at a time
+        scans = self.raster_scans(self.build_scene(), n_frames=5)
+        params = BackgroundBuildParams(bounds_lo=(-1, -5, -0.5), bounds_hi=(9, 5, 4))
+        listed = build_background(scans, params, FilterParams(), 0.0)
+        events = []
+        real_insert = OccupancyOctree.insert_points
+
+        def recording_insert(octree, pts):
+            events.append("insert")
+            real_insert(octree, pts)
+
+        def drawn():
+            for item in scans:
+                events.append("draw")
+                yield item
+
+        monkeypatch.setattr(OccupancyOctree, "insert_points", recording_insert)
+        streamed = build_background(drawn(), params, FilterParams(), 0.0)
+        assert events == ["draw", "insert"] * 5
+        assert np.array_equal(streamed.occupied_indices(), listed.occupied_indices())
+
+    def test_empty_scan_sequence_rejected(self, monkeypatch):
+        # a list or a generator, and before the map (up to 512 MiB) is allocated
+        def no_map(params):
+            raise AssertionError("map allocated for an empty build")
+
+        monkeypatch.setattr(BackgroundBuildParams, "empty_map", no_map)
+        for empty in ([], iter(()), (scan for scan in ())):
+            with pytest.raises(ValueError, match="zero scans"):
+                build_background(empty, BackgroundBuildParams(), FilterParams(), 0.0)
 
 
 class TestQueryPerformance:

@@ -137,6 +137,23 @@ seed = 11
         assert f"exceeds {MAX_RAYS_PER_FRAME} rays per frame" in str(err.value)
 
     @pytest.mark.parametrize("overrides, message", [
+        (["timing.lidar_rate=1e-3", "timing.pipeline_latency=2000"],
+         f"(1 / timing.lidar_rate) * sensor.point_rate (1000 * 240000) exceeds "
+         f"{MAX_RAYS_PER_FRAME} rays per frame"),
+        (["sensor.point_rate=5"],
+         "(1 / timing.lidar_rate) * sensor.point_rate (0.1 * 5) gives 0 rays per frame; "
+         "at least 1 needed"),
+        (["sensor.point_rate=-inf"], "sensor.point_rate (-inf) must be positive and finite"),
+    ])
+    def test_rays_per_frame_name_the_sensor_and_timing_keys(self, overrides, message):
+        # parse only: these used to be reported under [sensor] by integration_time,
+        # which is not a key; a frame lasts one LiDAR period
+        with pytest.raises(ConfigError) as err:
+            default_config(overrides)
+        assert err.value.category == "config-domain"
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("overrides, message", [
         (["tracker.n_particles=2000000000"], f"between 1 and {MAX_PARTICLES}"),
         (["run.duration=1e12"], f"exceeds {MAX_EVENTS} filter ticks"),
         (["timing.filter_rate=1e15"], f"exceeds {MAX_EVENTS} filter ticks"),

@@ -137,6 +137,25 @@ class TestRadiusOutlierRemoval:
         slow = brute_force_ror(cloud, 0.8, 3)
         assert np.array_equal(fast.xyz, slow.xyz)
 
+    def test_matches_brute_force_oracle_at_the_radius(self):
+        # pairs r * (1 + k * 1e-16) apart, k in [-20, 20]: the squared-distance
+        # rule decides them, and the rounded norm would decide some otherwise
+        rng = np.random.default_rng(0)
+        r = ONE_NEIGHBOR.ror_radius
+        u = rng.normal(size=(600, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        centres = rng.uniform(-3, 3, (600, 3))
+        ends = centres + (r * (1 + rng.integers(-20, 21, 600) * 1e-16))[:, None] * u
+        kept = []
+        for pair in np.stack([centres, ends], axis=1):
+            cloud = world_cloud(pair)
+            fast = radius_outlier_removal(cloud, ONE_NEIGHBOR)
+            assert np.array_equal(fast.xyz, brute_force_ror(cloud, r, 1).xyz)
+            kept.append(len(fast) == 2)
+        assert 0 < sum(kept) < len(kept)
+        by_norm = np.linalg.norm(ends - centres, axis=1) <= r
+        assert np.any(by_norm != np.array(kept))
+
     def test_permutation_invariant_kept_set(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2, 2, (120, 3))

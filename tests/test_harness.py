@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,6 +315,23 @@ class TestRunScenario:
         run_scenario(default_config(["run.duration=0", "timing.filter_rate=30",
                                      "turret.scan_duration=1.0", "sensor.point_rate=24000"]))
         assert steps and max(steps) == 1.0 / 30.0
+
+    def test_build_memory_does_not_grow_with_the_raster(self):
+        # the raster streams into the map one frame at a time, so a build-only
+        # run's traced peak is that of one frame and the map, whatever the
+        # raster's length
+        def peak(scan_duration):
+            cfg = parse_config(CONFIG_DIR / "indoor_fast.cfg",
+                               [f"turret.scan_duration={scan_duration}", "run.duration=0"])
+            tracemalloc.start()
+            try:
+                run_scenario(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2.5)  # fills the rosette direction cache, which later runs share
+        assert peak(15.0) <= peak(5.0) + 2 * 2**20
 
     def test_logs_strictly_increasing_time(self):
         cfg = default_config(QUICK)
