@@ -185,8 +185,6 @@ def _convert(spec: FieldSpec, text: str, where: str):
                     raise ValueError("each box needs six numbers x0,y0,z0,x1,y1,z1")
                 boxes.append(Box(tuple(parts[:3]), tuple(parts[3:])))
             return boxes
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError("config-value", f"{where}: bad value {text!r}: {exc}") from exc
     raise AssertionError(f"unhandled field kind {spec.kind}")

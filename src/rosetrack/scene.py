@@ -207,10 +207,10 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
     The rays are walked in blocks of _BLOCK: the ground and box slab tests
     run on the block's (3, m) axis rows, so every temporary stays
     block-sized. Only rays inside the cone from the origin around a ball
-    that holds the target over the whole batch window get the per-ray
-    trajectory lookup and sphere test, once over the candidates of all
-    blocks; the ball is padded so that rounding can only let extra rays
-    through, and every other ray misses the target exactly.
+    that holds the target over the whole batch window (every ray that can
+    reach it, from an origin inside it) get the per-ray trajectory lookup and
+    sphere test, once over the candidates of all blocks; the ball is padded
+    so that rounding only adds rays, and every other ray misses the target.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -236,7 +236,6 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
         # padding far above the rounding of the cull and of the sphere test,
         # so that rounding can only add candidates, never drop a hit
         reach += 1e-6 * (1.0 + reach + dist + float(np.linalg.norm(origin)))
-        culled = dist > reach  # else the origin is inside the ball: any ray can hit
     cands = []
 
     for s in range(0, n, _BLOCK):
@@ -269,12 +268,12 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
                 blk_best[hit] = thit[hit]
                 blk_surf[hit] = OBSTACLE
 
-        if target and culled:
+        if target:
             dw = w @ rows
             cands.append(s + np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach)))
 
     if target:
-        cand = np.concatenate(cands) if culled else np.arange(n)
+        cand = np.concatenate(cands)
         oc = origin[None, :] - traj.position(times[cand])
         d = dirs[cand]
         b = np.einsum("ij,ij->i", oc, d)

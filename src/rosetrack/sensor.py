@@ -108,10 +108,13 @@ def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
     return np.stack([cv * np.cos(a_h), cv * np.sin(a_h), np.sin(a_v)]).T
 
 
-# Pattern directions repeat with the pattern period, so frames whose start
-# times share a phase reuse one precomputed (3, n) direction block. Every
-# frame at that phase gets the same array, so the blocks are read-only.
-@functools.lru_cache(maxsize=32)
+# Frames whose start times share a pattern phase reuse one (3, n) direction
+# block, read-only since every frame at that phase gets the same array. A
+# period of more than CACHED_PHASES frames would evict each block before reuse.
+CACHED_PHASES = 32
+
+
+@functools.lru_cache(maxsize=CACHED_PHASES)
 def _phase_directions(params: RosetteParams, phase: float, n: int) -> np.ndarray:
     """(3, n) C-ordered block of the directions of an n-ray frame starting at the phase."""
     dirs = params.directions(phase + np.arange(n) * (params.integration_time / n)).T
@@ -120,9 +123,9 @@ def _phase_directions(params: RosetteParams, phase: float, n: int) -> np.ndarray
 
 
 def _frame_directions(params: RosetteParams, t0: float, offsets: np.ndarray) -> np.ndarray:
-    """(3, n) C-ordered block of the ray directions at times t0 + offsets."""
+    """(3, n) C-ordered directions at times t0 + offsets; cached iff period <= CACHED_PHASES frames."""
     period = params.period
-    if not math.isfinite(period) or period > 10.0:
+    if period > CACHED_PHASES * params.integration_time:
         return params.directions(t0 + offsets).T
     return _phase_directions(params, round(t0 % period, 9), len(offsets))
 

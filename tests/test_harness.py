@@ -9,6 +9,8 @@ import pytest
 
 import rosetrack.harness as harness
 from rosetrack.config import MAX_EVENTS, default_config, parse_config
+from rosetrack.filters import preprocess_cloud
+from rosetrack.geometry import transform_cloud
 from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, at_or_before,
                                compute_metrics, event_times, export_csv, export_run, positions,
                                read_scan_log, read_track_log, read_truth_log, receiving_ticks,
@@ -395,6 +397,35 @@ class TestRunScenario:
                                  <= last_tick + 1e-12))
         assert sum(cloud is not None for cloud in calls) == deliverable
         assert len(calls) == len(result.track)  # one step per tick: never two clouds in one
+
+    def test_two_frames_delivered_to_one_tick_are_merged_in_frame_order(self, monkeypatch):
+        # the latency is 1.2e-12 s past the tick grid: the clock slack
+        # (1e-12 * max(1, |t|)) takes that for on the grid only at ticks after
+        # 1.2 s, so the frame at 1.1 s, delivered just past the tick at 1.2 s,
+        # goes to the tick at 1.3 s, which also receives the frame at 1.2 s
+        frames, delivered = [], []
+
+        def recording_transform(points, pose):
+            frames.append(transform_cloud(points, pose))
+            return frames[-1]
+
+        def recording_preprocess(cloud, *args, **kwargs):
+            delivered.append(cloud)
+            return preprocess_cloud(cloud, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "transform_cloud", recording_transform)
+        monkeypatch.setattr(harness, "preprocess_cloud", recording_preprocess)
+        cfg = default_config(["timing.lidar_rate=10", "timing.filter_rate=10",
+                              "timing.pipeline_latency=0.1000000000012",
+                              "turret.scan_duration=0.5", "run.duration=2"])
+        t = event_times(0.5, 2.0, 10.0)
+        receiver = receiving_ticks(t, t, cfg.pipeline_latency)
+        assert np.flatnonzero(np.bincount(receiver) > 1).tolist() == [8]
+        assert np.flatnonzero(receiver == 8).tolist() == [6, 7]  # t = 1.1 s and 1.2 s
+        run_scenario(cfg)
+        assert [len(c) for c in frames[6:8]] == [15_057, 14_755]
+        merged = next(c for c in delivered if len(c) == 29_812)
+        assert np.array_equal(merged.xyz, np.vstack([frames[6].xyz, frames[7].xyz]))
 
     def test_initial_lock_metric(self):
         cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=2.8"])

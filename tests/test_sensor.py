@@ -8,7 +8,7 @@ from oracles import RingScanParams
 from rosetrack.config import parse_config
 from rosetrack.geometry import PanTiltPose, SensorPose
 from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
-from rosetrack.sensor import (MAX_RAYS_PER_FRAME, RosetteParams, _frame_directions,
+from rosetrack.sensor import (CACHED_PHASES, MAX_RAYS_PER_FRAME, RosetteParams, _frame_directions,
                               _phase_directions, event_count, scan)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -68,29 +68,63 @@ class TestRosetteDirection:
                 RosetteParams(**bad)
 
 
+# the bundled configs and one pattern within 1e-6 of theirs but not equal:
+# there is no exact period to reuse blocks by
+CACHE_CASES = {**{p.stem: (p, []) for p in sorted(CONFIG_DIR.glob("*.cfg"))},
+               "indoor_fast-f1=161.0000001": (CONFIG_DIR / "indoor_fast.cfg",
+                                              ["sensor.f1=161.0000001"])}
+
+
+def frame_starts(path, overrides):
+    """A config's pattern and the start times of its raster and tracking frames."""
+    cfg = parse_config(path, overrides)
+    t_track0 = cfg.turret.scan_duration
+    starts = ([k / cfg.lidar_rate for k in range(event_count(t_track0, cfg.lidar_rate))]
+              + [t_track0 + k / cfg.lidar_rate
+                 for k in range(event_count(cfg.duration, cfg.lidar_rate))])
+    return cfg.sensor, set(starts)
+
+
 class TestDirectionCache:
-    @pytest.mark.parametrize("path, overrides", [
-        *(pytest.param(p, [], id=p.stem) for p in sorted(CONFIG_DIR.glob("*.cfg"))),
-        # within 1e-6 of 161 but not equal: there is no exact period to reuse blocks by
-        pytest.param(CONFIG_DIR / "indoor_fast.cfg", ["sensor.f1=161.0000001"],
-                     id="indoor_fast-f1=161.0000001"),
-    ])
-    def test_cached_directions_match_direct_evaluation(self, path, overrides):
+    @pytest.mark.parametrize("case", list(CACHE_CASES))
+    def test_cached_directions_match_direct_evaluation(self, case):
         # frames at the same pattern phase share one block keyed by the phase
         # rounded to 1e-9 s; at every frame start of the raster and of the
-        # tracking phase that block must equal directions at the frame's own times
-        cfg = parse_config(path, overrides)
-        params = cfg.sensor
+        # tracking phase that block must equal directions at the frame's own
+        # times. The bundled configs share one pattern and many frame starts,
+        # so a case checks only the starts that no earlier case with its pattern checks
+        cases = list(CACHE_CASES.values())
+        k = list(CACHE_CASES).index(case)
+        params, starts = frame_starts(*cases[k])
+        for earlier in cases[:k]:
+            earlier_params, earlier_starts = frame_starts(*earlier)
+            if earlier_params == params:
+                starts -= earlier_starts
         n = event_count(params.integration_time, params.point_rate)
         offsets = np.arange(n) * (params.integration_time / n)
-        t_track0 = cfg.turret.scan_duration
-        n_raster = event_count(t_track0, cfg.lidar_rate)
-        n_track = event_count(cfg.duration, cfg.lidar_rate)
-        starts = ([k / cfg.lidar_rate for k in range(n_raster)]
-                  + [t_track0 + k / cfg.lidar_rate for k in range(n_track)])
-        worst = max(np.max(np.abs(_frame_directions(params, t0, offsets)
-                                  - params.directions(t0 + offsets).T)) for t0 in starts)
+        worst = max((np.max(np.abs(_frame_directions(params, t0, offsets)
+                                   - params.directions(t0 + offsets).T)) for t0 in sorted(starts)),
+                    default=0.0)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("f1, f2, blocks, hits", [
+        (50.2, 31.0, 0, 0),  # period 5 s: 50 frames, more than the cache holds
+        (50.5, 31.0, 20, 80),  # period 2 s
+        # period 3.2 s, exactly CACHED_PHASES frames; t0 = 9.6 s rounds to
+        # phase 3.2 s, a 33rd key, which evicts one block
+        (50.3125, 31.25, CACHED_PHASES, 67),
+        (50.0000001, 31.0, 0, 0),  # no exact period
+    ])
+    def test_pattern_cached_iff_its_period_fits_the_cache(self, f1, f2, blocks, hits):
+        # 100 consecutive 0.1 s frames: a cached pattern keeps one block per
+        # phase and reads it again on every later lap
+        params = RosetteParams(f1=f1, f2=f2, point_rate=240.0)
+        offsets = np.arange(24) * (params.integration_time / 24)
+        _phase_directions.cache_clear()
+        for k in range(100):
+            _frame_directions(params, k / 10, offsets)
+        info = _phase_directions.cache_info()
+        assert (info.currsize, info.hits) == (blocks, hits)
 
     def test_cached_blocks_are_read_only(self):
         # every frame at one phase shares the block: an in-place write must
