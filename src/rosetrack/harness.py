@@ -18,6 +18,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -219,20 +220,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# run_many's worker pool and its worker count, kept for later calls;
+# concurrent.futures shuts it down when the interpreter exits.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
 def run_many(configs) -> list[RunResult]:
     """run_scenario on each config; the results come back in input order.
 
     Runs overlap on min(len(configs), usable CPUs) spawned worker processes,
-    or run in this process when that is 1. Each run is seeded by its config
-    alone, so the results do not depend on where it ran, and an exception
-    raised by a run is raised here.
+    or run in this process when that is 1. The pool is started on first use
+    and reused by later calls that want as many workers; a pool whose worker
+    died is dropped after its error. Each run is seeded by its config alone,
+    so the results do not depend on where it ran, and an exception raised by
+    a run is raised here.
     """
+    global _pool
     configs = list(configs)
     workers = min(len(configs), _usable_cpus())
     if workers <= 1:
         return [run_scenario(config) for config in configs]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(run_scenario, configs))
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = workers, ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(_pool[1].map(run_scenario, configs))
+    except BrokenProcessPool:
+        _pool = None
+        raise
 
 
 def _stats(err: np.ndarray):

@@ -104,14 +104,21 @@ class Trajectory:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all((t >= 0) & (t < math.inf)):
             raise ValueError("trajectory time must be finite and >= 0")
-        idx = np.clip(np.searchsorted(self._t0, t, side="right") - 1, 0, len(self._t0) - 1)
-        return idx, np.clip((t - self._t0[idx]) / self._dur[idx], 0.0, 1.0)
+        # searchsorted(..., "right") - 1 is at most len(_t0) - 1, so only
+        # times before the first phase need clamping
+        idx = np.maximum(np.searchsorted(self._t0, t, side="right") - 1, 0)
+        u = (t - self._t0[idx]) / self._dur[idx]
+        np.maximum(u, 0.0, out=u)
+        return idx, np.minimum(u, 1.0, out=u)
+
+    def _at(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(n, 3) positions at the given phase indices and fractions."""
+        s = 0.5 * (1.0 - np.cos(np.pi * u))
+        return self._a[idx] + (self._b[idx] - self._a[idx]) * s[:, None]
 
     def position(self, t) -> np.ndarray:
         """(n, 3) target positions at the n times t."""
-        idx, u = self._phase(t)
-        s = 0.5 * (1.0 - np.cos(np.pi * u))
-        return self._a[idx] + (self._b[idx] - self._a[idx]) * s[:, None]
+        return self._at(*self._phase(t))
 
     def bounding_ball(self, t_lo: float, t_hi: float) -> tuple[np.ndarray, float]:
         """(centre, radius) of a ball that holds position(t) for every t in
@@ -122,12 +129,11 @@ class Trajectory:
         the hull of position(t_lo), position(t_hi) and the endpoints of the
         phases the window crosses; no speed bound is needed.
         """
-        window = np.array([t_lo, t_hi], dtype=float)
-        ends = self.position(window)
+        idx, u = self._phase(np.array([t_lo, t_hi], dtype=float))
         if not t_lo <= t_hi:
             raise ValueError("bounding_ball needs t_lo <= t_hi")
-        (k_lo, k_hi), _ = self._phase(window)
-        pts = np.vstack([ends, self._b[k_lo:k_hi], self._a[k_lo + 1:k_hi + 1]])
+        k_lo, k_hi = idx
+        pts = np.vstack([self._at(idx, u), self._b[k_lo:k_hi], self._a[k_lo + 1:k_hi + 1]])
         centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         return centre, float(np.sqrt(np.max(np.sum((pts - centre) ** 2, axis=1))))
 
@@ -206,11 +212,11 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
 
     The rays are walked in blocks of _BLOCK: the ground and box slab tests
     run on the block's (3, m) axis rows, so every temporary stays
-    block-sized. Only rays inside the cone from the origin around a ball
-    that holds the target over the whole batch window (every ray that can
-    reach it, from an origin inside it) get the per-ray trajectory lookup and
-    sphere test, once over the candidates of all blocks; the ball is padded
-    so that rounding only adds rays, and every other ray misses the target.
+    block-sized. The target side runs once over the whole batch: only rays
+    inside the cone from the origin around a ball that holds the target over
+    the batch window (every ray that can reach it, from an origin inside it)
+    get the per-ray trajectory lookup and sphere test; the ball is padded so
+    that rounding only adds rays, and every other ray misses the target.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -221,12 +227,39 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
                          f"got {dirs.shape} and {times.shape}")
     best = np.full(n, np.inf)
     surf = np.full(n, MISS, dtype=np.int8)
-    slabs = [(np.asarray(box.lo) - origin, np.asarray(box.hi) - origin)
+    slabs = [((np.asarray(box.lo) - origin)[:, None], (np.asarray(box.hi) - origin)[:, None])
              for box in scene.obstacles]
     ground = scene.ground_z - origin[2]
 
-    target = scene.target is not None and n > 0
-    if target:
+    for s in range(0, n, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        rows = dirs[blk].T  # (3, m): one row per axis
+        blk_best = best[blk]
+        blk_surf = surf[blk]
+        # inv is +-inf on axis-parallel rays, and 0 * inf is NaN where the
+        # origin lies on a slab plane; the fmin / fmax / maximum chain keeps
+        # the slab arithmetic exact. A level ray gives tg = +-inf or NaN, and
+        # so does a huge ground height that overflows; each fails a ground test
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = 1.0 / rows
+            tg = ground * inv[2]
+            hit = (tg > _EPS) & (tg < blk_best)
+            np.copyto(blk_best, tg, where=hit)
+            blk_surf[hit] = GROUND
+
+            for lo, hi in slabs:
+                t1 = lo * inv  # (3, m): the entry and exit of each axis slab
+                t2 = hi * inv
+                near = np.fmin(t1, t2)
+                far = np.fmax(t1, t2, out=t1)
+                tmin = np.maximum(np.maximum(near[0], near[1]), near[2])
+                tmax = np.minimum(np.minimum(far[0], far[1]), far[2])
+                thit = np.where(tmin > _EPS, tmin, tmax)  # tmax covers an origin inside the box
+                hit = (tmax >= np.maximum(tmin, _EPS)) & (thit > _EPS) & (thit < blk_best)
+                np.copyto(blk_best, thit, where=hit)
+                blk_surf[hit] = OBSTACLE
+
+    if scene.target is not None and n > 0:
         traj = scene.target.trajectory
         r = scene.target.diameter / 2.0
         centre, radius = traj.bounding_ball(times.min(), times.max())
@@ -236,44 +269,8 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
         # padding far above the rounding of the cull and of the sphere test,
         # so that rounding can only add candidates, never drop a hit
         reach += 1e-6 * (1.0 + reach + dist + float(np.linalg.norm(origin)))
-    cands = []
-
-    for s in range(0, n, _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        rows = dirs[blk].T  # (3, m): one row per axis
-        blk_best = best[blk]
-        blk_surf = surf[blk]
-        # inv is +-inf on axis-parallel rays, and 0 * inf is NaN where the
-        # origin lies on a slab plane; the fmin / fmax / maximum chain keeps
-        # the slab arithmetic exact. A huge ground height overflows tg to
-        # +-inf, which fails both ground tests
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = 1.0 / rows
-            tg = ground * inv[2]
-            hit = (rows[2] != 0.0) & (tg > _EPS) & (tg < blk_best)
-            blk_best[hit] = tg[hit]
-            blk_surf[hit] = GROUND
-
-            for lo, hi in slabs:
-                near, far = [], []
-                for k in range(3):
-                    t1 = lo[k] * inv[k]
-                    t2 = hi[k] * inv[k]
-                    near.append(np.fmin(t1, t2))
-                    far.append(np.fmax(t1, t2))
-                tmin = np.maximum(np.maximum(near[0], near[1]), near[2])
-                tmax = np.minimum(np.minimum(far[0], far[1]), far[2])
-                thit = np.where(tmin > _EPS, tmin, tmax)  # tmax covers an origin inside the box
-                hit = (tmax >= np.maximum(tmin, _EPS)) & (thit > _EPS) & (thit < blk_best)
-                blk_best[hit] = thit[hit]
-                blk_surf[hit] = OBSTACLE
-
-        if target:
-            dw = w @ rows
-            cands.append(s + np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach)))
-
-    if target:
-        cand = np.concatenate(cands)
+        dw = w @ dirs.T
+        cand = np.flatnonzero((dw > -reach) & (dist * dist - dw * dw <= reach * reach))
         oc = origin[None, :] - traj.position(times[cand])
         d = dirs[cand]
         b = np.einsum("ij,ij->i", oc, d)
@@ -295,16 +292,18 @@ def return_probability_arrays(ranges: np.ndarray, is_target: np.ndarray, scene: 
     """Probability that each return at the given positive range survives the receiver.
 
     reflectivity * exp(-2 * beta * range) * min(1, (r_sat / range)^2),
-    clamped to [0, 1] and zeroed below the detection threshold. Background
-    surfaces (is_target False) use reflectivity 1.
+    zeroed below the detection threshold. Background surfaces (is_target
+    False) use reflectivity 1. Each factor lies in [0, 1] for a positive
+    range (reflectivity in (0, 1], beta >= 0), so no clamp is needed.
     """
     w = scene.weather
-    refl = np.where(is_target, scene.target.reflectivity if scene.target else 1.0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
         geom = np.minimum(1.0, (w.saturation_range / ranges) ** 2)
-        p = refl * np.exp(-2.0 * w.extinction_beta * ranges) * geom
-    p = np.clip(p, 0.0, 1.0)
-    return np.where(p < w.detection_threshold, 0.0, p)
+        p = np.exp(-2.0 * w.extinction_beta * ranges)
+    p[is_target] *= scene.target.reflectivity if scene.target else 1.0
+    p *= geom
+    p[p < w.detection_threshold] = 0.0
+    return p
 
 
 # Waypoint loops: (x, y, z) steps from the centre in half-extents, segment s, passes.

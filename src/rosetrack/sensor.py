@@ -77,7 +77,7 @@ class RosetteParams:
         a_h, a_v = self.deflections(times)
         return _angles_to_directions(a_h, a_v)
 
-    @property
+    @functools.cached_property
     def period(self) -> float:
         """Exact repeat period of the pattern, or inf unless both frequencies
         equal fractions with denominators <= 10^6 exactly."""
@@ -88,6 +88,17 @@ class RosetteParams:
         g = Fraction(math.gcd(fa.numerator * fb.denominator, fb.numerator * fa.denominator),
                      fa.denominator * fb.denominator)
         return float(1 / g)
+
+    @functools.cached_property
+    def frame_phases(self) -> float:
+        """Pattern phases at which consecutive frames start before they
+        repeat: the numerator of period / integration_time as a reduced
+        fraction (denominator <= 10^6, as for period), or inf when the
+        pattern does not repeat."""
+        ratio = self.period / self.integration_time
+        if ratio == math.inf:
+            return math.inf
+        return Fraction(ratio).limit_denominator(10**6).numerator
 
 
 # Most rays one frame may cast: 175x the bundled 24,000. Each frame holds
@@ -110,24 +121,37 @@ def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
 
 # Frames whose start times share a pattern phase reuse one (3, n) direction
 # block, read-only since every frame at that phase gets the same array. A
-# period of more than CACHED_PHASES frames would evict each block before reuse.
+# pattern whose frames start at more than CACHED_PHASES phases would evict
+# each block before reuse.
 CACHED_PHASES = 32
+
+
+@functools.lru_cache(maxsize=1)
+def _frame_offsets(integration_time: float, n: int) -> np.ndarray:
+    """Read-only (n,) emission times of an n-ray frame, from its start."""
+    offsets = np.arange(n) * (integration_time / n)
+    offsets.flags.writeable = False
+    return offsets
 
 
 @functools.lru_cache(maxsize=CACHED_PHASES)
 def _phase_directions(params: RosetteParams, phase: float, n: int) -> np.ndarray:
     """(3, n) C-ordered block of the directions of an n-ray frame starting at the phase."""
-    dirs = params.directions(phase + np.arange(n) * (params.integration_time / n)).T
+    dirs = params.directions(phase + _frame_offsets(params.integration_time, n)).T
     dirs.flags.writeable = False
     return dirs
 
 
 def _frame_directions(params: RosetteParams, t0: float, offsets: np.ndarray) -> np.ndarray:
-    """(3, n) C-ordered directions at times t0 + offsets; cached iff period <= CACHED_PHASES frames."""
-    period = params.period
-    if period > CACHED_PHASES * params.integration_time:
+    """(3, n) C-ordered directions at times t0 + offsets; cached iff the
+    frames start at no more than CACHED_PHASES pattern phases. The phase key
+    is t0 modulo the period, rounded to 1e-9 s; a key that rounds up to the
+    period is phase 0."""
+    if params.frame_phases > CACHED_PHASES:
         return params.directions(t0 + offsets).T
-    return _phase_directions(params, round(t0 % period, 9), len(offsets))
+    period = params.period
+    phase = round(t0 % period, 9)
+    return _phase_directions(params, phase if phase < period else 0.0, len(offsets))
 
 
 def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator):
@@ -144,7 +168,7 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     if not 0.0 <= t0 < math.inf:
         raise ValueError("frame start time must be finite and >= 0")
     n = event_count(params.integration_time, params.point_rate)
-    offsets = np.arange(n) * (params.integration_time / n)
+    offsets = _frame_offsets(params.integration_time, n)
     dirs_sensor = _frame_directions(params, t0, offsets)  # (3, n)
 
     rot = pan_tilt_to_rotation(pose.orientation)
@@ -153,12 +177,14 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     times = t0 + offsets
 
     ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times)
-    hit = (surf != MISS) & (ranges <= params.range_max)
-    kept = np.nonzero(hit)[0]
-    p = return_probability_arrays(ranges[kept], surf[kept] == TARGET, scene)
-    kept = kept[rng.random(len(kept)) < p]
-
+    kept = np.flatnonzero((surf != MISS) & (ranges <= params.range_max))
     r = ranges[kept]
+    s = surf[kept]
+    keep = rng.random(len(kept)) < return_probability_arrays(r, s == TARGET, scene)
+    kept = kept[keep]
+    r = r[keep]
     if params.range_noise_sigma > 0:
-        r = r + rng.normal(0.0, params.range_noise_sigma, len(kept))
-    return (np.take(dirs_sensor, kept, axis=1) * r).T, surf[kept]
+        r += params.range_noise_sigma * rng.standard_normal(len(kept))
+    pts = np.take(dirs_sensor, kept, axis=1)
+    pts *= r
+    return pts.T, s[keep]

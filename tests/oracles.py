@@ -2,7 +2,8 @@
 for the tests to compare with.
 
 Each twin computes the same result as its fast counterpart by the direct
-O(n^2) or pointer-walk method, so the two must agree exactly. The reference
+O(n^2) or pointer-walk method, or by the longer form the fast path replaced,
+so the two must agree exactly. The reference
 scanner, RingScanParams, is the spinning 16-ring LiDAR that the rosette's
 return density is compared with (acceptance criterion 7); sensor.scan runs
 it through the same ray casting and return model.
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rosetrack.sensor import _angles_to_directions
+from rosetrack.geometry import pan_tilt_to_rotation
+from rosetrack.scene import MISS, TARGET, ray_cast_arrays
+from rosetrack.sensor import _angles_to_directions, _frame_directions, event_count
 
 
 def brute_force_ror(cloud, radius, min_neighbors):
@@ -53,6 +56,37 @@ def cdf_walk_indices(weights, offset):
     return out
 
 
+def clamped_return_probability(ranges, is_target, scene):
+    """Twin of scene.return_probability_arrays that selects the reflectivity
+    with np.where and clamps the product to [0, 1] before the threshold."""
+    w = scene.weather
+    refl = np.where(is_target, scene.target.reflectivity if scene.target else 1.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        geom = np.minimum(1.0, (w.saturation_range / ranges) ** 2)
+        p = refl * np.exp(-2.0 * w.extinction_beta * ranges) * geom
+    p = np.clip(p, 0.0, 1.0)
+    return np.where(p < w.detection_threshold, 0.0, p)
+
+
+def gather_twice_scan(scene, pose, t0, params, rng):
+    """Twin of sensor.scan that gathers the kept ranges and codes after each
+    selection, draws the noise with rng.normal(0, sigma) and scales a fresh
+    direction array; the random draws must come out the same."""
+    n = event_count(params.integration_time, params.point_rate)
+    offsets = np.arange(n) * (params.integration_time / n)
+    dirs_sensor = _frame_directions(params, t0, offsets)
+    dirs_world = pan_tilt_to_rotation(pose.orientation) @ dirs_sensor
+    ranges, surf = ray_cast_arrays(scene, np.asarray(pose.origin, dtype=float), dirs_world.T,
+                                   t0 + offsets)
+    kept = np.nonzero((surf != MISS) & (ranges <= params.range_max))[0]
+    p = clamped_return_probability(ranges[kept], surf[kept] == TARGET, scene)
+    kept = kept[rng.random(len(kept)) < p]
+    r = ranges[kept]
+    if params.range_noise_sigma > 0:
+        r = r + rng.normal(0.0, params.range_noise_sigma, len(kept))
+    return (np.take(dirs_sensor, kept, axis=1) * r).T, surf[kept]
+
+
 @dataclass(frozen=True)
 class RingScanParams:
     """Reference scanner: n_rings fixed elevations, azimuth spinning at spin_rate."""
@@ -66,7 +100,7 @@ class RingScanParams:
     range_noise_sigma: float = 0.02
 
     # no exact repeat period, so sensor.scan evaluates every frame's directions
-    period = math.inf
+    frame_phases = math.inf
 
     @property
     def ring_elevations(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -499,12 +500,14 @@ def runs():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        mp.setattr(harness, "_pool", None)  # not a pool an earlier test left
         mp.setattr(harness, "_usable_cpus", lambda: 1)
         serial = run_many(configs)
         assert pools == []
         mp.setattr(harness, "_usable_cpus", lambda: 2)
         pooled = run_many(configs)
         assert pools == [2]
+        harness._pool[1].shutdown()
     return configs, serial, pooled
 
 
@@ -542,6 +545,24 @@ class TestRunMany:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         with pytest.raises(AttributeError):
             run_many([None, None])
+
+    def test_pool_is_reused_and_rebuilt_after_a_worker_dies(self, monkeypatch):
+        monkeypatch.setattr(harness, "_pool", None)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        configs = [default_config(QUICK)] * 2
+        run_many(configs)
+        workers, pool = harness._pool
+        assert workers == 2
+        run_many(configs)
+        assert harness._pool[1] is pool
+        for process in list(pool._processes.values()):
+            process.kill()
+        with pytest.raises(BrokenProcessPool):
+            run_many(configs)
+        assert harness._pool is None
+        assert [len(r.track) for r in run_many(configs)] == [int(2.0 * configs[0].filter_rate)] * 2
+        assert harness._pool[1] is not pool
+        harness._pool[1].shutdown()
 
     def test_usable_cpus_follows_affinity_then_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)

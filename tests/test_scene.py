@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import clamped_return_probability
 
 from rosetrack.scene import (_BLOCK, Box, Scene, TargetModel, Trajectory, WeatherModel,
                              make_pattern, ray_cast_arrays, return_probability_arrays)
@@ -480,6 +481,28 @@ class TestReturnProbability:
         assert p_hi <= p_lo + 1e-15
         clearer = self.scene_with(beta=0.0, threshold=1e-9, refl=0.8)
         assert p_hi <= return_probability_arrays(lo_hi, TARGET_HITS, clearer)[1] + 1e-15
+
+    @given(seed=st.integers(0, 2**32 - 1), r_sat=st.floats(1.0, 200.0),
+           threshold=st.floats(1e-6, 0.9), beta=st.just(0.0) | st.floats(1e-4, 0.1),
+           refl=st.none() | st.floats(0.01, 1.0), ranges=st.lists(st.floats(1e-3, 500.0), max_size=8))
+    @settings(max_examples=200)
+    def test_equals_clamped_oracle_bit_for_bit(self, seed, r_sat, threshold, beta, refl, ranges):
+        # ranges spread over a decade on both sides of the saturation range,
+        # target and background returns, and a scene without a target (refl
+        # None): every factor is in [0, 1], so dropping the clamp and the
+        # where changes no bit
+        rng = np.random.default_rng(seed)
+        ranges = np.concatenate([r_sat * 10.0 ** rng.uniform(-1.0, 1.0, 64), ranges])
+        weather = WeatherModel(beta, threshold, r_sat)
+        if refl is None:
+            scene = Scene(0.0, [], None, weather)
+            is_target = np.zeros(len(ranges), dtype=bool)
+        else:
+            scene = Scene(0.0, [], self.scene_with(refl=refl).target, weather)
+            is_target = rng.random(len(ranges)) < 0.5
+        got = return_probability_arrays(ranges, is_target, scene)
+        want = clamped_return_probability(ranges, is_target, scene)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMakePattern:

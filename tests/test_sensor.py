@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import RingScanParams
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import RingScanParams, gather_twice_scan
 
 from rosetrack.config import parse_config
 from rosetrack.geometry import PanTiltPose, SensorPose
@@ -111,8 +113,8 @@ class TestDirectionCache:
         (50.2, 31.0, 0, 0),  # period 5 s: 50 frames, more than the cache holds
         (50.5, 31.0, 20, 80),  # period 2 s
         # period 3.2 s, exactly CACHED_PHASES frames; t0 = 9.6 s rounds to
-        # phase 3.2 s, a 33rd key, which evicts one block
-        (50.3125, 31.25, CACHED_PHASES, 67),
+        # phase 3.2 s, which is phase 0, not a 33rd key
+        (50.3125, 31.25, CACHED_PHASES, 68),
         (50.0000001, 31.0, 0, 0),  # no exact period
     ])
     def test_pattern_cached_iff_its_period_fits_the_cache(self, f1, f2, blocks, hits):
@@ -123,6 +125,20 @@ class TestDirectionCache:
         _phase_directions.cache_clear()
         for k in range(100):
             _frame_directions(params, k / 10, offsets)
+        info = _phase_directions.cache_info()
+        assert (info.currsize, info.hits) == (blocks, hits)
+
+    @pytest.mark.parametrize("lidar_rate, blocks, hits", [
+        (10.0, 10, 90),  # the 1 s period spans 10 frames
+        # 9.7 frames per period: frame starts visit 97 phases, so none is cached
+        (9.7, 0, 0),
+    ])
+    def test_pattern_cached_iff_its_frames_start_at_few_phases(self, lidar_rate, blocks, hits):
+        params = RosetteParams(point_rate=24 * lidar_rate, integration_time=1 / lidar_rate)
+        offsets = np.arange(24) * (params.integration_time / 24)
+        _phase_directions.cache_clear()
+        for k in range(100):
+            _frame_directions(params, k / lidar_rate, offsets)
         info = _phase_directions.cache_info()
         assert (info.currsize, info.hits) == (blocks, hits)
 
@@ -274,6 +290,28 @@ class TestScan:
         resid = ranges - 10.0 / cos_off
         assert 0.03 < resid.std() < 0.07
         assert abs(resid.mean()) < 0.01
+
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.just(0.0) | st.floats(1e-4, 0.5),
+           beta=st.just(0.0) | st.floats(1e-4, 0.1), r_sat=st.floats(2.0, 40.0),
+           threshold=st.floats(1e-4, 0.5), refl=st.none() | st.floats(0.05, 1.0),
+           t0=st.floats(0.0, 20.0), pan=st.floats(-0.6, 0.6), tilt=st.floats(-0.5, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_gather_twice_oracle_bit_for_bit(self, seed, sigma, beta, r_sat, threshold,
+                                                      refl, t0, pan, tilt):
+        # the wall and the ground return ranges of about 3-40 m, on both sides
+        # of the saturation range; refl None is a scene without a target. The
+        # points, the codes and the generator state afterwards must all agree
+        params = RosetteParams(point_rate=30000.0, range_noise_sigma=sigma, range_max=35.0)
+        wall = Box((12.0, -40.0, -5.0), (12.5, 40.0, 40.0))
+        target = None if refl is None else static_target((6.0, 0.5, 1.2), 0.6, refl)
+        scene = Scene(0.0, [wall], target, WeatherModel(beta, threshold, r_sat))
+        pose = SensorPose((0.0, 0.0, 1.5), PanTiltPose(pan, tilt))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        points, surfaces = scan(scene, pose, t0, params, rng)
+        want_points, want_surfaces = gather_twice_scan(scene, pose, t0, params, oracle_rng)
+        assert points.tobytes() == want_points.tobytes() and points.shape == want_points.shape
+        assert surfaces.tobytes() == want_surfaces.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestRingPattern:
