@@ -2,8 +2,8 @@
 
 Occupancy is binary: the map is built once from a clean static scene, so
 hit/miss evidence accumulation is unnecessary. Voxel indices are absolute
-(floor(coordinate / resolution)); the bounds box defines the surveillance
-volume and points outside it are skipped on insert.
+(floor(coordinate / resolution)); the bounds box defines the mapped volume,
+and points outside it are skipped on insert.
 """
 
 from __future__ import annotations

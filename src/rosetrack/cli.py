@@ -2,7 +2,8 @@
 
 Subcommands:
   run <config>            simulate a scenario, write track/truth/scans/metrics CSVs
-  metrics <track> <truth> recompute metrics from exported logs
+  metrics <track> <truth> --config <config>
+                          recompute metrics from exported logs
   sweep <config> --param <section.key> --values v1,v2,...
                           rerun a scenario across parameter values
   describe-config         print the config schema with defaults
@@ -38,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="dot-path config override (repeatable)")
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("config", type=Path)
-    scenario.add_argument("--seed", type=int, default=None, help="override run.seed")
     scenario.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
     sub.add_parser("run", parents=[scenario, overridable],
@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     met_p.add_argument("tracklog", type=Path)
     met_p.add_argument("truthlog", type=Path)
     met_p.add_argument("--scans", type=Path, default=None, help="optional scans log")
-    met_p.add_argument("--config", type=Path, default=None,
-                       help="scenario config the logs came from (defaults otherwise)")
+    met_p.add_argument("--config", type=Path, required=True,
+                       help="scenario config the logs came from")
     met_p.add_argument("--out", type=Path, default=None, help="write metrics CSV here")
     met_p.set_defaults(func=_metrics)
 
@@ -65,13 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeded(args, overrides: list[str]) -> list[str]:
-    """overrides, then run.seed from --seed when it is given."""
-    return overrides + ([f"run.seed={args.seed}"] if args.seed is not None else [])
-
-
 def _run(args) -> int:
-    config = parse_config(args.config, _seeded(args, args.override))
+    config = parse_config(args.config, args.override)
     result = run_scenario(config)
     export_run(result, args.out_dir)
     print(f"wrote {args.out_dir}/track.csv truth.csv scans.csv metrics.csv "
@@ -80,8 +75,7 @@ def _run(args) -> int:
 
 
 def _metrics(args) -> int:
-    from .config import default_config
-    config = parse_config(args.config, args.override) if args.config else default_config(args.override)
+    config = parse_config(args.config, args.override)
     track = read_track_log(args.tracklog)
     truth = read_truth_log(args.truthlog)
     scans = read_scan_log(args.scans) if args.scans else None
@@ -101,7 +95,7 @@ def _sweep(args) -> int:
     run_dirs = {f"{args.param.replace('.', '_')}_{value.replace('/', '_')}": value for value in values}
     if len(run_dirs) < len(values):
         raise ConfigError("config-value", f"--values {args.values}: two values share one run directory")
-    configs = [parse_config(args.config, _seeded(args, [*args.override, f"{args.param}={value}"]))
+    configs = [parse_config(args.config, [*args.override, f"{args.param}={value}"])
                for value in values]
     stats = ("detection_distance", "rmse", "mean_error", "redetect_latency")
     rows = []

@@ -96,8 +96,8 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
     "background": {
         "resolution": FieldSpec("float", BackgroundBuildParams.resolution, "voxel edge length, m"),
         "inflation_radius": FieldSpec("int", BackgroundBuildParams.inflation_radius, "Chebyshev dilation radius, voxels"),
-        "bounds_lo": FieldSpec("vec3", BackgroundBuildParams.bounds_lo, "surveillance volume lower corner, m"),
-        "bounds_hi": FieldSpec("vec3", BackgroundBuildParams.bounds_hi, "surveillance volume upper corner, m"),
+        "bounds_lo": FieldSpec("vec3", BackgroundBuildParams.bounds_lo, "background map bounds, lower corner, m"),
+        "bounds_hi": FieldSpec("vec3", BackgroundBuildParams.bounds_hi, "background map bounds, upper corner, m"),
     },
     "tracker": {
         "n_particles": FieldSpec("int", TrackerParams.n_particles, "particle count"),

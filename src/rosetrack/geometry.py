@@ -20,6 +20,11 @@ import numpy as np
 PAN_LIMIT = math.pi
 TILT_LIMIT = math.pi / 2
 
+# Largest magnitude of a position coordinate, m: target waypoints, the sensor
+# mount and the tracker's surveillance corners. 10,000 km is beyond any
+# sensor range, and distances and their squares stay far from overflow.
+MAX_COORDINATE = 1e7
+
 
 @dataclass
 class PointCloud:
@@ -67,6 +72,9 @@ class SensorPose:
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.origin):
             raise ValueError("sensor origin must be finite")
+        if not all(abs(c) <= MAX_COORDINATE for c in self.origin):
+            raise ValueError(f"sensor origin coordinates must be at most {MAX_COORDINATE:g} m "
+                             f"in magnitude")
 
 
 def pan_tilt_to_rotation(pose: PanTiltPose) -> np.ndarray:

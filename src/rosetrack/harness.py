@@ -220,32 +220,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# run_many's worker pool and its worker count, kept for later calls;
+# run_many's worker pool, one per process and kept for later calls;
 # concurrent.futures shuts it down when the interpreter exits.
-_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool: ProcessPoolExecutor | None = None
 
 
 def run_many(configs) -> list[RunResult]:
     """run_scenario on each config; the results come back in input order.
 
-    Runs overlap on min(len(configs), usable CPUs) spawned worker processes,
-    or run in this process when that is 1. The pool is started on first use
-    and reused by later calls that want as many workers; a pool whose worker
-    died is dropped after its error. Each run is seeded by its config alone,
-    so the results do not depend on where it ran, and an exception raised by
-    a run is raised here.
+    Runs overlap on the spawned worker processes of one pool sized to the
+    usable CPUs, or run in this process when min(len(configs), usable CPUs)
+    is 1. The pool is started on first use and kept; it starts a worker only
+    when no idle one can take a run, so a call of two configs starts at most
+    two. A pool whose worker died is dropped after its error. Each run is
+    seeded by its config alone, so the results do not depend on where it
+    ran, and an exception raised by a run is raised here.
     """
     global _pool
     configs = list(configs)
-    workers = min(len(configs), _usable_cpus())
-    if workers <= 1:
+    cpus = _usable_cpus()
+    if min(len(configs), cpus) <= 1:
         return [run_scenario(config) for config in configs]
-    if _pool is None or _pool[0] != workers:
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = workers, ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    if _pool is None:
+        _pool = ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("spawn"))
     try:
-        return list(_pool[1].map(run_scenario, configs))
+        return list(_pool.map(run_scenario, configs))
     except BrokenProcessPool:
         _pool = None
         raise

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import MAX_COORDINATE
+
 _EPS = 1e-9
 # Rays per block of ray_cast_arrays. A block's temporaries (32 KB per axis
 # row) stay in cache and below the allocator's mmap threshold, so they are
@@ -18,6 +20,10 @@ _EPS = 1e-9
 # back to the kernel on every frame, and their page faults cost more than
 # the arithmetic.
 _BLOCK = 4096
+
+# Longest finite waypoint wait, s (about 32 years); a longer hold is written
+# inf. The schedule sums the waits of every pass, which must stay finite.
+MAX_WAIT = 1e9
 
 # The surface code of each ray, as ray_cast_arrays returns it (int8).
 MISS, GROUND, OBSTACLE, TARGET = -1, 0, 1, 2
@@ -58,10 +64,11 @@ class Trajectory:
             raise ValueError("segment_duration must be positive")
         if self.repeat_count < 1:
             raise ValueError("repeat_count must be >= 1")
-        if any(w < 0 for _, w in self.waypoints):
-            raise ValueError("waypoint wait times must be >= 0")
-        if not all(math.isfinite(c) for p, _ in self.waypoints for c in p):
-            raise ValueError("waypoint coordinates must be finite")
+        if not all(0 <= w <= MAX_WAIT or w == math.inf for _, w in self.waypoints):
+            raise ValueError(f"waypoint wait times must be between 0 and {MAX_WAIT:g} s, or inf")
+        if not all(abs(c) <= MAX_COORDINATE for p, _ in self.waypoints for c in p):
+            raise ValueError(f"waypoint coordinates must be finite and at most "
+                             f"{MAX_COORDINATE:g} m in magnitude")
         if not math.isfinite(self.start_time):
             raise ValueError("trajectory start_time (the takeoff time) must be finite")
         self._compile()

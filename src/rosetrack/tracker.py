@@ -12,12 +12,11 @@ weight vector. The track is Stable once the particle spread falls under
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import MAX_COORDINATE, PointCloud
 
 
 class TrackStatus(enum.Enum):
@@ -52,11 +51,11 @@ class TrackerParams:
                              f"and sigma_meas > 0")
         if self.lost_after_misses < 1:
             raise ValueError("lost_after_misses must be >= 1")
-        # an infinite corner, or finite corners too far apart, would make
-        # init_filter's uniform draw overflow
-        if not all(0 < hi - lo < math.inf
-                   for lo, hi in zip(self.surveillance_lo, self.surveillance_hi)):
-            raise ValueError("surveillance volume must have positive, finite extent")
+        if not all(abs(c) <= MAX_COORDINATE for c in (*self.surveillance_lo, *self.surveillance_hi)):
+            raise ValueError(f"surveillance corner coordinates must be at most "
+                             f"{MAX_COORDINATE:g} m in magnitude")
+        if not all(lo < hi for lo, hi in zip(self.surveillance_lo, self.surveillance_hi)):
+            raise ValueError("surveillance volume must have positive extent")
 
     @property
     def stability_threshold(self) -> float:

@@ -39,9 +39,9 @@ class TestRunCommand:
 
     def test_seed_flag_changes_output(self, small_cfg, tmp_path):
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
-        main(["run", str(small_cfg), "--out-dir", str(out_a), "--seed", "5"])
-        main(["run", str(small_cfg), "--out-dir", str(out_b), "--seed", "5"])
-        main(["run", str(small_cfg), "--out-dir", str(out_c), "--seed", "6"])
+        main(["run", str(small_cfg), "--out-dir", str(out_a), "--override", "run.seed=5"])
+        main(["run", str(small_cfg), "--out-dir", str(out_b), "--override", "run.seed=5"])
+        main(["run", str(small_cfg), "--out-dir", str(out_c), "--override", "run.seed=6"])
         assert (out_a / "track.csv").read_bytes() == (out_b / "track.csv").read_bytes()
         assert (out_a / "track.csv").read_bytes() != (out_c / "track.csv").read_bytes()
 
@@ -74,10 +74,21 @@ class TestRunCommand:
         assert "error: config-domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_option_is_gone(command, small_cfg, capsys):
+    # the seed is a config key like any other, set with --override or --param
+    sweep = ["--param", "tracker.sigma_pred", "--values", "0.1"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(small_cfg), *sweep, "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "metrics"])
 def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsys):
     args = ([str(small_cfg)] if command == "run"
-            else [str(tmp_path / "track.csv"), str(tmp_path / "truth.csv")])
+            else [str(tmp_path / "track.csv"), str(tmp_path / "truth.csv"),
+                  "--config", str(small_cfg)])
     assert main([command, *args, "--override", "foo"]) == 2
     assert "error: config-syntax" in capsys.readouterr().err
 
@@ -179,6 +190,29 @@ class TestMetricsCommand:
         assert (out / "metrics2.csv").exists()
         assert "rmse" in capsys.readouterr().out
 
+    def test_config_is_required(self, tmp_path, capsys):
+        # without the run's config the metrics would describe another scenario
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", str(tmp_path / "track.csv"), str(tmp_path / "truth.csv")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    def test_metrics_of_the_runs_config_repeat_the_run(self, tmp_path, capsys):
+        # the default arena has no occluder, so its redetect_latency was nan here
+        out, cfg = tmp_path / "out", str(CONFIG_DIR / "lost_and_found.cfg")
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        assert main(["metrics", *(str(out / f"{name}.csv") for name in ("track", "truth")),
+                     "--scans", str(out / "scans.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "again.csv")]) == 0
+
+        def value(path, metric):
+            return float(next(line.split(",")[3] for line in path.read_text().splitlines()
+                              if line.startswith(f"{metric},")))
+
+        run_value = value(out / "metrics.csv", "redetect_latency")
+        assert run_value > 0
+        # the logs hold times to 6 significant digits
+        assert value(tmp_path / "again.csv", "redetect_latency") == pytest.approx(run_value, abs=1e-3)
 
     @pytest.mark.parametrize("row, n_fields", [("0,4,-1,1.2,0.05,stable,0", 7),
                                                ("0,4,-1,1.2,0.05,stable,0,0,9", 9)])
@@ -187,7 +221,8 @@ class TestMetricsCommand:
         track.write_text("t,est_x,est_y,est_z,sigma_particles,status,pan,tilt\n"
                          "0,4,-1,1.2,0.05,stable,0,0\n" + row + "\n")
         truth.write_text("t,x,y,z,speed\n0,4,-1,1.2,0\n0.1,4,-1,1.2,0\n")
-        assert main(["metrics", str(track), str(truth)]) == 4
+        assert main(["metrics", str(track), str(truth),
+                     "--config", str(CONFIG_DIR / "indoor_lock.cfg")]) == 4
         err = capsys.readouterr().err
         assert "error: invalid-input" in err
         assert f"track.csv:3: expected 8 fields, got {n_fields}" in err
@@ -198,7 +233,8 @@ class TestMetricsCommand:
                          "0,4,-1,1.2,0.05,stable,0,0\n"
                          "nan,4,-1,1.2,0.05,stable,0,0\n")
         truth.write_text("t,x,y,z,speed\n0,4,-1,1.2,0\n0.1,4,-1,1.2,0\n")
-        assert main(["metrics", str(track), str(truth)]) == 4
+        assert main(["metrics", str(track), str(truth),
+                     "--config", str(CONFIG_DIR / "indoor_lock.cfg")]) == 4
         err = capsys.readouterr().err
         assert "error: invalid-input" in err
         assert "track log has a non-finite t" in err
@@ -253,6 +289,13 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "error: config-value" in err and "run directory" in err
         assert not out.exists()
+
+    def test_seed_is_swept_like_any_key(self, small_cfg, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(small_cfg), "--param", "run.seed", "--values", "1,2",
+                     "--out-dir", str(out)]) == 0
+        assert (out / "run_seed_1" / "track.csv").read_bytes() != \
+            (out / "run_seed_2" / "track.csv").read_bytes()
 
 
 class TestDescribeConfig:

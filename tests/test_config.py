@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from rosetrack.config import (MAX_EVENTS, MAX_IN_FLIGHT, SCHEMA, ConfigError, default_config,
                               describe_schema, parse_config)
-from rosetrack.scene import PATTERN_KEYS, PATTERN_NAMES, make_pattern
-from rosetrack.sensor import MAX_RAYS_PER_FRAME
+from rosetrack.geometry import MAX_COORDINATE
+from rosetrack.scene import MAX_WAIT, PATTERN_KEYS, PATTERN_NAMES, make_pattern
+from rosetrack.sensor import MAX_PRISM_FREQUENCY, MAX_RAYS_PER_FRAME
 from rosetrack.tracker import MAX_PARTICLES
 from rosetrack.turret import MAX_RASTER_STEPS
 
@@ -176,6 +177,17 @@ seed = 11
         assert cfg.duration * cfg.filter_rate == MAX_EVENTS
         assert cfg.turret.scan_duration * cfg.filter_rate == MAX_RASTER_STEPS
 
+    def test_magnitude_caps_are_inclusive(self):
+        # parse only: exactly at every magnitude cap (the vertical loop keeps
+        # the centre's x in every waypoint)
+        c = MAX_COORDINATE
+        cfg = default_config([f"target.center={c},0,1.2", f"target.wait={MAX_WAIT}",
+                              f"turret.origin={-c},{c},{-c}", f"tracker.surveillance_lo={-c},{-c},{-c}",
+                              f"tracker.surveillance_hi={c},{c},{c}", f"sensor.f2={MAX_PRISM_FREQUENCY}"])
+        assert {(p[0], w) for p, w in cfg.scene.target.trajectory.waypoints} == {(c, MAX_WAIT)}
+        assert cfg.turret.origin == (-c, c, -c) and cfg.tracker.surveillance_hi == (c, c, c)
+        assert cfg.sensor.f2 == MAX_PRISM_FREQUENCY
+
     @pytest.mark.parametrize("latency", ["inf", "1e9", "29"])
     def test_frames_in_flight_above_the_cap_name_both_keys(self, latency):
         # parse only, never run: the loop would hold every frame in flight
@@ -194,10 +206,26 @@ seed = 11
         ("sensor.f1=inf", "section [sensor]: prism frequencies must be positive and finite"),
         ("sensor.f2=inf", "section [sensor]: prism frequencies must be positive and finite"),
         ("target.takeoff_delay=-inf", "section [target]: trajectory start_time"),
+        ("target.center=1e308,0,1", "section [target]: waypoint coordinates must be finite and "
+                                    f"at most {MAX_COORDINATE:g} m in magnitude"),
+        ("target.extent=1e308", "section [target]: waypoint coordinates must be finite and "
+                                f"at most {MAX_COORDINATE:g} m in magnitude"),
+        ("target.wait=1e308", f"section [target]: waypoint wait times must be between 0 and "
+                              f"{MAX_WAIT:g} s, or inf"),
+        ("turret.origin=1e308,0,1", "section [turret]: sensor origin coordinates must be at most "
+                                    f"{MAX_COORDINATE:g} m in magnitude"),
+        ("tracker.surveillance_hi=1e308,4,3", "section [tracker]: surveillance corner coordinates "
+                                              f"must be at most {MAX_COORDINATE:g} m in magnitude"),
+        ("sensor.f1=1e308", f"section [sensor]: prism frequencies must be at most "
+                            f"{MAX_PRISM_FREQUENCY:g} Hz"),
+        ("sensor.f2=1e308", f"section [sensor]: prism frequencies must be at most "
+                            f"{MAX_PRISM_FREQUENCY:g} Hz"),
     ])
     def test_values_that_failed_mid_run_are_config_domain(self, override, message):
         # seed -1 failed after parsing, an infinite prism frequency raised an
-        # OverflowError, and a takeoff at -inf ran into a RuntimeWarning
+        # OverflowError, and a takeoff at -inf ran into a RuntimeWarning, as
+        # did each 1e308 magnitude (an overflow in the trajectory, a norm,
+        # the tracker's estimate or the beam phase)
         with pytest.raises(ConfigError) as err:
             default_config([override])
         assert err.value.category == "config-domain"

@@ -49,7 +49,8 @@ def test_golden_hashes_hold_under_another_blas_kernel(tmp_path):
     # pick a close one); the kernel is chosen at import, so the run needs its
     # own process
     subprocess.run([sys.executable, "-m", "rosetrack.cli", "run",
-                    str(CONFIG_DIR / "indoor_lock.cfg"), "--seed", "0", "--out-dir", str(tmp_path)],
+                    str(CONFIG_DIR / "indoor_lock.cfg"), "--override", "run.seed=0",
+                    "--out-dir", str(tmp_path)],
                    env=src_env(OPENBLAS_CORETYPE="Prescott"), check=True, capture_output=True)
     got = [f"{hashlib.sha256((tmp_path / f'{name}.csv').read_bytes()).hexdigest()}  "
            f"indoor_lock/{name}.csv" for name in NAMES]

@@ -449,11 +449,16 @@ class TestRunScenario:
                               np.linalg.norm(mid - np.asarray(cfg.turret.origin), axis=1))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("override", ["scene.ground_z=1e308", "tracker.sigma_meas=1e-300"])
+    @pytest.mark.parametrize("override", ["scene.ground_z=1e308", "tracker.sigma_meas=1e-300",
+                                          "target.center=1e6,1e6,1e6", "turret.origin=1e6,1e6,1e6",
+                                          "tracker.surveillance_hi=1e6,1e6,1e6", "target.wait=inf",
+                                          "sensor.f1=1e6"])
     def test_overflow_in_valid_configs_is_handled_without_warnings(self, override):
         # the ground-plane ray parameter overflows to +-inf in the ray cast, and
         # every log-likelihood to -inf in the tracker update; both paths
-        # already give finite logs, so neither may print a RuntimeWarning
+        # already give finite logs, so neither may print a RuntimeWarning.
+        # The magnitude caps stop 1e308 at parse, and values far below them
+        # keep running.
         cfg = default_config(["run.duration=1", "turret.scan_duration=0.5", override])
         result = run_scenario(cfg)
         assert len(result.track) and np.isfinite(positions(result.track)).all()
@@ -507,7 +512,7 @@ def runs():
         mp.setattr(harness, "_usable_cpus", lambda: 2)
         pooled = run_many(configs)
         assert pools == [2]
-        harness._pool[1].shutdown()
+        harness._pool.shutdown()
     return configs, serial, pooled
 
 
@@ -551,18 +556,41 @@ class TestRunMany:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         configs = [default_config(QUICK)] * 2
         run_many(configs)
-        workers, pool = harness._pool
-        assert workers == 2
+        pool = harness._pool
+        assert pool._max_workers == 2
         run_many(configs)
-        assert harness._pool[1] is pool
+        assert harness._pool is pool
         for process in list(pool._processes.values()):
             process.kill()
         with pytest.raises(BrokenProcessPool):
             run_many(configs)
         assert harness._pool is None
         assert [len(r.track) for r in run_many(configs)] == [int(2.0 * configs[0].filter_rate)] * 2
-        assert harness._pool[1] is not pool
-        harness._pool[1].shutdown()
+        assert harness._pool is not pool
+        harness._pool.shutdown()
+
+    def test_one_pool_serves_calls_of_any_size(self, monkeypatch):
+        # the pool is sized to the usable CPUs once and starts its workers
+        # on demand, so a smaller call starts fewer and a larger one adds to
+        # them; the warm workers are kept
+        monkeypatch.setattr(harness, "_pool", None)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        cfg = default_config(QUICK)
+        run_many([cfg] * 2)
+        pool = harness._pool
+        first = set(pool._processes)
+        assert len(first) == 2
+        assert [len(r.track) for r in run_many([cfg] * 3)] == [int(2.0 * cfg.filter_rate)] * 3
+        assert harness._pool is pool
+        assert len(pool._processes) == 3 and first < set(pool._processes)
+        for process in list(pool._processes.values()):
+            process.kill()
+        with pytest.raises(BrokenProcessPool):
+            run_many([cfg] * 2)
+        assert harness._pool is None
+        run_many([cfg] * 3)
+        assert harness._pool is not pool
+        harness._pool.shutdown()
 
     def test_usable_cpus_follows_affinity_then_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
