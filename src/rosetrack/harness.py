@@ -364,15 +364,28 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
                 report.initial_lock_time = float(tt[first + stable_after[0]] - tt[first])
         finite = np.isfinite(scans["target_range"])
         if np.any(finite):
-            r = scans["target_range"][finite]
-            n = n_pts[finite]
-            hi = 10.0 * math.ceil(r.max() / 10.0 + 1e-9)
-            edges = np.arange(0.0, hi + 10.0, 10.0)
-            for lo, hi_edge in zip(edges[:-1], edges[1:]):
-                m = (r >= lo) & (r < hi_edge)
-                if np.any(m):
-                    report.points_per_scan.append((float(lo), float(hi_edge), float(n[m].mean())))
+            report.points_per_scan = points_per_scan(scans["target_range"][finite], n_pts[finite])
     return report
+
+
+def points_per_scan(ranges: np.ndarray, n_points: np.ndarray) -> list[tuple[float, float, float]]:
+    """(lo, hi, mean points per scan) for each non-empty 10 m bin [lo, hi) of
+    the finite target ranges, from 0 m to the bin past the farthest range.
+
+    One pass over the scans, whatever the range: each range is binned by
+    search and the counts and point sums are taken with bincount. Ranges
+    below 0 or at or past the last edge fall in no bin.
+    """
+    hi = 10.0 * math.ceil(ranges.max() / 10.0 + 1e-9)
+    edges = np.arange(0.0, hi + 10.0, 10.0)
+    n_bins = max(len(edges) - 1, 0)  # no edge at all when every range is below -10 m
+    bins = np.searchsorted(edges, ranges, side="right") - 1
+    inside = (bins >= 0) & (bins < n_bins)
+    bins = bins[inside]
+    counts = np.bincount(bins, minlength=n_bins)
+    sums = np.bincount(bins, weights=n_points[inside], minlength=n_bins)
+    return [(float(edges[k]), float(edges[k + 1]), float(sums[k] / counts[k]))
+            for k in np.flatnonzero(counts)]
 
 
 # --- CSV import/export ------------------------------------------------------

@@ -6,6 +6,7 @@ function of time, so concurrent ray queries are safe.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -14,16 +15,20 @@ import numpy as np
 from .geometry import MAX_COORDINATE
 
 _EPS = 1e-9
-# Rays per block of ray_cast_arrays. A block's temporaries (32 KB per axis
-# row) stay in cache and below the allocator's mmap threshold, so they are
-# reused from its free lists; whole-frame temporaries were mapped and handed
-# back to the kernel on every frame, and their page faults cost more than
-# the arithmetic.
-_BLOCK = 4096
+# Rays per block of ray_cast_arrays on a scene with boxes. The slab tests
+# make about a dozen (3, m) temporaries per box: whole-frame ones would be
+# mapped and handed back to the kernel on every frame, and their page faults
+# cost more than the arithmetic, while block-sized ones (64 KB per axis row)
+# are reused from the allocator's free lists; a block this large keeps the
+# per-block numpy calls few. A box-free cast needs no blocks: it makes one
+# pass whose temporaries are single rows.
+_BLOCK = 8192
 
 # Longest finite waypoint wait, s (about 32 years); a longer hold is written
 # inf. The schedule sums the waits of every pass, which must stay finite.
 MAX_WAIT = 1e9
+
+_BAD_TIME = "trajectory time must be finite and >= 0"
 
 # The surface code of each ray, as ray_cast_arrays returns it (int8).
 MISS, GROUND, OBSTACLE, TARGET = -1, 0, 1, 2
@@ -102,6 +107,11 @@ class Trajectory:
         self._a = np.vstack(starts)
         self._b = np.vstack(ends)
         self.total_duration = t
+        # the same phases as Python floats, for the per-frame bounding_ball
+        self._t0s = self._t0.tolist()
+        self._durs = self._dur.tolist()
+        self._starts = [tuple(p) for p in self._a.tolist()]
+        self._ends = [tuple(p) for p in self._b.tolist()]
 
     def _phase(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Phase index of each time and the fraction of that phase done,
@@ -110,13 +120,25 @@ class Trajectory:
         are rejected."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all((t >= 0) & (t < math.inf)):
-            raise ValueError("trajectory time must be finite and >= 0")
+            raise ValueError(_BAD_TIME)
         # searchsorted(..., "right") - 1 is at most len(_t0) - 1, so only
         # times before the first phase need clamping
         idx = np.maximum(np.searchsorted(self._t0, t, side="right") - 1, 0)
         u = (t - self._t0[idx]) / self._dur[idx]
         np.maximum(u, 0.0, out=u)
         return idx, np.minimum(u, 1.0, out=u)
+
+    def _phase_at(self, t: float) -> tuple[int, float]:
+        """_phase for one time, in Python floats."""
+        if not 0 <= t < math.inf:
+            raise ValueError(_BAD_TIME)
+        k = max(bisect.bisect_right(self._t0s, t) - 1, 0)
+        return k, min(max((t - self._t0s[k]) / self._durs[k], 0.0), 1.0)
+
+    def _point_at(self, k: int, u: float) -> tuple[float, float, float]:
+        """_at for one phase index and fraction, in Python floats."""
+        s = 0.5 * (1.0 - math.cos(math.pi * u))
+        return tuple(a + (b - a) * s for a, b in zip(self._starts[k], self._ends[k]))
 
     def _at(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(n, 3) positions at the given phase indices and fractions."""
@@ -136,13 +158,16 @@ class Trajectory:
         the hull of position(t_lo), position(t_hi) and the endpoints of the
         phases the window crosses; no speed bound is needed.
         """
-        idx, u = self._phase(np.array([t_lo, t_hi], dtype=float))
+        (k_lo, u_lo), (k_hi, u_hi) = self._phase_at(float(t_lo)), self._phase_at(float(t_hi))
         if not t_lo <= t_hi:
             raise ValueError("bounding_ball needs t_lo <= t_hi")
-        k_lo, k_hi = idx
-        pts = np.vstack([self._at(idx, u), self._b[k_lo:k_hi], self._a[k_lo + 1:k_hi + 1]])
-        centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        return centre, float(np.sqrt(np.max(np.sum((pts - centre) ** 2, axis=1))))
+        # phases are contiguous: each starts where the one before it ends
+        pts = [self._point_at(k_lo, u_lo), self._point_at(k_hi, u_hi),
+               *self._starts[k_lo + 1:k_hi + 1]]
+        cx, cy, cz = centre = [0.5 * (min(c) + max(c)) for c in zip(*pts)]
+        r2 = max((x - cx) * (x - cx) + (y - cy) * (y - cy) + (z - cz) * (z - cz)
+                 for x, y, z in pts)
+        return np.array(centre), math.sqrt(r2)
 
     def speed(self, t) -> np.ndarray:
         """(n,) target speed magnitudes at the n times t (analytic profile
@@ -217,13 +242,16 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
     exactly on the face plane misses the box, on every face. A level ray
     never hits the ground, whether or not it lies in the ground plane.
 
-    The rays are walked in blocks of _BLOCK: the ground and box slab tests
-    run on the block's (3, m) axis rows, so every temporary stays
-    block-sized. The target side runs once over the whole batch: only rays
-    inside the cone from the origin around a ball that holds the target over
-    the batch window (every ray that can reach it, from an origin inside it)
-    get the per-ray trajectory lookup and sphere test; the ball is padded so
-    that rounding only adds rays, and every other ray misses the target.
+    On a scene with boxes the rays are walked in blocks of _BLOCK: the
+    ground and box slab tests run on the block's (3, m) axis rows, so every
+    temporary stays block-sized. A box-free scene casts the batch in one
+    pass and inverts only the z row, the one the ground test reads; every
+    ray gets the same arithmetic either way. The target side runs once over
+    the whole batch: only rays inside the cone from the origin around a ball
+    that holds the target over the batch window (every ray that can reach
+    it, from an origin inside it) get the per-ray trajectory lookup and
+    sphere test; the ball is padded so that rounding only adds rays, and
+    every other ray misses the target.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -238,8 +266,9 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
              for box in scene.obstacles]
     ground = scene.ground_z - origin[2]
 
-    for s in range(0, n, _BLOCK):
-        blk = slice(s, s + _BLOCK)
+    step = _BLOCK if slabs else max(n, 1)
+    for s in range(0, n, step):
+        blk = slice(s, s + step)
         rows = dirs[blk].T  # (3, m): one row per axis
         blk_best = best[blk]
         blk_surf = surf[blk]
@@ -248,8 +277,8 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
         # the slab arithmetic exact. A level ray gives tg = +-inf or NaN, and
         # so does a huge ground height that overflows; each fails a ground test
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = 1.0 / rows
-            tg = ground * inv[2]
+            inv = 1.0 / rows if slabs else 1.0 / rows[2:]  # the z row is the last either way
+            tg = ground * inv[-1]
             hit = (tg > _EPS) & (tg < blk_best)
             np.copyto(blk_best, tg, where=hit)
             blk_surf[hit] = GROUND
@@ -296,19 +325,28 @@ def ray_cast_arrays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, times: n
 
 
 def return_probability_arrays(ranges: np.ndarray, is_target: np.ndarray, scene: Scene) -> np.ndarray:
-    """Probability that each return at the given positive range survives the receiver.
+    """Probability that each return at the given positive, finite range
+    survives the receiver.
 
     reflectivity * exp(-2 * beta * range) * min(1, (r_sat / range)^2),
     zeroed below the detection threshold. Background surfaces (is_target
     False) use reflectivity 1. Each factor lies in [0, 1] for a positive
     range (reflectivity in (0, 1], beta >= 0), so no clamp is needed.
+    In clear air (beta == 0) the extinction factor is exactly 1.0 and is
+    not computed: reflectivity * geometry gives the same bits as
+    (1.0 * reflectivity) * geometry.
     """
     w = scene.weather
+    refl = scene.target.reflectivity if scene.target else 1.0
     with np.errstate(divide="ignore", over="ignore"):
         geom = np.minimum(1.0, (w.saturation_range / ranges) ** 2)
-        p = np.exp(-2.0 * w.extinction_beta * ranges)
-    p[is_target] *= scene.target.reflectivity if scene.target else 1.0
-    p *= geom
+        if w.extinction_beta == 0.0:
+            p = geom
+            p[is_target] *= refl
+        else:
+            p = np.exp(-2.0 * w.extinction_beta * ranges)
+            p[is_target] *= refl
+            p *= geom
     p[p < w.detection_threshold] = 0.0
     return p
 

@@ -115,3 +115,15 @@ class RingScanParams:
         az = (2.0 * math.pi * self.spin_rate * t) % (2.0 * math.pi)
         elev = self.ring_elevations[np.arange(len(t)) % self.n_rings]
         return _angles_to_directions(az, elev)
+
+
+def binwise_points_per_scan(ranges, n_points):
+    """Twin of harness.points_per_scan with one masked pass per 10 m bin."""
+    hi = 10.0 * math.ceil(ranges.max() / 10.0 + 1e-9)
+    edges = np.arange(0.0, hi + 10.0, 10.0)
+    out = []
+    for lo, hi_edge in zip(edges[:-1], edges[1:]):
+        m = (ranges >= lo) & (ranges < hi_edge)
+        if np.any(m):
+            out.append((float(lo), float(hi_edge), float(n_points[m].mean())))
+    return out

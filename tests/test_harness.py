@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import rosetrack.harness as harness
+from oracles import binwise_points_per_scan
 from rosetrack.config import MAX_EVENTS, default_config, parse_config
 from rosetrack.filters import preprocess_cloud
 from rosetrack.geometry import transform_cloud
 from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, at_or_before,
                                compute_metrics, event_times, export_csv, export_run, positions,
-                               read_scan_log, read_track_log, read_truth_log, receiving_ticks,
-                               run_many, run_scenario, target_visibility)
+                               points_per_scan, read_scan_log, read_track_log, read_truth_log,
+                               receiving_ticks, run_many, run_scenario, target_visibility)
 from rosetrack.sensor import event_count
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -105,6 +106,27 @@ class TestComputeMetrics:
         edges = [(lo, hi) for lo, hi, _ in m.points_per_scan]
         assert all(lo < hi for lo, hi in edges)
         assert all(edges[i][1] <= edges[i + 1][0] + 1e-9 for i in range(len(edges) - 1))
+
+    @pytest.mark.parametrize("ranges", [
+        [0.0, 10.0, 20.0, 20.0, np.nextafter(10.0, 0.0), 45.0, 45.0, 70.0],  # edges, empty bins
+        [3.0, 71.5, 1e6],  # 100,001 bins, three of them filled
+        [-3.0, 0.0, 5.0],  # a negative range falls in no bin
+        [-15.0, -40.0],  # every range below -10 m: no edge at all
+    ])
+    def test_points_per_scan_equals_binwise_oracle(self, ranges):
+        rng = np.random.default_rng(len(ranges))
+        r = np.array(ranges)
+        n = rng.integers(0, 400, len(r))
+        assert points_per_scan(r, n) == binwise_points_per_scan(r, n)
+
+    def test_points_per_scan_equals_binwise_oracle_on_random_frames(self):
+        rng = np.random.default_rng(7)
+        r = rng.uniform(0.0, 160.0, 500)
+        r[::5] = 10.0 * rng.integers(0, 16, 100)  # a fifth exactly on an edge
+        n = rng.integers(0, 2000, len(r))
+        got = points_per_scan(r, n)
+        assert got == binwise_points_per_scan(r, n)
+        assert len(got) >= 15
 
 
 class TestClock:

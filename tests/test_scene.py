@@ -388,13 +388,15 @@ class TestTargetConeCull:
             assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("origin_inside", [False, True])
-    @pytest.mark.parametrize("n_rays", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("n_rays", [0, 1, 4095, 4096, 4097, 8199,
+                                        _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     @given(traj=trajectories(), data=st.data(), seed=st.integers(0, 2**32 - 1),
            n_boxes=st.integers(0, 3))
     @settings(max_examples=3, deadline=None)
     def test_matches_unculled_oracle_across_blocks(self, traj, data, seed, n_boxes,
                                                     origin_inside, n_rays):
-        # batches that end inside, at and just past a block boundary, with
+        # batches that end inside, at and just past a block boundary, and
+        # at half-block sizes that fill one block or spill a few rays, with
         # direction components that are exactly 0.0 or -0.0 (1/d = +-inf)
         # and box faces and ground through the origin (0 * inf = NaN)
         rng = np.random.default_rng(seed)
@@ -436,6 +438,42 @@ class TestTargetConeCull:
         ranges, surfaces = ray_cast_arrays(scene, np.zeros(3), np.empty((0, 3)), np.empty(0))
         assert ranges.shape == (0,) and surfaces.shape == (0,)
         assert surfaces.dtype == np.int8
+
+
+class TestBoxFreeCast:
+    """A scene without boxes is cast in one pass that inverts only the z
+    row; it must equal the unculled oracle bit for bit at every batch size,
+    around the block sizes of box scenes too."""
+
+    @pytest.mark.parametrize("with_target", [False, True])
+    @pytest.mark.parametrize("n_rays", [0, 4095, 4096, 4097, 8193, 24000])
+    def test_matches_unculled_oracle(self, n_rays, with_target):
+        # random and target-aimed rays with components that are exactly 0.0
+        # or -0.0 (1/d = +-inf); the second ground passes through the
+        # origin, where a level ray gives 0 * inf = NaN
+        rng = np.random.default_rng(n_rays)
+        traj = make_pattern("fast")
+        origin = np.array([0.0, 0.0, 1.0])
+        times = rng.uniform(1.5, 4.0, n_rays)
+        aimed = rng.random(n_rays) < 0.3
+        dirs = np.where(aimed[:, None], traj.position(times) - origin, 0.0)
+        dirs += rng.normal(scale=np.where(aimed, 0.05, 1.0)[:, None], size=(n_rays, 3))
+        zeroed = rng.random((n_rays, 3)) < 0.2
+        dirs[zeroed] = np.where(rng.random(int(zeroed.sum())) < 0.5, 0.0, -0.0)
+        dirs[~dirs.any(axis=1), 2] = -1.0
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        target = TargetModel(0.3, 1.0, traj) if with_target else None
+        for ground_z in (-0.5, 1.0):
+            scene = Scene(ground_z, [], target, WeatherModel())
+            want = unculled_ray_cast_arrays(scene, origin, dirs, times)
+            if n_rays and ground_z < origin[2]:
+                codes = {-1, GROUND, TARGET} if with_target else {-1, GROUND}
+                assert codes <= set(want[1].tolist())
+            for layout in (dirs, column_block(dirs)):
+                got = ray_cast_arrays(scene, origin, layout, times)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[1].dtype == np.int8
 
 
 TARGET_HITS = np.array([True, True])
