@@ -7,9 +7,11 @@ clock: once per tick while tracking, once per filter period along the
 background raster. A frame starting at t0 becomes visible to the filter at
 t0 + pipeline_latency, never earlier, and is consumed by the first tick at or
 after that instant (receiving_ticks). Frames and ticks both start at the
-beginning of the tracking phase. Two clock values are the same instant when
-they differ by rounding alone (at_or_before). Everything is deterministic
-under the config seed.
+beginning of the tracking phase. Every clock decision (event counts, the
+receiving tick, the order of frames and ticks, the raster's steps, the
+takeoff frame) is made in exact arithmetic on the config values read by
+sensor.exact; the logged times stay the floats t0 + k / rate. Everything is
+deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .config import ScenarioConfig
 from .filters import preprocess_cloud
 from .geometry import PanTiltPose, PointCloud, SensorPose, pan_tilt_to_rotation, transform_cloud
 from .scene import MISS, TARGET, ray_cast_arrays
-from .sensor import event_count, scan
+from .sensor import event_count, exact, scan
 from .tracker import TrackStatus, init_filter, step
 from .turret import TurretParams, TurretState, scan_mode_command, step_dynamics, tracking_command
 
@@ -84,47 +86,26 @@ class RunResult:
     metrics: MetricsReport
 
 
-# Clock values are sums and quotients of config floats, so two spellings of
-# one instant differ by rounding, which grows with the value: the slack is
-# relative, and absolute below 1 s.
-CLOCK_SLACK = 1e-12
-
-
-def _latest(deadline):
-    """The largest clock value that is still at or before deadline."""
-    return deadline + CLOCK_SLACK * np.maximum(1.0, np.abs(deadline))
-
-
-def at_or_before(t, deadline):
-    """t is at or before deadline up to clock rounding; scalars or arrays."""
-    return t <= _latest(deadline)
-
-
 def event_times(t0: float, span: float, rate: float) -> np.ndarray:
     """Start times t0 + k / rate of the event_count(span, rate) events of a clock."""
     return t0 + np.arange(event_count(span, rate)) / rate
 
 
-def receiving_ticks(frame_t: np.ndarray, tick_t: np.ndarray, latency: float) -> np.ndarray:
-    """Index into tick_t of the tick that receives each frame; len(tick_t)
-    where no tick does.
+def receiving_ticks(frames, config: ScenarioConfig) -> list[int]:
+    """Index of the tick that receives each tracking frame k (Python ints);
+    the index may lie past the run's last tick, where no tick receives it.
 
-    A frame starting at f is delivered at f + latency and goes to the first
-    tick that the delivery is at_or_before, but never to a tick that fires
-    before f (ticks at f come after the frame). Both arrays are increasing.
+    Frame k starts k / lidar_rate after the first tick and is delivered
+    pipeline_latency later, to the first tick at or after that instant:
+    ceil(filter_rate * (k / lidar_rate + pipeline_latency)), with the three
+    values read by exact(). As filter_rate >= lidar_rate, consecutive frames
+    go to increasing ticks, so no tick receives two frames.
     """
-    return np.maximum(np.searchsorted(tick_t, frame_t),
-                      np.searchsorted(_latest(tick_t), frame_t + latency))
-
-
-def _raster_turret(state: TurretState, t_target: float, params: TurretParams,
-                   step_dt: float) -> TurretState:
-    """Step the turret forward to t_target along the raster schedule, one
-    command per step_dt (the filter period)."""
-    while not at_or_before(t_target, state.t):
-        state = step_dynamics(state, scan_mode_command(state.t, params),
-                              min(step_dt, t_target - state.t), params)
-    return state
+    fr = exact(config.filter_rate)
+    a, b = fr / exact(config.lidar_rate), fr * exact(config.pipeline_latency)
+    p, q = a.numerator * b.denominator, b.numerator * a.denominator
+    d = a.denominator * b.denominator
+    return [-(-(p * k + q) // d) for k in frames]
 
 
 def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
@@ -147,12 +128,19 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
     state = TurretState(pose=scan_mode_command(0.0, tparams), t=0.0)
+    lr, fr = exact(config.lidar_rate), exact(config.filter_rate)
+    steps, step_dt = math.ceil(fr / lr), 1.0 / config.filter_rate
 
     def raster():
-        """The raster frames one at a time; leaves `state` at the last one."""
+        """The raster frames one at a time; leaves `state` at the last one.
+        Up to each frame's start the turret takes `steps` commands, one per
+        filter period, the last one short."""
         nonlocal state
         for t0 in event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist():
-            state = _raster_turret(state, t0, tparams, 1.0 / config.filter_rate)
+            for _ in range(steps):
+                if t0 > state.t:  # the first frame starts where the turret does
+                    state = step_dynamics(state, scan_mode_command(state.t, tparams),
+                                          min(step_dt, t0 - state.t), tparams)
             pose = SensorPose(origin, state.pose)
             yield scan(static, pose, t0, config.sensor, bg_rng)[0], pose
 
@@ -163,33 +151,35 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     pset = init_filter(config.tracker, np.random.default_rng(pf_ss))
     frame_t = event_times(t_track0, config.duration, config.lidar_rate)
     tick_t = event_times(t_track0, config.duration, config.filter_rate)
-    receiver = receiving_ticks(frame_t, tick_t, config.pipeline_latency).tolist()
+    receiver = receiving_ticks(range(len(frame_t)), config)
+    takeoff = math.ceil((exact(spawn_t) - exact(t_track0)) * lr)  # first frame after takeoff
     n_ticks = len(tick_t)
     track = np.zeros(n_ticks, TRACK_DTYPE)
     scans = np.zeros(len(frame_t), SCAN_DTYPE)
     scans["t"] = frame_t
-    events = sorted([(t, 0, k) for k, t in enumerate(frame_t.tolist())]
-                    + [(t, 1, j) for j, t in enumerate(tick_t.tolist())])
-    inbox: dict[int, list[PointCloud]] = {}  # tick index -> the clouds it receives
+    # frame k starts k / lr and tick j j / fr after the first tick: the
+    # events sort by those times scaled to integers, a frame first on a tie
+    events = sorted([(k * lr.denominator * fr.numerator, 0, k, t)
+                     for k, t in enumerate(frame_t.tolist())]
+                    + [(j * fr.denominator * lr.numerator, 1, j, t)
+                       for j, t in enumerate(tick_t.tolist())])
+    inbox: dict[int, PointCloud] = {}  # tick index -> the cloud it receives
     last_cmd = state.pose
 
-    for ev_t, kind, i in events:
-        if not at_or_before(ev_t, state.t):  # hold the last command up to the event
+    for _, kind, i, ev_t in events:
+        if ev_t > state.t:  # hold the last command up to the event
             state = step_dynamics(state, last_cmd, ev_t - state.t, tparams)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
-            points, surfaces = scan(scene if at_or_before(spawn_t, ev_t) else static,
+            points, surfaces = scan(scene if i >= takeoff else static,
                                     pose, ev_t, config.sensor, track_rng)
             cloud = transform_cloud(points, pose)
             if receiver[i] < n_ticks:  # else no tick receives it
-                inbox.setdefault(receiver[i], []).append(cloud)
+                inbox[receiver[i]] = cloud
             scans["n_points"][i] = np.sum(surfaces == TARGET)
         else:  # filter tick
-            ready = inbox.pop(i, [])
-            delivered = None
-            if ready:
-                delivered = ready[0] if len(ready) == 1 else PointCloud(
-                    np.vstack([c.xyz for c in ready]))
+            delivered = inbox.pop(i, None)
+            if delivered is not None:
                 delivered = preprocess_cloud(delivered, config.filters, scene.ground_z,
                                              octree, sensor_origin=origin)
             pset, est = step(pset, delivered, config.tracker)
@@ -296,7 +286,8 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     The logs are in time order, as run_scenario writes them. Each track row
     is paired once with the truth row nearest in time; a non-finite t in any
     log, or skew beyond half a filter period, is an error. Every metric uses
-    that pairing.
+    that pairing. The initial lock reads scan row k as tracking frame k and
+    track row j as tick j, as run_scenario writes them.
     """
     if not len(track) or not len(truth):
         raise ValueError("cannot compute metrics from empty logs")
@@ -355,10 +346,9 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
     # first frame with target returns, under the loop's delivery rule
     if scans is not None and len(scans):
         n_pts = scans["n_points"]
-        frame_t = scans["t"]
         with_target = n_pts > 0
         if np.any(with_target):
-            first = receiving_ticks(frame_t[with_target][:1], tt, config.pipeline_latency)[0]
+            first = receiving_ticks(np.flatnonzero(with_target)[:1].tolist(), config)[0]
             stable_after = np.flatnonzero(stable[first:])
             if len(stable_after):
                 report.initial_lock_time = float(tt[first + stable_after[0]] - tt[first])
@@ -370,22 +360,20 @@ def compute_metrics(track: np.ndarray, truth: np.ndarray, config: ScenarioConfig
 
 def points_per_scan(ranges: np.ndarray, n_points: np.ndarray) -> list[tuple[float, float, float]]:
     """(lo, hi, mean points per scan) for each non-empty 10 m bin [lo, hi) of
-    the finite target ranges, from 0 m to the bin past the farthest range.
+    the target ranges, from 0 m up; a range below 0 falls in no bin.
 
-    One pass over the scans, whatever the range: each range is binned by
-    search and the counts and point sums are taken with bincount. Ranges
-    below 0 or at or past the last edge fall in no bin.
+    The cost follows the scans, not the range: only the occupied bins are
+    formed, and the counts and point sums are taken with bincount.
     """
-    hi = 10.0 * math.ceil(ranges.max() / 10.0 + 1e-9)
-    edges = np.arange(0.0, hi + 10.0, 10.0)
-    n_bins = max(len(edges) - 1, 0)  # no edge at all when every range is below -10 m
-    bins = np.searchsorted(edges, ranges, side="right") - 1
-    inside = (bins >= 0) & (bins < n_bins)
-    bins = bins[inside]
-    counts = np.bincount(bins, minlength=n_bins)
-    sums = np.bincount(bins, weights=n_points[inside], minlength=n_bins)
-    return [(float(edges[k]), float(edges[k + 1]), float(sums[k] / counts[k]))
-            for k in np.flatnonzero(counts)]
+    inside = ranges >= 0.0
+    r = ranges[inside]
+    # r / 10 never rounds up onto the next edge: the float below 10 k lies
+    # at least 0.8 ulp of k below k, so floor(r / 10) is r's bin
+    bins, slot = np.unique(np.floor(r / 10.0), return_inverse=True)
+    counts = np.bincount(slot)
+    sums = np.bincount(slot, weights=n_points[inside])
+    return [(10.0 * b, 10.0 * (b + 1.0), float(s / c))
+            for b, s, c in zip(bins.tolist(), sums.tolist(), counts.tolist())]
 
 
 # --- CSV import/export ------------------------------------------------------

@@ -82,10 +82,9 @@ class RosetteParams:
     @functools.cached_property
     def period(self) -> float:
         """Exact repeat period of the pattern, or inf unless both frequencies
-        equal fractions with denominators <= 10^6 exactly."""
-        fa = Fraction(self.f1).limit_denominator(10**6)
-        fb = Fraction(self.f2).limit_denominator(10**6)
-        if float(fa) != self.f1 or float(fb) != self.f2:
+        read by exact() have denominators <= 10^6."""
+        fa, fb = exact(self.f1), exact(self.f2)
+        if max(fa.denominator, fb.denominator) > 10**6:
             return math.inf
         g = Fraction(math.gcd(fa.numerator * fb.denominator, fb.numerator * fa.denominator),
                      fa.denominator * fb.denominator)
@@ -94,13 +93,11 @@ class RosetteParams:
     @functools.cached_property
     def frame_phases(self) -> float:
         """Pattern phases at which consecutive frames start before they
-        repeat: the numerator of period / integration_time as a reduced
-        fraction (denominator <= 10^6, as for period), or inf when the
-        pattern does not repeat."""
-        ratio = self.period / self.integration_time
-        if ratio == math.inf:
+        repeat: the numerator of period / integration_time, both read by
+        exact(), or inf when the pattern does not repeat."""
+        if self.period == math.inf:
             return math.inf
-        return Fraction(ratio).limit_denominator(10**6).numerator
+        return (exact(self.period) / exact(self.integration_time)).numerator
 
 
 # Fastest prism rotation, Hz: about 6,000x the bundled 161 Hz. The beam phase
@@ -112,12 +109,25 @@ MAX_PRISM_FREQUENCY = 1e6
 MAX_RAYS_PER_FRAME = 2**22
 
 
+@functools.lru_cache(maxsize=2**12)
+def exact(x: float) -> Fraction:
+    """The fraction with denominator at most 10^6 whose float is x, or else
+    x's own binary fraction: a rate or a time written as a decimal reads as
+    that decimal. Every clock decision is made on values read this way.
+
+    Cached, as reading a value costs about 20 us: runs of one config read
+    the same rates and frame starts again."""
+    binary = Fraction(x)
+    near = binary.limit_denominator(10**6)
+    return near if float(near) == x else binary
+
+
 def event_count(span: float, rate: float) -> int:
-    """Events at the given rate that fit in the span: floor(span * rate),
-    guarded against float error so that e.g. 100 rays/s over 0.29 s gives 29
-    rays, not 28. Rays per frame, frames and filter ticks are all counted
-    with it."""
-    return int(math.floor(span * rate + 1e-9))
+    """Events at the given rate that fit in the span: floor(span * rate) in
+    exact arithmetic, so that 100 rays/s over 0.29 s gives 29 rays, not the
+    28 of the float product. Rays per frame, frames and filter ticks are all
+    counted with it."""
+    return math.floor(exact(span) * exact(rate))
 
 
 def _angles_to_directions(a_h: np.ndarray, a_v: np.ndarray) -> np.ndarray:
@@ -133,17 +143,19 @@ CACHED_PHASES = 32
 
 
 @functools.lru_cache(maxsize=1)
-def _frame_offsets(integration_time: float, n: int) -> np.ndarray:
-    """Read-only (n,) emission times of an n-ray frame, from its start."""
+def _frame_offsets(integration_time: float, point_rate: float) -> np.ndarray:
+    """Read-only emission times of the event_count(integration_time,
+    point_rate) rays of a frame, from its start."""
+    n = event_count(integration_time, point_rate)
     offsets = np.arange(n) * (integration_time / n)
     offsets.flags.writeable = False
     return offsets
 
 
 @functools.lru_cache(maxsize=CACHED_PHASES)
-def _phase_directions(params: RosetteParams, phase: float, n: int) -> np.ndarray:
+def _phase_directions(params: RosetteParams, phase: Fraction, n: int) -> np.ndarray:
     """(3, n) C-ordered block of the directions of an n-ray frame starting at the phase."""
-    dirs = params.directions(phase + _frame_offsets(params.integration_time, n)).T
+    dirs = params.directions(float(phase) + np.arange(n) * (params.integration_time / n)).T
     dirs.flags.writeable = False
     return dirs
 
@@ -151,13 +163,10 @@ def _phase_directions(params: RosetteParams, phase: float, n: int) -> np.ndarray
 def _frame_directions(params: RosetteParams, t0: float, offsets: np.ndarray) -> np.ndarray:
     """(3, n) C-ordered directions at times t0 + offsets; cached iff the
     frames start at no more than CACHED_PHASES pattern phases. The phase key
-    is t0 modulo the period, rounded to 1e-9 s; a key that rounds up to the
-    period is phase 0."""
+    is exact(t0) modulo exact(period)."""
     if params.frame_phases > CACHED_PHASES:
         return params.directions(t0 + offsets).T
-    period = params.period
-    phase = round(t0 % period, 9)
-    return _phase_directions(params, phase if phase < period else 0.0, len(offsets))
+    return _phase_directions(params, exact(t0) % exact(params.period), len(offsets))
 
 
 def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator):
@@ -173,8 +182,7 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     """
     if not 0.0 <= t0 < math.inf:
         raise ValueError("frame start time must be finite and >= 0")
-    n = event_count(params.integration_time, params.point_rate)
-    offsets = _frame_offsets(params.integration_time, n)
+    offsets = _frame_offsets(params.integration_time, params.point_rate)
     dirs_sensor = _frame_directions(params, t0, offsets)  # (3, n)
 
     rot = pan_tilt_to_rotation(pose.orientation)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PAN_LIMIT, TILT_LIMIT, PanTiltPose, SensorPose
-from .sensor import event_count
 
 
 # Most rows the raster may have. The config holds the raster's turret steps
@@ -59,7 +58,10 @@ class TurretParams:
     @property
     def scan_rows(self) -> int:
         """The first row plus one per scan_line_spacing that fits the tilt range."""
-        return event_count(self.scan_tilt_max - self.scan_tilt_min, 1.0 / self.scan_line_spacing) + 1
+        # Not sensor.event_count: angles such as pi/50 have no exact value, and
+        # counted exactly 0..pi/2 at pi/50 would give 25 rows, not 26.
+        span = self.scan_tilt_max - self.scan_tilt_min
+        return math.floor(span * (1.0 / self.scan_line_spacing) + 1e-9) + 1
 
 
 @dataclass

@@ -118,12 +118,10 @@ class RingScanParams:
 
 
 def binwise_points_per_scan(ranges, n_points):
-    """Twin of harness.points_per_scan with one masked pass per 10 m bin."""
+    """Twin of harness.points_per_scan with one mask per 10 m bin, over every
+    bin from 0 m to the bin past the farthest range."""
     hi = 10.0 * math.ceil(ranges.max() / 10.0 + 1e-9)
     edges = np.arange(0.0, hi + 10.0, 10.0)
-    out = []
-    for lo, hi_edge in zip(edges[:-1], edges[1:]):
-        m = (ranges >= lo) & (ranges < hi_edge)
-        if np.any(m):
-            out.append((float(lo), float(hi_edge), float(n_points[m].mean())))
-    return out
+    masks = (ranges >= edges[:-1, None]) & (ranges < edges[1:, None])  # (bins, ranges)
+    return [(float(edges[k]), float(edges[k + 1]), float(n_points[masks[k]].mean()))
+            for k in np.flatnonzero(masks.any(axis=1))]

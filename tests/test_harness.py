@@ -7,16 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rosetrack.harness as harness
 from oracles import binwise_points_per_scan
 from rosetrack.config import MAX_EVENTS, default_config, parse_config
 from rosetrack.filters import preprocess_cloud
 from rosetrack.geometry import transform_cloud
-from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, at_or_before,
-                               compute_metrics, event_times, export_csv, export_run, positions,
-                               points_per_scan, read_scan_log, read_track_log, read_truth_log,
-                               receiving_ticks, run_many, run_scenario, target_visibility)
+from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsReport, compute_metrics,
+                               event_times, export_csv, export_run, positions, points_per_scan,
+                               read_scan_log, read_track_log, read_truth_log, receiving_ticks,
+                               run_many, run_scenario, target_visibility)
 from rosetrack.sensor import event_count
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -112,12 +114,20 @@ class TestComputeMetrics:
         [3.0, 71.5, 1e6],  # 100,001 bins, three of them filled
         [-3.0, 0.0, 5.0],  # a negative range falls in no bin
         [-15.0, -40.0],  # every range below -10 m: no edge at all
+        [3.0, np.nextafter(3.4e7, 0.0), 3.4e7],  # 3.4 million bins, three of them filled
     ])
     def test_points_per_scan_equals_binwise_oracle(self, ranges):
         rng = np.random.default_rng(len(ranges))
         r = np.array(ranges)
         n = rng.integers(0, 400, len(r))
-        assert points_per_scan(r, n) == binwise_points_per_scan(r, n)
+        tracemalloc.start()
+        try:
+            got = points_per_scan(r, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # only the occupied bins are formed, whatever the range
+        assert got == binwise_points_per_scan(r, n)
 
     def test_points_per_scan_equals_binwise_oracle_on_random_frames(self):
         rng = np.random.default_rng(7)
@@ -131,46 +141,59 @@ class TestComputeMetrics:
 
 class TestClock:
     # (lidar_rate, filter_rate, pipeline_latency) with deliveries on the tick
-    # grid; t0 is the raster length, where both clocks start
+    # grid; t0 is the raster length, where both clocks start, and the
+    # schedule, counted from the first tick, is the same at every t0
     @pytest.mark.parametrize("rates", [("10", "15", "0.2"), ("10", "10", "0.1"),
                                        ("10", "20", "0.15")], ids=lambda r: "/".join(r))
     @pytest.mark.parametrize("t0", [3.0, 5.0])
     def test_schedule_matches_an_exact_integer_oracle_over_the_longest_run(self, rates, t0):
         lidar, tick, latency = map(Fraction, rates)
         duration = MAX_EVENTS / float(tick)  # the most ticks a run may have
-        frames = event_times(t0, duration, float(lidar))
-        ticks = event_times(t0, duration, float(tick))
-        got = receiving_ticks(frames, ticks, float(latency))
-        # frame k goes to tick ceil(tick * (k / lidar + latency)), or to none
+        cfg = default_config([f"timing.lidar_rate={rates[0]}", f"timing.filter_rate={rates[1]}",
+                              f"timing.pipeline_latency={rates[2]}",
+                              f"turret.scan_duration={t0}", f"run.duration={duration}"])
+        n_frames = event_count(cfg.duration, cfg.lidar_rate)
+        got = receiving_ticks(range(n_frames), cfg)
+        # frame k goes to tick ceil(tick * (k / lidar + latency))
         a, b = tick / lidar, tick * latency
-        k = np.arange(len(frames), dtype=np.int64)
+        k = np.arange(n_frames, dtype=np.int64)
         num = a.numerator * b.denominator * k + b.numerator * a.denominator
-        want = np.minimum(-(-num // (a.denominator * b.denominator)), len(ticks))
-        assert len(ticks) >= MAX_EVENTS - 1
+        want = -(-num // (a.denominator * b.denominator))
+        assert event_count(cfg.duration, cfg.filter_rate) == MAX_EVENTS
         assert np.array_equal(got, want)
 
-    def test_same_instant_slack_scales_with_the_clock(self):
-        assert at_or_before(1.0 + 1e-13, 1.0) and not at_or_before(1.0 + 1e-11, 1.0)
-        big = 65536.1
-        assert at_or_before(np.nextafter(big, math.inf), big)
-        assert not at_or_before(big + 1e-6, big)
-        assert np.array_equal(at_or_before(np.array([0.5, 1.0, 1.5]), 1.0), [True, True, False])
-
-    def test_no_tick_before_the_frame_starts_receives_it(self):
-        # a latency below the clock's rounding cannot hand a frame to a tick
-        # that fires before the frame in the event order
-        ticks = np.array([1e5 - 1e-8, 1e5, 1e5 + 1.0])
-        assert receiving_ticks(np.array([1e5]), ticks, 1e-9).tolist() == [1]
-        assert receiving_ticks(np.array([1e5 + 2.0]), ticks, 0.1).tolist() == [3]
+    @settings(max_examples=60, deadline=None)
+    @given(lidar=st.integers(100, 10_000), extra=st.integers(0, 10_000),
+           periods=st.integers(2, 5), late=st.integers(0, 999),
+           t0=st.integers(100, 1000), duration=st.integers(0, 500))
+    @example(lidar=1000, extra=500, periods=2, late=0, t0=500, duration=300)  # on the tick grid
+    def test_schedule_is_the_integer_oracle_and_gives_no_tick_two_frames(
+            self, lidar, extra, periods, late, t0, duration):
+        # decimal rates with lidar_rate <= filter_rate and a latency of at
+        # least two frame periods, clear of the parser's one-period floor;
+        # the oracle reads the decimals as written, the schedule the parsed floats
+        lr, fr = Fraction(lidar, 100), Fraction(lidar + extra, 100)
+        lat = math.ceil(1000 * periods / lr) / Fraction(1000) + Fraction(late, 10**6)
+        texts = {"lr": f"{float(lr)!r}", "fr": f"{float(fr)!r}", "lat": f"{float(lat)!r}"}
+        assert all(Fraction(text) == value for text, value in
+                   zip(texts.values(), (lr, fr, lat)))  # the floats print as the decimals
+        cfg = default_config([f"timing.lidar_rate={texts['lr']}",
+                              f"timing.filter_rate={texts['fr']}",
+                              f"timing.pipeline_latency={texts['lat']}",
+                              f"turret.scan_duration={t0 / 100}", f"run.duration={duration / 100}"])
+        n_frames = event_count(cfg.duration, cfg.lidar_rate)
+        got = receiving_ticks(range(n_frames), cfg)
+        assert got == [math.ceil(fr * (Fraction(k) / lr + lat)) for k in range(n_frames)]
+        assert all(a < b for a, b in zip(got, got[1:]))
 
     def test_initial_lock_counts_from_the_tick_the_loop_delivers_to(self):
-        # at t = 65536 s a float step (1.5e-11 s) exceeds a fixed 1e-12 s
-        # slack: deliveries of frame k that round one step past tick k + 1
-        # still go to it, in the metric as in the loop
+        # at t = 65536 s a float step (1.5e-11 s) is larger than the gap
+        # between frame k's delivery and tick k + 1 in float; the exact
+        # schedule hands every frame k to tick k + 1, in the metric as in the loop
         cfg = default_config(["timing.filter_rate=10", "timing.pipeline_latency=0.1"])
         t = event_times(65536.0, 5.0, 10.0)
         k = int(np.flatnonzero(t[:-1] + 0.1 > t[1:])[0])
-        assert receiving_ticks(t[k:k + 1], t, 0.1).tolist() == [k + 1]
+        assert receiving_ticks(range(len(t)), cfg) == list(range(1, len(t) + 1))
         track, truth = synthetic_logs(n=len(t))
         track["t"] = truth["t"] = t
         track["status"][:k + 3] = "searching"
@@ -421,11 +444,10 @@ class TestRunScenario:
         assert sum(cloud is not None for cloud in calls) == deliverable
         assert len(calls) == len(result.track)  # one step per tick: never two clouds in one
 
-    def test_two_frames_delivered_to_one_tick_are_merged_in_frame_order(self, monkeypatch):
-        # the latency is 1.2e-12 s past the tick grid: the clock slack
-        # (1e-12 * max(1, |t|)) takes that for on the grid only at ticks after
-        # 1.2 s, so the frame at 1.1 s, delivered just past the tick at 1.2 s,
-        # goes to the tick at 1.3 s, which also receives the frame at 1.2 s
+    def test_latency_just_past_the_tick_grid_delivers_every_frame_alone(self, monkeypatch):
+        # the latency is 1.2e-12 s past the tick grid, at every t: frame k,
+        # delivered just past tick k + 1, goes to tick k + 2, and each
+        # delivered cloud is one frame's cloud
         frames, delivered = [], []
 
         def recording_transform(points, pose):
@@ -441,14 +463,11 @@ class TestRunScenario:
         cfg = default_config(["timing.lidar_rate=10", "timing.filter_rate=10",
                               "timing.pipeline_latency=0.1000000000012",
                               "turret.scan_duration=0.5", "run.duration=2"])
-        t = event_times(0.5, 2.0, 10.0)
-        receiver = receiving_ticks(t, t, cfg.pipeline_latency)
-        assert np.flatnonzero(np.bincount(receiver) > 1).tolist() == [8]
-        assert np.flatnonzero(receiver == 8).tolist() == [6, 7]  # t = 1.1 s and 1.2 s
-        run_scenario(cfg)
-        assert [len(c) for c in frames[6:8]] == [15_057, 14_755]
-        merged = next(c for c in delivered if len(c) == 29_812)
-        assert np.array_equal(merged.xyz, np.vstack([frames[6].xyz, frames[7].xyz]))
+        assert receiving_ticks(range(20), cfg) == list(range(2, 22))
+        result = run_scenario(cfg)
+        assert len(frames) == len(result.track) == 20
+        assert len(delivered) == 18
+        assert all(cloud is frame for cloud, frame in zip(delivered, frames))
 
     def test_initial_lock_metric(self):
         cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=2.8"])

@@ -90,8 +90,8 @@ def frame_starts(path, overrides):
 class TestDirectionCache:
     @pytest.mark.parametrize("case", list(CACHE_CASES))
     def test_cached_directions_match_direct_evaluation(self, case):
-        # frames at the same pattern phase share one block keyed by the phase
-        # rounded to 1e-9 s; at every frame start of the raster and of the
+        # frames at the same pattern phase share one block keyed by the exact
+        # phase, exact(t0) % exact(period); at every frame start of the raster and of the
         # tracking phase that block must equal directions at the frame's own
         # times. The bundled configs share one pattern and many frame starts,
         # so a case checks only the starts that no earlier case with its pattern checks
@@ -112,8 +112,8 @@ class TestDirectionCache:
     @pytest.mark.parametrize("f1, f2, blocks, hits", [
         (50.2, 31.0, 0, 0),  # period 5 s: 50 frames, more than the cache holds
         (50.5, 31.0, 20, 80),  # period 2 s
-        # period 3.2 s, exactly CACHED_PHASES frames; t0 = 9.6 s rounds to
-        # phase 3.2 s, which is phase 0, not a 33rd key
+        # period 3.2 s, exactly CACHED_PHASES frames; t0 = 9.6 s, whose float
+        # modulo 3.2 is 3.2 s less an ulp, is exactly phase 0, not a 33rd key
         (50.3125, 31.25, CACHED_PHASES, 68),
         (50.0000001, 31.0, 0, 0),  # no exact period
     ])
