@@ -44,8 +44,28 @@ class PointCloud:
         return len(self.xyz)
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        """New cloud keeping the masked points in order."""
-        return PointCloud(self.xyz[mask])
+        """New cloud keeping the masked points in order.
+
+        ``mask`` must be a boolean array of the cloud's length: np.compress
+        would truncate a short mask and read an index array as truth values.
+        The copy runs along the array's contiguous axis, so a column block
+        (the .T of a C-ordered (3, n) array) stays one. A subset of a checked
+        cloud is finite, so it is not checked again.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (len(self.xyz),):
+            raise ValueError(f"select needs a boolean mask of shape ({len(self.xyz)},), "
+                             f"got {mask.dtype} of shape {mask.shape}")
+        if self.xyz.flags.c_contiguous:
+            return PointCloud._checked(np.compress(mask, self.xyz, axis=0))
+        return PointCloud._checked(np.compress(mask, self.xyz.T, axis=1).T)
+
+    @classmethod
+    def _checked(cls, xyz: np.ndarray) -> "PointCloud":
+        """Cloud of an (n, 3) float array already known to be finite."""
+        cloud = cls.__new__(cls)
+        cloud.xyz = xyz
+        return cloud
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,18 @@ from rosetrack.scene import MISS, TARGET, ray_cast_arrays
 from rosetrack.sensor import _angles_to_directions, _frame_directions, event_count
 
 
+def all_points_range_filter(cloud, params, ground_z, sensor_origin):
+    """Twin of filters.range_filter that measures every point's distance,
+    ground included, and applies the ground band and the range window in
+    one mask."""
+    sq = np.subtract(cloud.xyz.T, np.asarray(sensor_origin, dtype=float)[:, None], order="C")
+    sq *= sq
+    d = np.sqrt(sq[0] + sq[1] + sq[2])
+    keep = (cloud.xyz[:, 2] > ground_z + params.ground_margin) \
+        & (d >= params.near_min) & (d <= params.far_max)
+    return cloud.select(keep)
+
+
 def brute_force_ror(cloud, radius, min_neighbors):
     """Twin of filters.radius_outlier_removal from all pairwise squared
     distances, summed and compared as the fast path does."""

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_ror, brute_force_sor
+from oracles import all_points_range_filter, brute_force_ror, brute_force_sor
+from scipy.spatial import cKDTree
 
+import rosetrack.filters as filters
 from rosetrack.background import OccupancyOctree, inflate
 from rosetrack.filters import (FilterParams, preprocess_cloud, radius_outlier_removal,
                                range_filter, statistical_outlier_removal, subtract_background)
@@ -12,6 +14,15 @@ from rosetrack.geometry import PointCloud
 
 def world_cloud(xyz):
     return PointCloud(xyz)
+
+
+def column_block(pts):
+    """The points as the .T of a C-ordered (3, n) block, the layout of scan's output."""
+    return np.ascontiguousarray(np.asarray(pts, dtype=float).reshape(-1, 3).T).T
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def kept_ids(cloud, out):
@@ -73,6 +84,51 @@ class TestRangeFilter:
         assert kept_ids(cloud, out) == want
         assert {0, 3, 6, 9} <= set(want)  # exactly near_min or far_max away is kept
         assert 12 not in want and 14 in want  # on the ground cut is dropped, above it kept
+
+
+class TestRangeFilterOracle:
+    PARAMS = TestRangeFilter.PARAMS
+
+    @staticmethod
+    def boundary_points(rng, origin, floor, params):
+        """Points on the ground cut, and points near_min and far_max from the
+        origin along random directions, each with one-ulp neighbours."""
+        pts = [(x, y, z) for x, y in rng.uniform(-10, 10, (2, 2))
+               for z in (floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf))]
+        u = rng.normal(size=(4, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        u[:2] = np.eye(3)[rng.integers(0, 3, 2)] * rng.choice([-1.0, 1.0], (2, 1))
+        for dist in (params.near_min, params.far_max):
+            for p in origin + dist * u:
+                for v in (p[0], np.nextafter(p[0], -np.inf), np.nextafter(p[0], np.inf)):
+                    pts.append((v, p[1], p[2]))
+        return np.array(pts)
+
+    @given(seed=st.integers(0, 10_000), n_above=st.integers(0, 60), n_ground=st.integers(0, 60),
+           boundary=st.booleans(), column=st.booleans(),
+           ground_z=st.sampled_from([0.0, 0.1, -0.7]))
+    @example(seed=3, n_above=10, n_ground=10, boundary=True, column=True, ground_z=0.0)
+    @example(seed=3, n_above=10, n_ground=10, boundary=True, column=False, ground_z=-0.7)
+    @example(seed=0, n_above=0, n_ground=40, boundary=False, column=True, ground_z=0.0)
+    @example(seed=0, n_above=0, n_ground=0, boundary=False, column=False, ground_z=0.0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_all_points_oracle(self, seed, n_above, n_ground, boundary, column, ground_z):
+        rng = np.random.default_rng(seed)
+        params = self.PARAMS
+        floor = ground_z + params.ground_margin
+        origin = rng.uniform([-1, -1, floor + 0.5], [1, 1, floor + 2])
+        ground = rng.uniform([-25, -25, floor - 1], [25, 25, floor], (n_ground, 3))
+        ground[::2, 2] = floor  # on the cut is ground
+        parts = [rng.uniform([-25, -25, floor], [25, 25, floor + 3], (n_above, 3)), ground]
+        if boundary:
+            parts.append(self.boundary_points(rng, origin, floor, params))
+        pts = np.vstack(parts)
+        pts = pts[rng.permutation(len(pts))]
+        cloud = PointCloud(column_block(pts) if column else pts)
+        out = range_filter(cloud, params, ground_z, origin)
+        assert same_bits(out.xyz, all_points_range_filter(cloud, params, ground_z, origin).xyz)
+        if n_above == 0 and not boundary:
+            assert out.xyz.shape == (0, 3)
 
 
 class TestSubtractBackground:
@@ -243,6 +299,95 @@ class TestChainProperties:
         assert ids == sorted(ids)
         idx = np.array(ids, dtype=int)
         assert np.array_equal(out.xyz, cloud.xyz[idx])
+
+
+def _drawn_cloud(rng, kind, params):
+    """Points above the ground band and inside the range window of the
+    origin (0, 0, 1), shaped to probe the outlier filters."""
+    centre = np.array([3.0, 0.0, 1.5])
+    r = params.ror_radius
+    if kind == "duplicates":
+        base = centre + rng.uniform(-0.6, 0.6, (int(rng.integers(1, 30)), 3))
+        return base[rng.integers(0, len(base), int(rng.integers(0, 120)))]
+    if kind == "radius_pairs":
+        # pairs r * (1 + j * 1e-16) apart, j in [-20, 20], among a sparse cluster
+        ends = centre + rng.uniform(-1, 1, (int(rng.integers(1, 40)), 3))
+        u = rng.normal(size=ends.shape)
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        others = ends + (r * (1 + rng.integers(-20, 21, len(ends)) * 1e-16))[:, None] * u
+        pts = np.vstack([ends, others])
+        return pts[rng.permutation(len(pts))]
+    if kind == "dense":  # within 0.44 m of each other: ROR keeps every point
+        return centre + rng.uniform(-0.125, 0.125, (int(rng.integers(0, 60)), 3))
+    if kind == "at_most_sor_k":
+        return centre + rng.uniform(-0.3, 0.3, (int(rng.integers(0, params.sor_k + 1)), 3))
+    return centre + rng.uniform(-1, 1, (int(rng.integers(0, 200)), 3))
+
+
+def _background_near(rng):
+    octree = OccupancyOctree(0.25, (-5, -5, -5), (10, 5, 5))
+    octree.insert_points(np.array([3.0, 0.0, 1.5]) + rng.uniform(-1, 1, (4, 3)))
+    return octree
+
+
+class TestPreprocessOracle:
+    @given(seed=st.integers(0, 10_000),
+           kind=st.sampled_from(["duplicates", "radius_pairs", "dense", "at_most_sor_k",
+                                 "uniform"]),
+           min_neighbors=st.integers(1, 12), sor_k=st.integers(1, 10), column=st.booleans())
+    @example(seed=1, kind="uniform", min_neighbors=10, sor_k=2, column=True)
+    @example(seed=2, kind="dense", min_neighbors=10, sor_k=3, column=False)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_chain_with_brute_force_outlier_filters(self, seed, kind, min_neighbors,
+                                                              sor_k, column):
+        rng = np.random.default_rng(seed)
+        params = FilterParams(ror_radius=0.5, ror_min_neighbors=min_neighbors, sor_k=sor_k)
+        pts = _drawn_cloud(rng, kind, params)
+        cloud = PointCloud(column_block(pts) if column else pts)
+        octree = _background_near(rng)
+        origin = (0.0, 0.0, 1.0)
+        out = preprocess_cloud(cloud, params, 0.0, octree, origin)
+        gated = subtract_background(range_filter(cloud, params, 0.0, origin), octree)
+        want = brute_force_sor(brute_force_ror(gated, params.ror_radius, min_neighbors),
+                               sor_k, params.sor_alpha)
+        assert same_bits(out.xyz, want.xyz)
+        assert out.xyz.flags.c_contiguous
+
+
+class TestSharedQuery:
+    PARAMS = FilterParams(ror_radius=0.5, ror_min_neighbors=2, sor_k=8)
+
+    @staticmethod
+    def trees_built(monkeypatch, pts):
+        built = []
+
+        def counting_tree(data, *args, **kwargs):
+            built.append(len(data))
+            return cKDTree(data, *args, **kwargs)
+
+        monkeypatch.setattr(filters, "cKDTree", counting_tree)
+        empty = OccupancyOctree(0.25, (-5, -5, -5), (10, 5, 5))
+        out = preprocess_cloud(PointCloud(column_block(pts)), TestSharedQuery.PARAMS, 0.0,
+                               empty, sensor_origin=(0, 0, 1))
+        return built, out
+
+    def cluster(self):
+        return np.array([3.0, 0.0, 1.5]) + np.random.default_rng(6).uniform(-0.15, 0.15, (30, 3))
+
+    def test_one_tree_when_ror_keeps_every_point(self, monkeypatch):
+        built, out = self.trees_built(monkeypatch, self.cluster())
+        assert built == [30]
+        assert 0 < len(out) <= 30
+
+    def test_second_tree_when_ror_drops_a_point(self, monkeypatch):
+        pts = np.vstack([self.cluster(), [[6.0, 2.0, 1.5]]])
+        built, out = self.trees_built(monkeypatch, pts)
+        assert built == [31, 30]
+        assert [6.0, 2.0, 1.5] not in out.xyz.tolist()
+
+    def test_no_tree_when_no_point_can_keep(self, monkeypatch):
+        built, out = self.trees_built(monkeypatch, self.cluster()[:2])
+        assert built == [] and out.xyz.shape == (0, 3)
 
 
 def test_preprocess_returns_c_ordered_points_for_a_column_block():

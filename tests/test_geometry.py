@@ -132,3 +132,34 @@ class TestDomainTypes:
     def test_sensor_pose_requires_finite_origin(self):
         with pytest.raises(ValueError):
             SensorPose((math.inf, 0, 0))
+
+
+class TestSelect:
+    PTS = np.arange(12.0).reshape(4, 3)
+
+    @pytest.mark.parametrize("column", [False, True])
+    def test_keeps_masked_rows_in_order_and_layout(self, column):
+        xyz = np.ascontiguousarray(self.PTS.T).T if column else self.PTS
+        out = PointCloud(xyz).select(np.array([True, False, True, True]))
+        assert np.array_equal(out.xyz, self.PTS[[0, 2, 3]])
+        assert out.xyz.flags.f_contiguous if column else out.xyz.flags.c_contiguous
+
+    def test_short_mask_rejected(self):
+        # np.compress would keep the rows the mask covers and drop the rest
+        with pytest.raises(ValueError, match="boolean mask of shape"):
+            PointCloud(self.PTS).select(np.array([True, True]))
+
+    def test_long_mask_rejected(self):
+        with pytest.raises(ValueError, match="boolean mask of shape"):
+            PointCloud(self.PTS).select(np.ones(5, dtype=bool))
+
+    @pytest.mark.parametrize("mask", [np.array([0, 2]), np.array([1, 0, 1, 1]),
+                                      np.array([1.0, 0.0, 1.0, 1.0])])
+    def test_non_boolean_mask_rejected(self, mask):
+        # np.compress reads [0, 2] as truth values, keeping row 1 only
+        with pytest.raises(ValueError, match="boolean mask of shape"):
+            PointCloud(self.PTS).select(mask)
+
+    def test_empty_selection_keeps_three_columns(self):
+        out = PointCloud(self.PTS).select(np.zeros(4, dtype=bool))
+        assert out.xyz.shape == (0, 3)
