@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Subcommands:
-  run <config>            simulate a scenario, write track/truth/scans/metrics CSVs
+  run <config>...         simulate scenarios, write track/truth/scans/metrics CSVs
   metrics <track> <truth> --config <config>
                           recompute metrics from exported logs
   sweep <config> --param <section.key> --values v1,v2,...
@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, describe_schema, parse_config
 from .harness import (compute_metrics, export_csv, export_run, read_scan_log, read_track_log,
-                      read_truth_log, run_many, run_scenario)
+                      read_truth_log, run_many)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -38,11 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              metavar="SECTION.KEY=VALUE",
                              help="dot-path config override (repeatable)")
     scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("config", type=Path)
     scenario.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
-    sub.add_parser("run", parents=[scenario, overridable],
-                   help="simulate a scenario config").set_defaults(func=_run)
+    run_p = sub.add_parser("run", parents=[scenario, overridable],
+                           help="simulate scenario configs")
+    run_p.add_argument("configs", type=Path, nargs="+", metavar="config",
+                       help="one config writes into --out-dir, several into <out-dir>/<stem>/")
+    run_p.set_defaults(func=_run)
 
     met_p = sub.add_parser("metrics", parents=[overridable],
                            help="compute metrics from exported logs")
@@ -56,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", parents=[scenario, overridable],
                              help="run a scenario across parameter values")
+    sweep_p.add_argument("config", type=Path)
     sweep_p.add_argument("--param", required=True, metavar="SECTION.KEY")
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.set_defaults(func=_sweep)
@@ -65,12 +69,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_and_export(runs):
+    """Run each (run directory, config path, overrides) and write its four
+    CSVs into its directory; returns the RunResults in input order.
+
+    Two runs that share a directory are config-value before any config is
+    parsed. The runs go through run_many; one line per run names its
+    directory and headline metrics, and a last line the wall time of all runs.
+    """
+    dirs = [run_dir for run_dir, _, _ in runs]
+    shared = next((d for d in dirs if dirs.count(d) > 1), None)
+    if shared is not None:
+        raise ConfigError("config-value", f"two runs share the run directory {shared}")
+    configs = [parse_config(path, overrides) for _, path, overrides in runs]
+    start = time.perf_counter()
+    results = run_many(configs)
+    wall = time.perf_counter() - start
+    width = max(len(str(d)) for d in dirs) + 1
+    for run_dir, result in zip(dirs, results):
+        export_run(result, run_dir)
+        m = result.metrics
+        print(f"wrote {f'{run_dir}/':{width}s} rmse={m.rmse:8.4f} "
+              f"stationary={m.mean_error_stationary:8.4f} moving={m.mean_error_moving:8.4f} "
+              f"detect={m.detection_distance:7.1f} redetect={m.redetect_latency:6.3f} "
+              f"lock={m.initial_lock_time:6.3f}")
+    print(f"{len(runs)} run(s) in {wall:.1f} s wall time")
+    return results
+
+
 def _run(args) -> int:
-    config = parse_config(args.config, args.override)
-    result = run_scenario(config)
-    export_run(result, args.out_dir)
-    print(f"wrote {args.out_dir}/track.csv truth.csv scans.csv metrics.csv "
-          f"({len(result.track)} ticks, {len(result.scans)} frames)")
+    several = len(args.configs) > 1
+    _run_and_export([(args.out_dir / path.stem if several else args.out_dir, path, args.override)
+                     for path in args.configs])
     return 0
 
 
@@ -92,19 +122,12 @@ def _sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("config-value", "--values must list at least one value")
-    run_dirs = {f"{args.param.replace('.', '_')}_{value.replace('/', '_')}": value for value in values}
-    if len(run_dirs) < len(values):
-        raise ConfigError("config-value", f"--values {args.values}: two values share one run directory")
-    configs = [parse_config(args.config, [*args.override, f"{args.param}={value}"])
-               for value in values]
+    prefix = args.param.replace(".", "_")
+    results = _run_and_export([(args.out_dir / f"{prefix}_{value.replace('/', '_')}", args.config,
+                                [*args.override, f"{args.param}={value}"]) for value in values])
     stats = ("detection_distance", "rmse", "mean_error", "redetect_latency")
-    rows = []
-    for (name, value), result in zip(run_dirs.items(), run_many(configs)):
-        export_run(result, args.out_dir / name)
-        m = result.metrics
-        rows.append((value, *(getattr(m, stat) for stat in stats)))
-        print(f"{args.param}={value}: detection_distance={m.detection_distance:.6g} "
-              f"rmse={m.rmse:.6g}")
+    rows = [(value, *(getattr(result.metrics, stat) for stat in stats))
+            for value, result in zip(values, results)]
     summary_path = args.out_dir / "sweep.csv"
     export_csv(np.array(rows, dtype=[("value", object)] + [(stat, float) for stat in stats]),
                summary_path)

@@ -107,11 +107,6 @@ class Trajectory:
         self._a = np.vstack(starts)
         self._b = np.vstack(ends)
         self.total_duration = t
-        # the same phases as Python floats, for the per-frame bounding_ball
-        self._t0s = self._t0.tolist()
-        self._durs = self._dur.tolist()
-        self._starts = [tuple(p) for p in self._a.tolist()]
-        self._ends = [tuple(p) for p in self._b.tolist()]
 
     def _phase(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Phase index of each time and the fraction of that phase done,
@@ -129,16 +124,16 @@ class Trajectory:
         return idx, np.minimum(u, 1.0, out=u)
 
     def _phase_at(self, t: float) -> tuple[int, float]:
-        """_phase for one time, in Python floats."""
+        """_phase for one time, as a scalar index and fraction."""
         if not 0 <= t < math.inf:
             raise ValueError(_BAD_TIME)
-        k = max(bisect.bisect_right(self._t0s, t) - 1, 0)
-        return k, min(max((t - self._t0s[k]) / self._durs[k], 0.0), 1.0)
+        k = max(bisect.bisect_right(self._t0, t) - 1, 0)
+        return k, min(max((t - self._t0[k]) / self._dur[k], 0.0), 1.0)
 
-    def _point_at(self, k: int, u: float) -> tuple[float, float, float]:
-        """_at for one phase index and fraction, in Python floats."""
+    def _point_at(self, k: int, u: float) -> np.ndarray:
+        """_at for one phase index and fraction: one (3,) position."""
         s = 0.5 * (1.0 - math.cos(math.pi * u))
-        return tuple(a + (b - a) * s for a, b in zip(self._starts[k], self._ends[k]))
+        return self._a[k] + (self._b[k] - self._a[k]) * s
 
     def _at(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(n, 3) positions at the given phase indices and fractions."""
@@ -163,7 +158,7 @@ class Trajectory:
             raise ValueError("bounding_ball needs t_lo <= t_hi")
         # phases are contiguous: each starts where the one before it ends
         pts = [self._point_at(k_lo, u_lo), self._point_at(k_hi, u_hi),
-               *self._starts[k_lo + 1:k_hi + 1]]
+               *self._a[k_lo + 1:k_hi + 1]]
         cx, cy, cz = centre = [0.5 * (min(c) + max(c)) for c in zip(*pts)]
         r2 = max((x - cx) * (x - cx) + (y - cy) * (y - cy) + (z - cz) * (z - cz)
                  for x, y, z in pts)

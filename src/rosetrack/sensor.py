@@ -153,20 +153,21 @@ def _frame_offsets(integration_time: float, point_rate: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=CACHED_PHASES)
-def _phase_directions(params: RosetteParams, phase: Fraction, n: int) -> np.ndarray:
-    """(3, n) C-ordered block of the directions of an n-ray frame starting at the phase."""
-    dirs = params.directions(float(phase) + np.arange(n) * (params.integration_time / n)).T
+def _phase_directions(params: RosetteParams, phase: Fraction) -> np.ndarray:
+    """(3, n) C-ordered block of the directions of a frame starting at the phase."""
+    offsets = _frame_offsets(params.integration_time, params.point_rate)
+    dirs = params.directions(float(phase) + offsets).T
     dirs.flags.writeable = False
     return dirs
 
 
-def _frame_directions(params: RosetteParams, t0: float, offsets: np.ndarray) -> np.ndarray:
-    """(3, n) C-ordered directions at times t0 + offsets; cached iff the
-    frames start at no more than CACHED_PHASES pattern phases. The phase key
-    is exact(t0) modulo exact(period)."""
+def _frame_directions(params: RosetteParams, t0: float) -> np.ndarray:
+    """(3, n) C-ordered directions of the frame starting at t0; cached iff
+    the frames start at no more than CACHED_PHASES pattern phases. The phase
+    key is exact(t0) modulo exact(period)."""
     if params.frame_phases > CACHED_PHASES:
-        return params.directions(t0 + offsets).T
-    return _phase_directions(params, exact(t0) % exact(params.period), len(offsets))
+        return params.directions(t0 + _frame_offsets(params.integration_time, params.point_rate)).T
+    return _phase_directions(params, exact(t0) % exact(params.period))
 
 
 def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator):
@@ -183,7 +184,7 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     if not 0.0 <= t0 < math.inf:
         raise ValueError("frame start time must be finite and >= 0")
     offsets = _frame_offsets(params.integration_time, params.point_rate)
-    dirs_sensor = _frame_directions(params, t0, offsets)  # (3, n)
+    dirs_sensor = _frame_directions(params, t0)  # (3, n)
 
     rot = pan_tilt_to_rotation(pose.orientation)
     dirs_world = rot @ dirs_sensor

@@ -86,7 +86,7 @@ class TrackEstimate:
 
 def init_filter(params: TrackerParams, seed) -> ParticleSet:
     """Particles uniform over the surveillance volume with uniform weights."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through as itself
     positions = rng.uniform(params.surveillance_lo, params.surveillance_hi,
                             size=(params.n_particles, 3))
     weights = np.full(params.n_particles, 1.0 / params.n_particles)

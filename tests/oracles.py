@@ -9,6 +9,7 @@ return density is compared with (acceptance criterion 7); sensor.scan runs
 it through the same ray casting and return model.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -68,6 +69,29 @@ def cdf_walk_indices(weights, offset):
     return out
 
 
+def list_bounding_ball(traj, t_lo, t_hi):
+    """Twin of scene.Trajectory.bounding_ball that reads the phase table as
+    Python lists of floats and of point tuples."""
+    t0s, durs = traj._t0.tolist(), traj._dur.tolist()
+    starts = [tuple(p) for p in traj._a.tolist()]
+    ends = [tuple(p) for p in traj._b.tolist()]
+
+    def phase_at(t):
+        k = max(bisect.bisect_right(t0s, t) - 1, 0)
+        return k, min(max((t - t0s[k]) / durs[k], 0.0), 1.0)
+
+    def point_at(k, u):
+        s = 0.5 * (1.0 - math.cos(math.pi * u))
+        return tuple(a + (b - a) * s for a, b in zip(starts[k], ends[k]))
+
+    (k_lo, u_lo), (k_hi, u_hi) = phase_at(float(t_lo)), phase_at(float(t_hi))
+    pts = [point_at(k_lo, u_lo), point_at(k_hi, u_hi), *starts[k_lo + 1:k_hi + 1]]
+    cx, cy, cz = centre = [0.5 * (min(c) + max(c)) for c in zip(*pts)]
+    r2 = max((x - cx) * (x - cx) + (y - cy) * (y - cy) + (z - cz) * (z - cz)
+             for x, y, z in pts)
+    return np.array(centre), math.sqrt(r2)
+
+
 def clamped_return_probability(ranges, is_target, scene):
     """Twin of scene.return_probability_arrays that selects the reflectivity
     with np.where and clamps the product to [0, 1] before the threshold."""
@@ -86,7 +110,7 @@ def gather_twice_scan(scene, pose, t0, params, rng):
     direction array; the random draws must come out the same."""
     n = event_count(params.integration_time, params.point_rate)
     offsets = np.arange(n) * (params.integration_time / n)
-    dirs_sensor = _frame_directions(params, t0, offsets)
+    dirs_sensor = _frame_directions(params, t0)
     dirs_world = pan_tilt_to_rotation(pose.orientation) @ dirs_sensor
     ranges, surf = ray_cast_arrays(scene, np.asarray(pose.origin, dtype=float), dirs_world.T,
                                    t0 + offsets)

@@ -29,13 +29,43 @@ def small_cfg(tmp_path):
     return path
 
 
+NAMES = ("track", "truth", "scans", "metrics")
+
+
 class TestRunCommand:
     def test_run_writes_all_csvs(self, small_cfg, tmp_path, capsys):
+        # one config writes straight into --out-dir
         out = tmp_path / "out"
         assert main(["run", str(small_cfg), "--out-dir", str(out)]) == 0
-        for name in ("track.csv", "truth.csv", "scans.csv", "metrics.csv"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{name}.csv" for name in NAMES)
         assert "wrote" in capsys.readouterr().out
+
+    def test_several_configs_write_one_directory_each(self, small_cfg, tmp_path):
+        # each run directory holds what a run of that config alone writes
+        other = tmp_path / "other.cfg"
+        other.write_text(FAST_SMALL.replace("seed = 3", "seed = 4"))
+        out = tmp_path / "out"
+        assert main(["run", str(small_cfg), str(other), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["other", "small"]
+        for path in (small_cfg, other):
+            alone = tmp_path / f"alone_{path.stem}"
+            assert main(["run", str(path), "--out-dir", str(alone)]) == 0
+            for name in NAMES:
+                assert (out / path.stem / f"{name}.csv").read_bytes() == \
+                    (alone / f"{name}.csv").read_bytes(), (path.stem, name)
+
+    def test_configs_sharing_a_stem_are_rejected_before_parsing(self, tmp_path, capsys):
+        # a/x.cfg and b/x.cfg would both write <out-dir>/x/; neither file
+        # parses, so a parse before the check would exit config-unknown-key
+        paths = [tmp_path / d / "x.cfg" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text("[sensor]\nbogus = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", *map(str, paths), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config-value" in err and "run directory" in err
+        assert not out.exists()
 
     def test_seed_flag_changes_output(self, small_cfg, tmp_path):
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))

@@ -3,8 +3,10 @@ sha256 of its track/truth/scans/metrics CSVs byte for byte.
 
 The outputs must not depend on which OpenBLAS kernel numpy runs either.
 
-The hashed files are those that scripts/run_all_scenarios.py writes. A change
-that means to alter outputs regenerates the hashes and says why:
+The hashed files are those that
+``rosetrack run configs/*.cfg --override run.seed=0 --out-dir D`` writes into
+D/<config stem>/. A change that means to alter outputs regenerates the hashes
+and says why:
 
     python tests/test_golden.py > tests/golden/outputs.sha256
 """
@@ -29,14 +31,15 @@ def src_env(**extra) -> dict[str, str]:
 
 
 def golden_lines(out_dir: Path) -> list[str]:
-    """One ``sha256sum``-style line per CSV that the batch script writes at
-    seed 0, configs in sorted order."""
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "run_all_scenarios.py"),
-                    "--seed", "0", "--out-dir", str(out_dir)],
+    """One ``sha256sum``-style line per CSV that ``rosetrack run`` writes for
+    every bundled config at seed 0, configs in sorted order."""
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    subprocess.run([sys.executable, "-m", "rosetrack.cli", "run", *map(str, paths),
+                    "--override", "run.seed=0", "--out-dir", str(out_dir)],
                    env=src_env(), check=True, capture_output=True, timeout=600)
     return [f"{hashlib.sha256((out_dir / path.stem / f'{name}.csv').read_bytes()).hexdigest()}  "
             f"{path.stem}/{name}.csv"
-            for path in sorted(CONFIG_DIR.glob("*.cfg")) for name in NAMES]
+            for path in paths for name in NAMES]
 
 
 def test_bundled_configs_match_golden_hashes(tmp_path):

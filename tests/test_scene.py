@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import clamped_return_probability
+from oracles import clamped_return_probability, list_bounding_ball
 
 from rosetrack.scene import (_BLOCK, Box, Scene, TargetModel, Trajectory, WeatherModel,
                              make_pattern, ray_cast_arrays, return_probability_arrays)
@@ -211,6 +211,17 @@ class TestTrajectory:
         ts = np.concatenate([[t_lo, t_hi], np.linspace(t_lo, t_hi, 257)])
         dist = np.linalg.norm(traj.position(ts) - centre, axis=1)
         assert np.all(dist <= radius + 1e-12 * (1.0 + radius + np.linalg.norm(centre)))
+
+    @given(traj=trajectories(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bounding_ball_matches_list_oracle(self, traj, data):
+        # the ball read from the phase arrays equals, bit for bit, the one
+        # read from Python list copies of them
+        t_lo, t_hi = data.draw(frame_windows(traj))
+        centre, radius = traj.bounding_ball(t_lo, t_hi)
+        want_centre, want_radius = list_bounding_ball(traj, t_lo, t_hi)
+        assert centre.tobytes() == want_centre.tobytes()
+        assert radius.hex() == want_radius.hex()
 
     def test_invariants(self):
         with pytest.raises(ValueError):

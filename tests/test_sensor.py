@@ -104,7 +104,7 @@ class TestDirectionCache:
                 starts -= earlier_starts
         n = event_count(params.integration_time, params.point_rate)
         offsets = np.arange(n) * (params.integration_time / n)
-        worst = max((np.max(np.abs(_frame_directions(params, t0, offsets)
+        worst = max((np.max(np.abs(_frame_directions(params, t0)
                                    - params.directions(t0 + offsets).T)) for t0 in sorted(starts)),
                     default=0.0)
         assert worst <= 1e-9
@@ -121,10 +121,9 @@ class TestDirectionCache:
         # 100 consecutive 0.1 s frames: a cached pattern keeps one block per
         # phase and reads it again on every later lap
         params = RosetteParams(f1=f1, f2=f2, point_rate=240.0)
-        offsets = np.arange(24) * (params.integration_time / 24)
         _phase_directions.cache_clear()
         for k in range(100):
-            _frame_directions(params, k / 10, offsets)
+            _frame_directions(params, k / 10)
         info = _phase_directions.cache_info()
         assert (info.currsize, info.hits) == (blocks, hits)
 
@@ -135,10 +134,9 @@ class TestDirectionCache:
     ])
     def test_pattern_cached_iff_its_frames_start_at_few_phases(self, lidar_rate, blocks, hits):
         params = RosetteParams(point_rate=24 * lidar_rate, integration_time=1 / lidar_rate)
-        offsets = np.arange(24) * (params.integration_time / 24)
         _phase_directions.cache_clear()
         for k in range(100):
-            _frame_directions(params, k / lidar_rate, offsets)
+            _frame_directions(params, k / lidar_rate)
         info = _phase_directions.cache_info()
         assert (info.currsize, info.hits) == (blocks, hits)
 
@@ -146,9 +144,8 @@ class TestDirectionCache:
         # every frame at one phase shares the block: an in-place write must
         # raise instead of changing the directions of later frames
         params = RosetteParams()
-        offsets = np.arange(8) * (params.integration_time / 8)
-        dirs = _frame_directions(params, 0.0, offsets)
-        assert _frame_directions(params, params.period, offsets) is dirs
+        dirs = _frame_directions(params, 0.0)
+        assert _frame_directions(params, params.period) is dirs
         with pytest.raises(ValueError):
             dirs[0, 0] = 0.0
         with pytest.raises(ValueError):
