@@ -9,6 +9,7 @@ both outlier filters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,8 @@ class FilterParams:
             raise ValueError("near_min must be positive")
         if self.near_min >= self.far_max:
             raise ValueError("near_min must be below far_max")
+        if not math.isfinite(self.ground_margin):
+            raise ValueError("ground_margin must be finite")
         if self.ror_radius <= 0:
             raise ValueError("ror_radius must be positive")
         if self.ror_min_neighbors < 1:

@@ -16,6 +16,7 @@ deterministic under the config seed.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -42,6 +43,34 @@ SUSTAIN_WINDOW = 0.4
 
 # truth speeds below this count as a stationary hold
 STATIONARY_SPEED = 0.05
+
+# glibc's mallopt parameters and the values set at import: the largest mmap
+# threshold glibc takes (32 MiB on 64-bit) and a trim threshold above it.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _steady_heap() -> bool:
+    """Keep frame-sized temporaries on the heap: allocations below
+    MMAP_THRESHOLD come from the heap rather than fresh mappings, and the
+    heap's free top is returned to the kernel only above TRIM_THRESHOLD, so
+    the next frame reuses the pages the last one freed instead of faulting
+    them in again. Setting either value turns off glibc's dynamic threshold,
+    so both are set. Returns whether libc accepted both; a libc without
+    mallopt is left as it is. Arithmetic is unaffected."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+    trim_ok = mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    return mmap_ok and trim_ok
+
+
+STEADY_HEAP = _steady_heap()  # once per process, at import
 
 
 # One structured dtype per log; the field names are the CSV columns.
@@ -124,6 +153,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     spawn_t = traj.start_time
     tparams = config.turret
     origin = tparams.origin
+    floor = scene.ground_z + config.filters.ground_margin  # range_filter's ground band
 
     # --- background build phase ------------------------------------------
     bg_rng = np.random.default_rng(bg_ss)
@@ -142,7 +172,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
                     state = step_dynamics(state, scan_mode_command(state.t, tparams),
                                           min(step_dt, t0 - state.t), tparams)
             pose = SensorPose(origin, state.pose)
-            yield scan(static, pose, t0, config.sensor, bg_rng)[0], pose
+            yield scan(static, pose, t0, config.sensor, bg_rng, floor=floor)[0], pose
 
     octree = build_background(raster(), config.background, config.filters, scene.ground_z)
 
@@ -172,7 +202,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
             points, surfaces = scan(scene if i >= takeoff else static,
-                                    pose, ev_t, config.sensor, track_rng)
+                                    pose, ev_t, config.sensor, track_rng, floor=floor)
             cloud = transform_cloud(points, pose)
             if receiver[i] < n_ticks:  # else no tick receives it
                 inbox[receiver[i]] = cloud

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import SensorPose, pan_tilt_to_rotation
-from .scene import MISS, TARGET, Scene, ray_cast_arrays, return_probability_arrays
+from .scene import GROUND, TARGET, Scene, ray_cast_arrays, return_probability_arrays
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class RosetteParams:
             raise ValueError("fov_h must be in (0, pi)")
         if not 0 < self.fov_v < math.pi:
             raise ValueError("fov_v must be in (0, pi)")
-        if self.range_max <= 0:
-            raise ValueError("range_max must be positive")
+        if not 0 < self.range_max < math.inf:
+            raise ValueError("range_max must be positive and finite")
         if not (0 <= self.range_noise_sigma < math.inf and self.range_noise_sigma <= self.range_max):
             raise ValueError("range_noise_sigma must be finite, >= 0 and <= range_max")
         if not (0 < self.point_rate < math.inf and 0 < self.integration_time < math.inf):
@@ -170,7 +170,8 @@ def _frame_directions(params: RosetteParams, t0: float) -> np.ndarray:
     return _phase_directions(params, exact(t0) % exact(params.period))
 
 
-def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator):
+def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator, *,
+         floor: float = -math.inf):
     """Simulate one integration frame; returns (points, surface codes): the
     kept points as an (n, 3) sensor-frame array (the transpose of a C-ordered
     (3, n) block), and per point its code as in scene.ray_cast_arrays.
@@ -178,8 +179,19 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     Emits event_count(integration_time, point_rate) rays at uniform time
     steps, casts each into the scene (one whose target is None gives the
     static background), keeps hits within range_max with the range/weather
-    keep probability, and perturbs kept ranges with Gaussian noise along the
-    ray. Zero points is a valid result.
+    keep probability, and perturbs kept ranges with Gaussian noise e along
+    the ray. Zero points is a valid result.
+
+    ``floor`` is a world height that the caller's range gate keeps only
+    points above (ground_z + ground_margin, summed as range_filter sums it).
+    A GROUND return with |e| < slack = (floor - ground_z) / 2 lands at most
+    |e| above the ground plus rounding, so below the floor: no point is
+    built for it, provided the slack exceeds the rounding bound
+    1e-6 * (1 + |ground_z| + |origin z| + range_max). Every random draw is
+    still made, and other surfaces are never dropped this way. Nor is a
+    frame cut down to one point: numpy multiplies a lone column with gemv,
+    whose rounding differs from the gemm that transform_cloud runs on two or
+    more, so the first other return stays beside it, for the gate to drop.
     """
     if not 0.0 <= t0 < math.inf:
         raise ValueError("frame start time must be finite and >= 0")
@@ -192,14 +204,23 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     times = t0 + offsets
 
     ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times)
-    kept = np.flatnonzero((surf != MISS) & (ranges <= params.range_max))
+    kept = np.flatnonzero(ranges <= params.range_max)  # ranges are inf exactly on MISS
     r = ranges[kept]
     s = surf[kept]
     keep = rng.random(len(kept)) < return_probability_arrays(r, s == TARGET, scene)
     kept = kept[keep]
     r = r[keep]
+    s = s[keep]
+    noise = 0.0
     if params.range_noise_sigma > 0:
-        r += params.range_noise_sigma * rng.standard_normal(len(kept))
+        noise = params.range_noise_sigma * rng.standard_normal(len(kept))
+        r += noise
+    slack = (floor - scene.ground_z) / 2
+    if slack > 1e-6 * (1.0 + abs(scene.ground_z) + abs(origin[2]) + params.range_max):
+        out = np.flatnonzero((s != GROUND) | (np.abs(noise) >= slack))
+        if len(out) == 1 < len(s):  # keep a pair: see the docstring
+            out = np.array([0, max(out[0], 1)])
+        kept, r, s = kept[out], r[out], s[out]
     pts = np.take(dirs_sensor, kept, axis=1)
     pts *= r
-    return pts.T, s[keep]
+    return pts.T, s

@@ -130,6 +130,20 @@ seed = 11
         assert err.value.category == "config-domain"
         assert str(err.value) == "section [turret]: sensor origin must be finite"
 
+    @pytest.mark.parametrize("override, message", [
+        ("sensor.range_max=inf", "section [sensor]: range_max must be positive and finite"),
+        ("sensor.range_max=0", "section [sensor]: range_max must be positive and finite"),
+        ("filters.ground_margin=inf", "section [filters]: ground_margin must be finite"),
+        ("filters.ground_margin=-inf", "section [filters]: ground_margin must be finite"),
+    ])
+    def test_infinite_range_max_or_ground_margin_names_the_key(self, override, message):
+        # an inf range_max would keep rays that miss everything; an inf
+        # ground_margin lets the range gate drop every point
+        with pytest.raises(ConfigError) as err:
+            default_config([override])
+        assert err.value.category == "config-domain"
+        assert str(err.value) == message
+
     def test_rays_per_frame_above_the_cap_rejected(self):
         # parse only, never run: 1e12 points/s is 1e11 rays per frame
         with pytest.raises(ConfigError) as err:

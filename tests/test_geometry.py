@@ -113,6 +113,37 @@ class TestTransformCloud:
             want = pts @ pan_tilt_to_rotation(pose.orientation).T + np.asarray(pose.origin)
             assert np.array_equal(transform_cloud(pts, pose).xyz, want)
 
+    @given(pan=angles_pan, tilt=angles_tilt, seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 30_000), share=st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_subset_product_is_the_product_subset(self, pan, tilt, seed, n, share):
+        # scan builds no point for the ground returns the range gate drops, so
+        # transform_cloud multiplies a subset of the columns it used to: each
+        # kept column must come out with the same bits either way. A subset
+        # of one column of a larger block is the exception (numpy's gemv
+        # rounds differently from gemm), and scan never leaves one
+        self.assert_subset_product_equal(PanTiltPose(pan, tilt), seed, n, share)
+
+    @pytest.mark.parametrize("n", [*range(1, 49), *range(29_969, 30_001)])
+    def test_subset_product_at_every_residue_near_both_ends(self, n):
+        # the BLAS kernel splits the columns into blocks and a remainder:
+        # every residue mod 16 of the full and the kept count near 1 and 30,000
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            pose = PanTiltPose(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
+            self.assert_subset_product_equal(pose, int(rng.integers(2**32)), n, rng.random())
+
+    @staticmethod
+    def assert_subset_product_equal(orientation, seed, n, share):
+        rng = np.random.default_rng(seed)
+        block = rng.uniform(-150.0, 150.0, (3, n))  # C-ordered, as scan builds its points
+        keep = rng.random(n) < share
+        if np.count_nonzero(keep) == 1 < n:
+            return
+        pose = SensorPose(tuple(rng.uniform(-5.0, 5.0, 3)), orientation)
+        subset = transform_cloud(np.compress(keep, block, axis=1).T, pose).xyz
+        assert subset.tobytes() == transform_cloud(block.T, pose).xyz[keep].tobytes()
+
     def test_point_count_preserved(self):
         pts = np.arange(30.0).reshape(10, 3)
         out = transform_cloud(pts, SensorPose((1, 1, 1), PanTiltPose(0.4, 0.1)))

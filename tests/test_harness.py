@@ -1,5 +1,10 @@
+import ast
+import ctypes
 import math
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
@@ -653,3 +658,96 @@ class TestSpeedErrorCoupling:
         stable = result.track["status"] == "stable"
         corr = np.corrcoef(speed[stable], err[stable])[0, 1]
         assert corr > 0.5
+
+
+class TestGroundFloor:
+    """run_scenario passes scan the range gate's floor; the background map,
+    built from every raster frame, must hold the same bits without it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_background_bits_equal_without_the_floor(self, path, seed, monkeypatch):
+        cfg = parse_config(path, [f"run.seed={seed}", "run.duration=0"])
+        real_build, real_scan, maps, floors = harness.build_background, harness.scan, [], set()
+
+        def keeping_build(*args, **kwargs):
+            maps.append(real_build(*args, **kwargs))
+            return maps[-1]
+
+        def floorless_scan(*args, floor):
+            floors.add(floor)
+            return real_scan(*args)
+
+        monkeypatch.setattr(harness, "build_background", keeping_build)
+        run_scenario(cfg)
+        monkeypatch.setattr(harness, "scan", floorless_scan)
+        run_scenario(cfg)
+        assert floors == {cfg.scene.ground_z + cfg.filters.ground_margin}
+        assert len(maps) == 2 and maps[0]._bits.any() == bool(cfg.scene.obstacles)
+        assert maps[0]._bits.tobytes() == maps[1]._bits.tobytes()
+
+
+class TestSteadyHeap:
+    """harness._steady_heap sets glibc's mmap and trim thresholds once, at
+    import, and leaves a libc without mallopt alone."""
+
+    class FakeLibc:
+        def __init__(self, answers):
+            self.calls, answers = [], list(answers)
+
+            def mallopt(param, value):  # a plain function takes argtypes like a ctypes one
+                self.calls.append((param, value))
+                return answers.pop(0)
+            self.mallopt = mallopt
+
+    def test_sets_both_thresholds_once_at_import(self):
+        # a fresh interpreter counts the mallopt calls that importing the
+        # package and its entry points makes
+        code = ("import ctypes\n"
+                "calls = []\n"
+                "real = ctypes.CDLL\n"
+                "class Counting:\n"
+                "    def __init__(self, *args, **kwargs):\n"
+                "        self._lib = real(*args, **kwargs)\n"
+                "    def __getattr__(self, name):\n"
+                "        fn = getattr(self._lib, name)\n"
+                "        if name != 'mallopt':\n"
+                "            return fn\n"
+                "        def mallopt(param, value):\n"
+                "            calls.append((param, value))\n"
+                "            return fn(param, value)\n"
+                "        mallopt.argtypes = mallopt.restype = None\n"
+                "        return mallopt\n"
+                "ctypes.CDLL = Counting\n"
+                "import rosetrack, rosetrack.cli, rosetrack.harness\n"
+                "print(repr((calls, rosetrack.harness.STEADY_HEAP)))\n")
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        calls, steady = ast.literal_eval(out)
+        assert calls == [(harness.M_MMAP_THRESHOLD, 32 << 20), (harness.M_TRIM_THRESHOLD, 64 << 20)]
+        assert steady is harness.STEADY_HEAP
+        if platform.libc_ver()[0] == "glibc":
+            assert harness.STEADY_HEAP is True
+
+    @pytest.mark.parametrize("answers, accepted", [((1, 1), True), ((1, 0), False),
+                                                   ((0, 1), False), ((0, 0), False)])
+    def test_returns_whether_libc_accepted_both_values(self, answers, accepted, monkeypatch):
+        libc = self.FakeLibc(answers)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert harness._steady_heap() is accepted
+        assert libc.calls == [(harness.M_MMAP_THRESHOLD, harness.MMAP_THRESHOLD),
+                              (harness.M_TRIM_THRESHOLD, harness.TRIM_THRESHOLD)]
+
+    def test_libc_without_mallopt_is_left_alone(self, monkeypatch):
+        class NoMallopt:
+            calls = []
+
+            def __getattr__(self, name):
+                self.calls.append(name)
+                raise AttributeError(name)
+
+        libc = NoMallopt()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert harness._steady_heap() is False
+        assert libc.calls == ["mallopt"]

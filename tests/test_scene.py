@@ -347,6 +347,38 @@ class TestRayLayout:
             assert np.array_equal(got[1], want[1])
 
 
+def edge_case_cast(traj, data, seed, n_boxes, origin_inside, n_rays):
+    """(scene, origin, dirs, times) of a batch with direction components that
+    are exactly 0.0 or -0.0 (1/d = +-inf), box faces and ground through the
+    origin (0 * inf = NaN), and half the rays aimed at the target."""
+    rng = np.random.default_rng(seed)
+    t_lo, t_hi = data.draw(frame_windows(traj))
+    times = rng.uniform(t_lo, t_hi, n_rays)
+    diameter = 0.3
+    if origin_inside:
+        centre, radius = traj.bounding_ball(t_lo, t_hi)
+        origin = centre + rng.uniform(-1.0, 1.0, 3) * (radius + diameter / 2.0) / 2.0
+    else:
+        origin = rng.uniform([-8.0, -8.0, 0.5], [8.0, 8.0, 4.0])
+    boxes = []
+    for _ in range(n_boxes):
+        lo = rng.uniform([-8.0, -8.0, 0.0], [8.0, 8.0, 3.0])
+        on_plane = rng.random(3) < 0.5
+        lo[on_plane] = origin[on_plane]
+        boxes.append(Box(tuple(lo), tuple(lo + rng.uniform(0.2, 3.0, 3))))
+    ground_z = float(origin[2]) if rng.random() < 0.25 else float(rng.uniform(-1.0, 0.3))
+    scene = Scene(ground_z, boxes, TargetModel(diameter, 1.0, traj), WeatherModel())
+
+    aimed = rng.random(n_rays) < 0.5
+    dirs = np.where(aimed[:, None], traj.position(times) - origin, 0.0)
+    dirs += rng.normal(scale=np.where(aimed, 0.05, 1.0)[:, None], size=(n_rays, 3))
+    zeroed = rng.random((n_rays, 3)) < 0.3
+    dirs[zeroed] = np.where(rng.random(int(zeroed.sum())) < 0.5, 0.0, -0.0)
+    dirs[~dirs.any(axis=1), 2] = -1.0
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return scene, origin, dirs, times
+
+
 class TestTargetConeCull:
     """ray_cast_arrays sphere-tests only the rays in the cone around the
     target's bounding ball; the result must equal the unculled oracle bit
@@ -407,40 +439,30 @@ class TestTargetConeCull:
     def test_matches_unculled_oracle_across_blocks(self, traj, data, seed, n_boxes,
                                                     origin_inside, n_rays):
         # batches that end inside, at and just past a block boundary, and
-        # at half-block sizes that fill one block or spill a few rays, with
-        # direction components that are exactly 0.0 or -0.0 (1/d = +-inf)
-        # and box faces and ground through the origin (0 * inf = NaN)
-        rng = np.random.default_rng(seed)
-        t_lo, t_hi = data.draw(frame_windows(traj))
-        times = rng.uniform(t_lo, t_hi, n_rays)
-        diameter = 0.3
-        if origin_inside:
-            centre, radius = traj.bounding_ball(t_lo, t_hi)
-            origin = centre + rng.uniform(-1.0, 1.0, 3) * (radius + diameter / 2.0) / 2.0
-        else:
-            origin = rng.uniform([-8.0, -8.0, 0.5], [8.0, 8.0, 4.0])
-        boxes = []
-        for _ in range(n_boxes):
-            lo = rng.uniform([-8.0, -8.0, 0.0], [8.0, 8.0, 3.0])
-            on_plane = rng.random(3) < 0.5
-            lo[on_plane] = origin[on_plane]
-            boxes.append(Box(tuple(lo), tuple(lo + rng.uniform(0.2, 3.0, 3))))
-        ground_z = float(origin[2]) if rng.random() < 0.25 else float(rng.uniform(-1.0, 0.3))
-        scene = Scene(ground_z, boxes, TargetModel(diameter, 1.0, traj), WeatherModel())
-
-        aimed = rng.random(n_rays) < 0.5
-        dirs = np.where(aimed[:, None], traj.position(times) - origin, 0.0)
-        dirs += rng.normal(scale=np.where(aimed, 0.05, 1.0)[:, None], size=(n_rays, 3))
-        zeroed = rng.random((n_rays, 3)) < 0.3
-        dirs[zeroed] = np.where(rng.random(int(zeroed.sum())) < 0.5, 0.0, -0.0)
-        dirs[~dirs.any(axis=1), 2] = -1.0
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
+        # at half-block sizes that fill one block or spill a few rays
+        scene, origin, dirs, times = edge_case_cast(traj, data, seed, n_boxes, origin_inside,
+                                                    n_rays)
         want = unculled_ray_cast_arrays(scene, origin, dirs, times)
         for layout in (dirs, column_block(dirs)):
             got = ray_cast_arrays(scene, origin, layout, times)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+    @given(traj=trajectories(), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           n_boxes=st.integers(0, 3), origin_inside=st.booleans(), n_rays=st.integers(0, 300),
+           with_target=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_range_is_inf_exactly_on_a_miss(self, traj, data, seed, n_boxes, origin_inside,
+                                            n_rays, with_target):
+        # scan keeps a ray iff its range is at most the finite range_max,
+        # which relies on this: every hit has a finite range, every miss inf
+        scene, origin, dirs, times = edge_case_cast(traj, data, seed, n_boxes, origin_inside,
+                                                    n_rays)
+        if not with_target:
+            scene.target = None
+        ranges, surfaces = ray_cast_arrays(scene, origin, column_block(dirs), times)
+        assert np.array_equal(ranges == np.inf, surfaces == -1)
+        assert np.all(np.isfinite(ranges[surfaces != -1]))
 
     def test_zero_rays_with_target(self):
         traj = Trajectory([((5.0, 0.0, 1.0), 1.0)], 1.0)

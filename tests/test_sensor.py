@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from oracles import RingScanParams, gather_twice_scan
 
 from rosetrack.config import parse_config
-from rosetrack.geometry import PanTiltPose, SensorPose
-from rosetrack.scene import Box, Scene, TargetModel, Trajectory, WeatherModel
+from rosetrack.filters import FilterParams, range_filter
+from rosetrack.geometry import PanTiltPose, SensorPose, pan_tilt_to_rotation, transform_cloud
+from rosetrack.scene import (GROUND, TARGET, Box, Scene, TargetModel, Trajectory, WeatherModel,
+                             ray_cast_arrays)
 from rosetrack.sensor import (CACHED_PHASES, MAX_RAYS_PER_FRAME, RosetteParams, _frame_directions,
                               _phase_directions, event_count, scan)
 
@@ -309,6 +311,143 @@ class TestScan:
         assert points.tobytes() == want_points.tobytes() and points.shape == want_points.shape
         assert surfaces.tobytes() == want_surfaces.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def gated_scan(scene, pose, t0, params, seed, margin, floor):
+    """range_filter(transform_cloud(scan(...))) with the given floor, the
+    scan's surface codes and the generator after it."""
+    rng = np.random.default_rng(seed)
+    points, surfaces = scan(scene, pose, t0, params, rng, floor=floor)
+    gate = FilterParams(near_min=1e-3, far_max=1e4, ground_margin=margin)
+    cloud = range_filter(transform_cloud(points, pose), gate, scene.ground_z, pose.origin)
+    return cloud, surfaces, rng
+
+
+class TestGroundFloor:
+    """scan builds no point for a ground return that the range gate above
+    floor = ground_z + ground_margin must drop; the gated cloud, every other
+    return and the random draws must equal those of a scan without a floor."""
+
+    @given(seed=st.integers(0, 2**32 - 1), ground_z=st.floats(-2.0, 2.0),
+           height=st.floats(0.2, 3.0), below=st.booleans(), n_boxes=st.integers(0, 2),
+           with_target=st.booleans(), pan=st.floats(-math.pi, math.pi),
+           tilt=st.floats(-1.5, 1.5), margin=st.sampled_from([0.0, -0.3, 1e-9, 0.3, 1e3]),
+           sigma=st.just(0.0) | st.floats(1e-4, 0.5), threshold=st.floats(1e-4, 0.3),
+           range_pick=st.floats(0.0, 1.0), nudge=st.sampled_from([-1, 0, 1]),
+           t0=st.floats(0.0, 5.0))
+    @settings(max_examples=150, deadline=None)
+    def test_gated_cloud_equals_the_scan_without_a_floor(
+            self, seed, ground_z, height, below, n_boxes, with_target, pan, tilt, margin,
+            sigma, threshold, range_pick, nudge, t0):
+        # the origin lies above or below the ground; boxes stand on the ground
+        # around the sensor, so obstacle returns fall on both sides of the
+        # floor; range_max is one of the frame's hit ranges, or its float
+        # neighbour, so a hit lies at or next to the range limit
+        rng = np.random.default_rng(seed)
+        origin = (0.0, 0.0, ground_z - height if below else ground_z + height)
+        boxes = []
+        for _ in range(n_boxes):
+            lo = rng.uniform([-8.0, -8.0, ground_z - 1.0], [8.0, 8.0, ground_z])
+            boxes.append(Box(tuple(lo), tuple(lo + rng.uniform([0.3, 0.3, 0.2], [3.0, 3.0, 3.0]))))
+        target = static_target(rng.uniform([-4.0, -4.0, ground_z], [4.0, 4.0, ground_z + 2.0]),
+                               0.6) if with_target else None
+        scene = Scene(ground_z, boxes, target, WeatherModel(0.0, threshold, 20.0))
+        pose = SensorPose(origin, PanTiltPose(pan, tilt))
+        base = RosetteParams(point_rate=30000.0, range_noise_sigma=0.0)
+        dirs = pan_tilt_to_rotation(pose.orientation) @ _frame_directions(base, t0)
+        ranges, _ = ray_cast_arrays(scene, np.asarray(origin), dirs.T,
+                                    t0 + np.arange(dirs.shape[1]) * (base.integration_time
+                                                                     / dirs.shape[1]))
+        hits = np.sort(ranges[np.isfinite(ranges)])
+        range_max = 30.0
+        if len(hits):
+            range_max = float(hits[int(range_pick * (len(hits) - 1))])
+            if nudge:
+                range_max = float(np.nextafter(range_max, nudge * math.inf))
+        params = RosetteParams(point_rate=30000.0, range_noise_sigma=min(sigma, range_max),
+                               range_max=range_max)
+        floor = ground_z + margin
+        got, got_surf, got_rng = gated_scan(scene, pose, t0, params, seed, margin, floor)
+        want, want_surf, want_rng = gated_scan(scene, pose, t0, params, seed, margin, -math.inf)
+        assert got.xyz.shape == want.xyz.shape
+        assert got.xyz.tobytes() == want.xyz.tobytes()
+        assert np.array_equal(got_surf[got_surf != GROUND], want_surf[want_surf != GROUND])
+        assert np.sum(got_surf == TARGET) == np.sum(want_surf == TARGET)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_floor_keeps_a_ground_point_that_rounding_lifts_above_it(self):
+        # one ray straight down from 1.5 m: its ground range is exactly 1.5 m,
+        # and the point lands at z = 1.5 - fl(1.5 + e), which for a noise
+        # e < 0 rounding can put a few ulps above |e|. With the floor between
+        # |e| and that z, the gate keeps the point although |e| < margin:
+        # only a slack of half the margin leaves it to the gate
+        params = RosetteParams(point_rate=10.0, range_noise_sigma=0.05, range_max=5.0)
+        scene = Scene(0.0, [], None, NO_CUTOFF)
+        pose = SensorPose((0.0, 0.0, 1.5), PanTiltPose(0.0, -math.pi / 2))
+        checked = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            rng.random(1)  # the keep draw; the noise follows it
+            e = abs(float(params.range_noise_sigma * rng.standard_normal(1)[0]))
+            want, _, _ = gated_scan(scene, pose, 0.0, params, seed, 0.0, -math.inf)
+            if len(want) != 1 or not np.nextafter(e, math.inf) < want.xyz[0, 2]:
+                continue
+            margin = float(np.nextafter(e, math.inf))  # e < margin < z
+            got, _, _ = gated_scan(scene, pose, 0.0, params, seed, margin, margin)
+            assert len(got) == 1 and got.xyz.tobytes() == want.xyz.tobytes()
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("margin", [0.3, 1e3])
+    def test_ground_returns_leave_the_scan(self, margin):
+        # a level-ground frame: the floor drops most ground returns before
+        # any point is built; what it keeps are points of the full scan
+        params = RosetteParams(point_rate=30000.0, range_noise_sigma=0.05, range_max=40.0)
+        scene = Scene(0.0, [], None, NO_CUTOFF)
+        pose = SensorPose((0.0, 0.0, 1.5), PanTiltPose(0.0, -0.6))
+        full, codes = scan(scene, pose, 0.0, params, np.random.default_rng(1))
+        culled, culled_codes = scan(scene, pose, 0.0, params, np.random.default_rng(1),
+                                    floor=margin)
+        assert len(full) > 1000 and np.all(codes == GROUND)
+        assert len(culled) < len(full) / 10 and np.all(culled_codes == GROUND)
+        assert {row.tobytes() for row in culled} <= {row.tobytes() for row in full}
+        if margin == 1e3:  # far above every point
+            assert len(culled) == 0
+
+    def test_a_frame_is_never_cut_down_to_one_point(self):
+        # numpy multiplies a lone column with gemv, which rounds differently
+        # from the gemm of two or more: where one return would survive the
+        # cull, the frame's first other return stays beside it. In clear air
+        # with no cutoff every candidate is kept, so the noise draws, and with
+        # them the survivors, can be replayed
+        params = RosetteParams(point_rate=3000.0, range_noise_sigma=0.05, range_max=40.0)
+        scene = Scene(0.0, [], None, NO_CUTOFF)
+        pose = SensorPose((0.0, 0.0, 1.5), PanTiltPose(0.0, -0.6))
+        dirs = pan_tilt_to_rotation(pose.orientation) @ _frame_directions(params, 0.0)
+        ranges, _ = ray_cast_arrays(scene, np.asarray(pose.origin), dirs.T,
+                                    np.zeros(dirs.shape[1]))
+        n = np.count_nonzero(ranges <= params.range_max)
+        lone = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            rng.random(n)
+            survivors = np.count_nonzero(np.abs(0.05 * rng.standard_normal(n)) >= 0.15)
+            points, _ = scan(scene, pose, 0.0, params, np.random.default_rng(seed), floor=0.3)
+            assert len(points) == (2 if survivors == 1 else survivors)
+            got, _, _ = gated_scan(scene, pose, 0.0, params, seed, 0.3, 0.3)
+            want, _, _ = gated_scan(scene, pose, 0.0, params, seed, 0.3, -math.inf)
+            assert got.xyz.tobytes() == want.xyz.tobytes()
+            lone += survivors == 1
+        assert lone >= 5
+
+    @pytest.mark.parametrize("margin", [-0.3, 0.0, 1e-9])
+    def test_floor_within_the_rounding_bound_culls_nothing(self, margin):
+        params = RosetteParams(point_rate=30000.0, range_noise_sigma=0.02, range_max=40.0)
+        scene = Scene(0.0, [], None, NO_CUTOFF)
+        pose = SensorPose((0.0, 0.0, 1.5), PanTiltPose(0.0, -0.6))
+        full, _ = scan(scene, pose, 0.0, params, np.random.default_rng(1))
+        kept, _ = scan(scene, pose, 0.0, params, np.random.default_rng(1), floor=margin)
+        assert kept.tobytes() == full.tobytes()
 
 
 class TestRingPattern:
