@@ -103,12 +103,6 @@ class OccupancyOctree:
     def __len__(self) -> int:
         return len(self._occupied_keys())
 
-    def occupied_indices(self) -> np.ndarray:
-        """(n, 3) absolute indices of occupied voxels, sorted by key."""
-        k, z = np.divmod(self._occupied_keys(), self._dims[2])
-        x, y = np.divmod(k, self._dims[1])
-        return np.stack([x, y, z], axis=1) + self._ilo
-
     def insert_points(self, pts: np.ndarray) -> None:
         """Occupy the voxels of world points; points outside the box are skipped."""
         keys, ok = self._cell_keys(pts)

@@ -119,7 +119,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "scan_duration": FieldSpec("float", TurretParams.scan_duration, "background build phase length, s"),
     },
     "timing": {
-        "lidar_rate": FieldSpec("float", 1.0 / RosetteParams.integration_time, "LiDAR frame rate, Hz; each frame integrates for one period"),
+        "lidar_rate": FieldSpec("float", RosetteParams.lidar_rate, "LiDAR frame rate, Hz; each frame integrates for one period"),
         "filter_rate": FieldSpec("float", 15.0, "particle filter tick and turret command rate, Hz"),
         "pipeline_latency": FieldSpec("float", 0.12, f"integration start to filter delivery, s (1 to {MAX_IN_FLIGHT} frame periods)"),
     },
@@ -130,12 +130,26 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
 }
 
 
-@dataclass
+def _check_events(span_key: str, span: float, rate_key: str, rate: float,
+                  least: int, what: str, cap: int = MAX_EVENTS) -> None:
+    """Reject unless least <= event_count(span, rate) <= cap. The cap is
+    tested on the product first, which may overflow to inf."""
+    given = f"{span_key} * {rate_key} ({span:g} * {rate:g})"
+    if span * rate > cap:
+        raise ConfigError("config-domain", f"{given} exceeds {cap} {what}")
+    n = event_count(span, rate)
+    if n < least:
+        raise ConfigError("config-domain", f"{given} gives {n} {what}; at least {least} needed")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Typed scenario description; built from SCHEMA values.
 
     The scene holds the target, whose trajectory starts at the beginning of
-    the tracking phase plus the takeoff delay.
+    the tracking phase plus the takeoff delay. The run's clock rules hold for
+    every config, however made (dataclasses.replace included), and name the
+    keys that set each value.
     """
 
     scene: Scene
@@ -144,11 +158,38 @@ class ScenarioConfig:
     background: BackgroundBuildParams
     tracker: TrackerParams
     turret: TurretParams
-    lidar_rate: float
     filter_rate: float
     pipeline_latency: float
     duration: float
     seed: int
+
+    @property
+    def lidar_rate(self) -> float:
+        """The LiDAR frame rate, Hz: the sensor's, its one source."""
+        return self.sensor.lidar_rate
+
+    def __post_init__(self):
+        lr, fr = self.lidar_rate, self.filter_rate
+        if not 0 < fr < math.inf:
+            raise ConfigError("config-domain", f"timing.filter_rate ({fr:g}) must be positive and finite")
+        if fr < lr:  # no tick may receive two frames
+            raise ConfigError("config-domain",
+                              f"timing.filter_rate ({fr:g}) must be >= timing.lidar_rate ({lr:g})")
+        if not self.pipeline_latency >= self.sensor.integration_time:
+            raise ConfigError("config-domain",
+                              f"timing.pipeline_latency ({self.pipeline_latency:g}) must be >= "
+                              f"1 / timing.lidar_rate ({self.sensor.integration_time:g})")
+        if not 0 <= self.duration < math.inf:
+            raise ConfigError("config-domain", f"run.duration ({self.duration:g}) must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("config-domain", f"run.seed ({self.seed}) must be >= 0")
+        scan = self.turret.scan_duration
+        _check_events("run.duration", self.duration, "timing.filter_rate", fr, 0, "filter ticks")
+        _check_events("turret.scan_duration", scan, "timing.filter_rate", fr, 0, "raster steps",
+                      MAX_RASTER_STEPS)
+        _check_events("turret.scan_duration", scan, "timing.lidar_rate", lr, 1, "raster frames")
+        _check_events("timing.pipeline_latency", self.pipeline_latency, "timing.lidar_rate", lr,
+                      0, "frames in flight", MAX_IN_FLIGHT)
 
 
 def _number(text: str) -> float:
@@ -231,18 +272,6 @@ def _reject_unread_pattern_keys(values: dict[tuple[str, str], tuple[str, str]],
                               f"with target.pattern = {pattern}")
 
 
-def _check_events(span_key: str, span: float, rate_key: str, rate: float,
-                  least: int, what: str, cap: int = MAX_EVENTS) -> None:
-    """Reject unless least <= event_count(span, rate) <= cap. The cap is
-    tested on the product first, which may overflow to inf."""
-    given = f"{span_key} * {rate_key} ({span:g} * {rate:g})"
-    if span * rate > cap:
-        raise ConfigError("config-domain", f"{given} exceeds {cap} {what}")
-    n = event_count(span, rate)
-    if n < least:
-        raise ConfigError("config-domain", f"{given} gives {n} {what}; at least {least} needed")
-
-
 def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioConfig:
     cfg: dict[str, dict[str, Any]] = {
         section: {key: spec.default for key, spec in keys.items()}
@@ -266,43 +295,23 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         return domain(section, lambda: cls(**{k: v for k, v in cfg[section].items() if k in names}))
 
     s, tg, sn, tu, tm, rn = (cfg[k] for k in ("scene", "target", "sensor", "turret", "timing", "run"))
-    if not (0 < tm["lidar_rate"] < math.inf and 0 < tm["filter_rate"] < math.inf):
-        raise ConfigError("config-domain",
-                          "timing.lidar_rate and timing.filter_rate must be positive and finite")
-    if tm["filter_rate"] < tm["lidar_rate"]:
-        raise ConfigError("config-domain",
-                          f"timing.filter_rate ({tm['filter_rate']:g}) must be >= "
-                          f"timing.lidar_rate ({tm['lidar_rate']:g})")
-    sn["integration_time"] = 1.0 / tm["lidar_rate"]  # frames follow each other without a gap
-    if tm["pipeline_latency"] < sn["integration_time"]:
-        raise ConfigError("config-domain",
-                          f"timing.pipeline_latency ({tm['pipeline_latency']:g}) must be >= "
-                          f"1 / timing.lidar_rate ({sn['integration_time']:g})")
+    # the two rules that the sensor's own build depends on; ScenarioConfig holds the rest
+    if not 0 < tm["lidar_rate"] < math.inf:
+        raise ConfigError("config-domain", f"timing.lidar_rate ({tm['lidar_rate']:g}) "
+                          "must be positive and finite")
     weather = params(WeatherModel, "scene")
     # a frame lasts 1 / lidar_rate, so its rays are set in two sections
     if not 0 < sn["point_rate"] < math.inf:
         raise ConfigError("config-domain", f"sensor.point_rate ({sn['point_rate']:g}) "
                           "must be positive and finite")
-    _check_events("(1 / timing.lidar_rate)", sn["integration_time"], "sensor.point_rate",
+    _check_events("(1 / timing.lidar_rate)", 1.0 / tm["lidar_rate"], "sensor.point_rate",
                   sn["point_rate"], 1, "rays per frame", MAX_RAYS_PER_FRAME)
+    sn["lidar_rate"] = tm["lidar_rate"]
     sensor = params(RosetteParams, "sensor")
     filters = params(FilterParams, "filters")
     background = params(BackgroundBuildParams, "background")
     tracker = params(TrackerParams, "tracker")
     turret = params(TurretParams, "turret")
-
-    if not 0 <= rn["duration"] < math.inf:
-        raise ConfigError("config-domain", f"run.duration ({rn['duration']:g}) must be finite and >= 0")
-    if rn["seed"] < 0:
-        raise ConfigError("config-domain", f"run.seed ({rn['seed']}) must be >= 0")
-    _check_events("run.duration", rn["duration"], "timing.filter_rate",
-                  tm["filter_rate"], 0, "filter ticks")
-    _check_events("turret.scan_duration", tu["scan_duration"], "timing.filter_rate",
-                  tm["filter_rate"], 0, "raster steps", MAX_RASTER_STEPS)
-    _check_events("turret.scan_duration", tu["scan_duration"], "timing.lidar_rate",
-                  tm["lidar_rate"], 1, "raster frames")
-    _check_events("timing.pipeline_latency", tm["pipeline_latency"], "timing.lidar_rate",
-                  tm["lidar_rate"], 0, "frames in flight", MAX_IN_FLIGHT)
 
     target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
         make_pattern(tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}),
@@ -310,9 +319,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     return ScenarioConfig(
         scene=Scene(s["ground_z"], list(s["obstacles"]), target, weather),
         sensor=sensor, filters=filters, background=background, tracker=tracker,
-        turret=turret,
-        lidar_rate=tm["lidar_rate"], filter_rate=tm["filter_rate"],
-        pipeline_latency=tm["pipeline_latency"],
+        turret=turret, filter_rate=tm["filter_rate"], pipeline_latency=tm["pipeline_latency"],
         duration=rn["duration"], seed=rn["seed"],
     )
 

@@ -34,7 +34,7 @@ class RosetteParams:
     fov_h: float = math.radians(70.4)
     fov_v: float = math.radians(77.2)
     point_rate: float = 240_000.0
-    integration_time: float = 0.1
+    lidar_rate: float = 10.0  # frames per second; each integrates for one period
     range_max: float = 260.0
     range_noise_sigma: float = 0.02
 
@@ -53,14 +53,19 @@ class RosetteParams:
             raise ValueError("range_max must be positive and finite")
         if not (0 <= self.range_noise_sigma < math.inf and self.range_noise_sigma <= self.range_max):
             raise ValueError("range_noise_sigma must be finite, >= 0 and <= range_max")
-        if not (0 < self.point_rate < math.inf and 0 < self.integration_time < math.inf):
-            raise ValueError("point_rate and integration_time must be positive and finite")
+        if not (0 < self.point_rate < math.inf and 0 < self.lidar_rate < math.inf):
+            raise ValueError("point_rate and lidar_rate must be positive and finite")
         if self.point_rate * self.integration_time > MAX_RAYS_PER_FRAME:
             raise ValueError(f"point_rate * integration_time ({self.point_rate:g} * "
                              f"{self.integration_time:g}) exceeds {MAX_RAYS_PER_FRAME} rays per frame")
         if event_count(self.integration_time, self.point_rate) < 1:
             raise ValueError(f"point_rate * integration_time ({self.point_rate:g} * "
                              f"{self.integration_time:g}) gives no ray per frame")
+
+    @property
+    def integration_time(self) -> float:
+        """One frame's length, s: frames follow each other without a gap."""
+        return 1.0 / self.lidar_rate
 
     def deflections(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Angular offsets (a_h, a_v) from the boresight at the given times."""

@@ -6,7 +6,8 @@ O(n^2) or pointer-walk method, or by the longer form the fast path replaced,
 so the two must agree exactly. The reference
 scanner, RingScanParams, is the spinning 16-ring LiDAR that the rosette's
 return density is compared with (acceptance criterion 7); sensor.scan runs
-it through the same ray casting and return model.
+it through the same ray casting and return model. occupied_indices reads a
+voxel map back as indices, a view that only the tests need.
 """
 
 import bisect
@@ -18,6 +19,13 @@ import numpy as np
 from rosetrack.geometry import pan_tilt_to_rotation
 from rosetrack.scene import MISS, TARGET, ray_cast_arrays
 from rosetrack.sensor import _angles_to_directions, _frame_directions, event_count
+
+
+def occupied_indices(octree):
+    """(n, 3) absolute indices of an OccupancyOctree's occupied voxels, sorted by key."""
+    k, z = np.divmod(octree._occupied_keys(), octree._dims[2])
+    x, y = np.divmod(k, octree._dims[1])
+    return np.stack([x, y, z], axis=1) + octree._ilo
 
 
 def all_points_range_filter(cloud, params, ground_z, sensor_origin):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import occupied_indices
 from scipy import ndimage
 
 from rosetrack.background import (MAX_CELLS, BackgroundBuildParams, OccupancyOctree,
@@ -33,7 +34,7 @@ def assert_matches_hash_set_oracle(octree, inserted, queries, ilo, ihi):
     want = np.array([c in oracle for c in cells(queries)])
     assert np.array_equal(octree.contains_points(queries), want)
     assert len(octree) == len(oracle)
-    assert set(map(tuple, octree.occupied_indices().tolist())) == oracle
+    assert set(map(tuple, occupied_indices(octree).tolist())) == oracle
 
 
 class TestInsertAndQuery:
@@ -46,7 +47,7 @@ class TestInsertAndQuery:
         octree = fresh_octree(resolution=0.1)
         octree.insert_points([[1.05, 2.03, 0.98]])
         assert len(octree) == 1
-        assert octree.occupied_indices().tolist() == [[10, 20, 9]]
+        assert occupied_indices(octree).tolist() == [[10, 20, 9]]
 
     def test_insert_query_round_trip(self):
         octree = fresh_octree()
@@ -63,7 +64,7 @@ class TestInsertAndQuery:
         with pytest.raises(ValueError, match="last axis"):
             octree.insert_points(np.zeros((6, 2)))
         octree.insert_points((0.33, 0.33, 0.33))  # a single (3,) point
-        assert octree.occupied_indices().tolist() == [[3, 3, 3]]
+        assert occupied_indices(octree).tolist() == [[3, 3, 3]]
 
     def test_out_of_bounds_points_skipped(self):
         octree = fresh_octree(lo=(0, 0, 0), hi=(1, 1, 1))
@@ -122,7 +123,7 @@ class TestInsertAndQuery:
         octree = OccupancyOctree(0.5, self.EDGE_LO, self.EDGE_HI)
         corner = np.nextafter(np.array(self.EDGE_FAR), -np.inf)  # voxel (0, 0, 3)
         octree.insert_points(corner)
-        assert octree.occupied_indices().tolist() == [[0, 0, 3]]
+        assert occupied_indices(octree).tolist() == [[0, 0, 3]]
         assert octree.contains_points([corner, (0.25, 0.25, 1.5)]).tolist() == [True, True]
         # one ulp further is outside the grid on each axis, and never occupied
         for axis in range(3):
@@ -136,9 +137,9 @@ class TestInsertAndQuery:
         octree = fresh_octree()
         rng = np.random.default_rng(0)
         octree.insert_points(rng.uniform(-4, 4, (100, 3)))
-        before = set(map(tuple, octree.occupied_indices().tolist()))
+        before = set(map(tuple, occupied_indices(octree).tolist()))
         octree.insert_points(rng.uniform(-4, 4, (100, 3)))
-        after = set(map(tuple, octree.occupied_indices().tolist()))
+        after = set(map(tuple, occupied_indices(octree).tolist()))
         assert before <= after
 
 
@@ -147,7 +148,7 @@ class TestInflate:
         octree = fresh_octree()
         octree.insert_points([[0.5, 0.5, 0.5], [2.0, 2.0, 2.0]])
         out = inflate(octree, 0)
-        assert np.array_equal(out.occupied_indices(), octree.occupied_indices())
+        assert np.array_equal(occupied_indices(out), occupied_indices(octree))
 
     def test_single_voxel_inflates_to_27(self):
         octree = fresh_octree()
@@ -171,12 +172,12 @@ class TestInflate:
         octree.insert_points(pts)
         out = inflate(octree, radius)
         grid = np.zeros((20, 20, 20), dtype=bool)
-        for i, j, k in octree.occupied_indices():
+        for i, j, k in occupied_indices(octree):
             grid[i, j, k] = True
         size = 2 * radius + 1
         dil = ndimage.binary_dilation(grid, structure=np.ones((size, size, size), dtype=bool))
         want = {tuple(v) for v in np.argwhere(dil).tolist()}
-        got = set(map(tuple, out.occupied_indices().tolist()))
+        got = set(map(tuple, occupied_indices(out).tolist()))
         assert got == want
 
     # radii up to 7 reach past the 5- and 7-voxel axes, where the radius is clamped
@@ -198,7 +199,7 @@ class TestInflate:
         dil = ndimage.binary_dilation(grid, structure=np.ones((size, size, size), dtype=bool))
         want = {tuple(v) for v in (np.argwhere(dil) + np.array([-3, -2, -4])).tolist()}
         out = inflate(octree, radius)
-        assert set(map(tuple, out.occupied_indices().tolist())) == want
+        assert set(map(tuple, occupied_indices(out).tolist())) == want
         assert len(out) == len(want)
 
     @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 100])
@@ -233,7 +234,7 @@ class TestInflate:
         octree.insert_points(rng.uniform(-4.5, 4.5, (30, 3)))
         lhs = inflate(inflate(octree, a), b)
         rhs = inflate(octree, a + b)
-        assert np.array_equal(lhs.occupied_indices(), rhs.occupied_indices())
+        assert np.array_equal(occupied_indices(lhs), occupied_indices(rhs))
 
 
 class TestConstruction:
@@ -313,7 +314,7 @@ class TestBuildBackground:
         params = BackgroundBuildParams(bounds_lo=(-1, -5, -0.5), bounds_hi=(9, 5, 4))
         once = build_background(scans, params, FilterParams(), 0.0)
         twice = build_background(scans + scans, params, FilterParams(), 0.0)
-        assert np.array_equal(once.occupied_indices(), twice.occupied_indices())
+        assert np.array_equal(occupied_indices(once), occupied_indices(twice))
 
     def test_gate_is_the_tracking_range_gate(self):
         # the wall is 7.5-8 m away: a 7 m far cut or a ground plane raised
@@ -345,7 +346,7 @@ class TestBuildBackground:
         monkeypatch.setattr(OccupancyOctree, "insert_points", recording_insert)
         streamed = build_background(drawn(), params, FilterParams(), 0.0)
         assert events == ["draw", "insert"] * 5
-        assert np.array_equal(streamed.occupied_indices(), listed.occupied_indices())
+        assert np.array_equal(occupied_indices(streamed), occupied_indices(listed))
 
     def test_empty_scan_sequence_rejected(self, monkeypatch):
         # a list or a generator, and before the map (up to 512 MiB) is allocated

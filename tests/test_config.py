@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -87,6 +87,31 @@ seed = 11
             parse_config(write(tmp_path, "[timing]\npipeline_latency = 0.05\n"))
         assert "pipeline_latency" in str(err.value)
         assert "1 / timing.lidar_rate" in str(err.value)
+
+    @pytest.mark.parametrize("override, changes", [
+        ("timing.filter_rate=5", {"filter_rate": 5.0}),
+        ("timing.pipeline_latency=0.05", {"pipeline_latency": 0.05}),
+        ("run.duration=-1", {"duration": -1.0}),
+        ("run.seed=-1", {"seed": -1}),
+        ("run.duration=1e12", {"duration": 1e12}),
+        ("timing.pipeline_latency=29", {"pipeline_latency": 29.0}),
+    ])
+    def test_replaced_values_meet_the_parser_rules(self, override, changes):
+        # the run's rules belong to the config type: replace used to build a
+        # config whose frames the loop overwrote or let overlap
+        with pytest.raises(ConfigError) as parsed:
+            default_config([override])
+        with pytest.raises(ConfigError) as replaced:
+            replace(default_config(), **changes)
+        assert replaced.value.category == "config-domain"
+        assert str(replaced.value) == str(parsed.value)
+
+    def test_frame_rate_is_the_sensors_alone(self):
+        cfg = default_config()
+        with pytest.raises(TypeError):
+            replace(cfg, lidar_rate=20.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.filter_rate = 5.0
 
     def test_reversed_tilt_range_names_the_tilt_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -455,9 +480,10 @@ class TestBundledConfigs:
         # a frame lasts one period, so no key sets the integration window
         cfgs = [parse_config(path) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
         cfgs.append(default_config(["timing.lidar_rate=20", "timing.filter_rate=20"]))
+        cfgs.append(replace(cfgs[0], sensor=replace(cfgs[0].sensor, lidar_rate=20.0), filter_rate=20.0))
         for cfg in cfgs:
             assert cfg.sensor.integration_time == 1.0 / cfg.lidar_rate
-        assert cfgs[-1].sensor.integration_time == 0.05
+        assert cfgs[-2].sensor.integration_time == cfgs[-1].sensor.integration_time == 0.05
 
     def test_sweep_configs_differ_only_in_weather(self):
         clear = parse_config(CONFIG_DIR / "outdoor_sweep_clear.cfg")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -395,9 +396,13 @@ class TestRunScenario:
 
     def test_cadence_counts(self):
         cfg = default_config(QUICK)
-        result = run_scenario(cfg)
-        assert len(result.scans) == int(2.0 * cfg.lidar_rate)
-        assert len(result.track) == int(2.0 * cfg.filter_rate)
+        # the frame rate has one source, so a config made with replace runs
+        # 0.05 s frames at 20 Hz, not 0.1 s frames that overlap
+        fast = replace(cfg, sensor=replace(cfg.sensor, lidar_rate=20.0), filter_rate=20.0)
+        for c, frames in ((cfg, 20), (fast, 40)):
+            result = run_scenario(c)
+            assert len(result.scans) == int(2.0 * c.lidar_rate) == frames
+            assert len(result.track) == int(2.0 * c.filter_rate)
 
     def test_determinism_byte_identical_tracklog(self, tmp_path):
         cfg = default_config(QUICK)

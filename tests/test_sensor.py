@@ -62,12 +62,12 @@ class TestRosetteDirection:
 
     def test_rays_per_frame_cap_is_inclusive(self):
         # constructing the parameters allocates nothing, so the cap itself is probed
-        params = RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME), integration_time=1.0)
+        params = RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME), lidar_rate=1.0)
         assert event_count(params.integration_time, params.point_rate) == MAX_RAYS_PER_FRAME
         with pytest.raises(ValueError, match="rays per frame"):
-            RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME + 1), integration_time=1.0)
-        for bad in ({"point_rate": math.inf}, {"integration_time": math.inf},
-                    {"point_rate": 1e300, "integration_time": 1e300}):
+            RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME + 1), lidar_rate=1.0)
+        for bad in ({"point_rate": math.inf}, {"lidar_rate": 0.0}, {"lidar_rate": 5e-324},
+                    {"point_rate": 1e300, "lidar_rate": 1e-300}):
             with pytest.raises(ValueError):
                 RosetteParams(**bad)
 
@@ -135,7 +135,7 @@ class TestDirectionCache:
         (9.7, 0, 0),
     ])
     def test_pattern_cached_iff_its_frames_start_at_few_phases(self, lidar_rate, blocks, hits):
-        params = RosetteParams(point_rate=24 * lidar_rate, integration_time=1 / lidar_rate)
+        params = RosetteParams(point_rate=24 * lidar_rate, lidar_rate=lidar_rate)
         _phase_directions.cache_clear()
         for k in range(100):
             _frame_directions(params, k / lidar_rate)
@@ -206,7 +206,7 @@ class TestScan:
         assert rng.bit_generator.state == before
 
     def test_ray_count_bound(self):
-        p = RosetteParams(point_rate=5000, integration_time=0.1)
+        p = RosetteParams(point_rate=5000, lidar_rate=10.0)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
         points, _ = scan(scene, SensorPose((0, 0, 0)), 0.5, p,
@@ -216,7 +216,7 @@ class TestScan:
     def test_ray_count_not_truncated_by_float_error(self):
         # 100 * 0.29 == 28.999999999999996 in floating point; the frame still
         # holds 29 rays, all of which hit the wall
-        p = RosetteParams(point_rate=100.0, integration_time=0.29)
+        p = RosetteParams(point_rate=100.0, lidar_rate=1 / 0.29)
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
         points, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
@@ -234,12 +234,12 @@ class TestScan:
 
     def test_less_than_one_ray_per_frame_rejected(self):
         with pytest.raises(ValueError, match="no ray per frame"):
-            RosetteParams(point_rate=5.0, integration_time=0.1)
+            RosetteParams(point_rate=5.0, lidar_rate=10.0)
 
     def test_plane_ranges_match_analytic_intersection(self):
         # a wall face perpendicular to the boresight at 10 m: every return's
         # range must equal 10 / cos(angle from boresight)
-        p = RosetteParams(point_rate=20000, integration_time=0.1,
+        p = RosetteParams(point_rate=20000, lidar_rate=10.0,
                           range_noise_sigma=0.0, range_max=100.0)
         wall = Box((10.0, -60.0, -60.0), (10.5, 60.0, 60.0))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
@@ -252,7 +252,7 @@ class TestScan:
     def test_centered_target_gets_more_returns_than_off_axis(self):
         # Monte Carlo across frames: a sphere on the boresight collects at
         # least twice the returns of the same sphere at 80% of the half-FoV
-        p = RosetteParams(point_rate=24000, integration_time=0.1,
+        p = RosetteParams(point_rate=24000, lidar_rate=10.0,
                           range_noise_sigma=0.0)
         rng = np.random.default_rng(42)
         r = 8.0
