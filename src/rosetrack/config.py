@@ -17,7 +17,7 @@ from typing import Any
 from .background import BackgroundBuildParams
 from .filters import FilterParams
 from .scene import PATTERN_KEYS, PATTERN_NAMES, Box, Scene, TargetModel, WeatherModel, make_pattern
-from .sensor import MAX_RAYS_PER_FRAME, RosetteParams, event_count
+from .sensor import RosetteParams, event_count
 from .tracker import TrackerParams
 from .turret import MAX_RASTER_STEPS, TurretParams
 
@@ -81,6 +81,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "fov_h_deg": FieldSpec("float", math.degrees(RosetteParams.fov_h), "horizontal field of view, degrees (full angle)"),
         "fov_v_deg": FieldSpec("float", math.degrees(RosetteParams.fov_v), "vertical field of view, degrees (full angle)"),
         "point_rate": FieldSpec("float", RosetteParams.point_rate, "emitted rays per second"),
+        "lidar_rate": FieldSpec("float", RosetteParams.lidar_rate, "LiDAR frame rate, Hz; each frame integrates for one period"),
         "range_max": FieldSpec("float", RosetteParams.range_max, "maximum measurable range, m"),
         "range_noise_sigma": FieldSpec("float", RosetteParams.range_noise_sigma, "Gaussian range noise sigma, m"),
     },
@@ -119,7 +120,6 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "scan_duration": FieldSpec("float", TurretParams.scan_duration, "background build phase length, s"),
     },
     "timing": {
-        "lidar_rate": FieldSpec("float", RosetteParams.lidar_rate, "LiDAR frame rate, Hz; each frame integrates for one period"),
         "filter_rate": FieldSpec("float", 15.0, "particle filter tick and turret command rate, Hz"),
         "pipeline_latency": FieldSpec("float", 0.12, f"integration start to filter delivery, s (1 to {MAX_IN_FLIGHT} frame periods)"),
     },
@@ -174,11 +174,11 @@ class ScenarioConfig:
             raise ConfigError("config-domain", f"timing.filter_rate ({fr:g}) must be positive and finite")
         if fr < lr:  # no tick may receive two frames
             raise ConfigError("config-domain",
-                              f"timing.filter_rate ({fr:g}) must be >= timing.lidar_rate ({lr:g})")
+                              f"timing.filter_rate ({fr:g}) must be >= sensor.lidar_rate ({lr:g})")
         if not self.pipeline_latency >= self.sensor.integration_time:
             raise ConfigError("config-domain",
                               f"timing.pipeline_latency ({self.pipeline_latency:g}) must be >= "
-                              f"1 / timing.lidar_rate ({self.sensor.integration_time:g})")
+                              f"1 / sensor.lidar_rate ({self.sensor.integration_time:g})")
         if not 0 <= self.duration < math.inf:
             raise ConfigError("config-domain", f"run.duration ({self.duration:g}) must be finite and >= 0")
         if self.seed < 0:
@@ -187,8 +187,8 @@ class ScenarioConfig:
         _check_events("run.duration", self.duration, "timing.filter_rate", fr, 0, "filter ticks")
         _check_events("turret.scan_duration", scan, "timing.filter_rate", fr, 0, "raster steps",
                       MAX_RASTER_STEPS)
-        _check_events("turret.scan_duration", scan, "timing.lidar_rate", lr, 1, "raster frames")
-        _check_events("timing.pipeline_latency", self.pipeline_latency, "timing.lidar_rate", lr,
+        _check_events("turret.scan_duration", scan, "sensor.lidar_rate", lr, 1, "raster frames")
+        _check_events("timing.pipeline_latency", self.pipeline_latency, "sensor.lidar_rate", lr,
                       0, "frames in flight", MAX_IN_FLIGHT)
 
 
@@ -257,6 +257,9 @@ def _parse_lines(lines, source: str) -> dict[tuple[str, str], tuple[str, str]]:
         if key not in SCHEMA[section]:
             raise ConfigError("config-unknown-key",
                               f"{where}: unknown key {key!r} in section [{section}]")
+        if (section, key) in values:
+            raise ConfigError("config-syntax", f"{where}: [{section}] {key} is already set at "
+                                               f"{values[(section, key)][1]}")
         values[(section, key)] = (text, where)
     return values
 
@@ -294,19 +297,8 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         names = {f.name for f in fields(cls)}
         return domain(section, lambda: cls(**{k: v for k, v in cfg[section].items() if k in names}))
 
-    s, tg, sn, tu, tm, rn = (cfg[k] for k in ("scene", "target", "sensor", "turret", "timing", "run"))
-    # the two rules that the sensor's own build depends on; ScenarioConfig holds the rest
-    if not 0 < tm["lidar_rate"] < math.inf:
-        raise ConfigError("config-domain", f"timing.lidar_rate ({tm['lidar_rate']:g}) "
-                          "must be positive and finite")
+    s, tg, tu, tm, rn = (cfg[k] for k in ("scene", "target", "turret", "timing", "run"))
     weather = params(WeatherModel, "scene")
-    # a frame lasts 1 / lidar_rate, so its rays are set in two sections
-    if not 0 < sn["point_rate"] < math.inf:
-        raise ConfigError("config-domain", f"sensor.point_rate ({sn['point_rate']:g}) "
-                          "must be positive and finite")
-    _check_events("(1 / timing.lidar_rate)", 1.0 / tm["lidar_rate"], "sensor.point_rate",
-                  sn["point_rate"], 1, "rays per frame", MAX_RAYS_PER_FRAME)
-    sn["lidar_rate"] = tm["lidar_rate"]
     sensor = params(RosetteParams, "sensor")
     filters = params(FilterParams, "filters")
     background = params(BackgroundBuildParams, "background")
@@ -317,7 +309,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         make_pattern(tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}),
         start_time=tu["scan_duration"] + tg["takeoff_delay"])))
     return ScenarioConfig(
-        scene=Scene(s["ground_z"], list(s["obstacles"]), target, weather),
+        scene=Scene(s["ground_z"], tuple(s["obstacles"]), target, weather),
         sensor=sensor, filters=filters, background=background, tracker=tracker,
         turret=turret, filter_rate=tm["filter_rate"], pipeline_latency=tm["pipeline_latency"],
         duration=rn["duration"], seed=rn["seed"],
@@ -327,7 +319,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
 def parse_config(path, overrides: list[str] | None = None) -> ScenarioConfig:
     """Load a scenario file, apply ``section.key=value`` overrides, validate."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError("io", f"cannot read config {path}: {exc}") from exc

@@ -173,7 +173,7 @@ class Trajectory:
         return length * np.pi / (2.0 * self._dur[idx]) * np.sin(np.pi * u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetModel:
     """Tracked object approximated as a sphere on a scripted trajectory."""
 
@@ -212,10 +212,10 @@ class WeatherModel:
             raise ValueError("saturation_range must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
     ground_z: float
-    obstacles: list[Box] = field(default_factory=list)
+    obstacles: tuple[Box, ...] = ()
     target: TargetModel | None = None
     weather: WeatherModel = field(default_factory=WeatherModel)
 

@@ -53,14 +53,16 @@ class RosetteParams:
             raise ValueError("range_max must be positive and finite")
         if not (0 <= self.range_noise_sigma < math.inf and self.range_noise_sigma <= self.range_max):
             raise ValueError("range_noise_sigma must be finite, >= 0 and <= range_max")
-        if not (0 < self.point_rate < math.inf and 0 < self.lidar_rate < math.inf):
-            raise ValueError("point_rate and lidar_rate must be positive and finite")
+        if not 0 < self.lidar_rate < math.inf:
+            raise ValueError(f"lidar_rate ({self.lidar_rate:g}) must be positive and finite")
+        if not 0 < self.point_rate < math.inf:
+            raise ValueError(f"point_rate ({self.point_rate:g}) must be positive and finite")
+        # a frame lasts one period, so its rays are point_rate / lidar_rate
+        given = f"point_rate / lidar_rate ({self.point_rate:g} / {self.lidar_rate:g})"
         if self.point_rate * self.integration_time > MAX_RAYS_PER_FRAME:
-            raise ValueError(f"point_rate * integration_time ({self.point_rate:g} * "
-                             f"{self.integration_time:g}) exceeds {MAX_RAYS_PER_FRAME} rays per frame")
+            raise ValueError(f"{given} exceeds {MAX_RAYS_PER_FRAME} rays per frame")
         if event_count(self.integration_time, self.point_rate) < 1:
-            raise ValueError(f"point_rate * integration_time ({self.point_rate:g} * "
-                             f"{self.integration_time:g}) gives no ray per frame")
+            raise ValueError(f"{given} gives no ray per frame")
 
     @property
     def integration_time(self) -> float:

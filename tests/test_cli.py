@@ -161,6 +161,8 @@ def test_malformed_override_is_config_syntax(command, small_cfg, tmp_path, capsy
     # filter clock, so no key sets either
     *((o, "config-unknown-key") for o in (
         "sensor.integration_time=0.1", "turret.command_rate=15")),
+    # the frame rate is the sensor's field, so it is set under [sensor] alone
+    ("timing.lidar_rate=10", "config-unknown-key"),
 ])
 def test_bad_value_exits_before_the_run(override, category, tmp_path, capsys):
     code = main(["run", str(CONFIG_DIR / "indoor_lock.cfg"), "--out-dir", str(tmp_path),

@@ -1,19 +1,21 @@
 import math
 import pickle
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rosetrack.background import BackgroundBuildParams
 from rosetrack.config import (MAX_EVENTS, MAX_IN_FLIGHT, SCHEMA, ConfigError, default_config,
                               describe_schema, parse_config)
+from rosetrack.filters import FilterParams
 from rosetrack.geometry import MAX_COORDINATE
-from rosetrack.scene import MAX_WAIT, PATTERN_KEYS, PATTERN_NAMES, make_pattern
-from rosetrack.sensor import MAX_PRISM_FREQUENCY, MAX_RAYS_PER_FRAME
-from rosetrack.tracker import MAX_PARTICLES
-from rosetrack.turret import MAX_RASTER_STEPS
+from rosetrack.scene import MAX_WAIT, PATTERN_KEYS, PATTERN_NAMES, WeatherModel, make_pattern
+from rosetrack.sensor import MAX_PRISM_FREQUENCY, MAX_RAYS_PER_FRAME, RosetteParams
+from rosetrack.tracker import MAX_PARTICLES, TrackerParams
+from rosetrack.turret import MAX_RASTER_STEPS, TurretParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -78,7 +80,7 @@ seed = 11
 
     def test_cross_field_rule_names_both_keys(self, tmp_path):
         with pytest.raises(ConfigError) as err:
-            parse_config(write(tmp_path, "[timing]\nlidar_rate = 20.0\nfilter_rate = 15.0\n"))
+            parse_config(write(tmp_path, "[sensor]\nlidar_rate = 20.0\n[timing]\nfilter_rate = 15.0\n"))
         assert err.value.category == "config-domain"
         assert "filter_rate" in str(err.value) and "lidar_rate" in str(err.value)
 
@@ -86,7 +88,7 @@ seed = 11
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, "[timing]\npipeline_latency = 0.05\n"))
         assert "pipeline_latency" in str(err.value)
-        assert "1 / timing.lidar_rate" in str(err.value)
+        assert "1 / sensor.lidar_rate" in str(err.value)
 
     @pytest.mark.parametrize("override, changes", [
         ("timing.filter_rate=5", {"filter_rate": 5.0}),
@@ -176,22 +178,28 @@ seed = 11
         assert err.value.category == "config-domain"
         assert f"exceeds {MAX_RAYS_PER_FRAME} rays per frame" in str(err.value)
 
-    @pytest.mark.parametrize("overrides, message", [
-        (["timing.lidar_rate=1e-3", "timing.pipeline_latency=2000"],
-         f"(1 / timing.lidar_rate) * sensor.point_rate (1000 * 240000) exceeds "
-         f"{MAX_RAYS_PER_FRAME} rays per frame"),
-        (["sensor.point_rate=5"],
-         "(1 / timing.lidar_rate) * sensor.point_rate (0.1 * 5) gives 0 rays per frame; "
-         "at least 1 needed"),
-        (["sensor.point_rate=-inf"], "sensor.point_rate (-inf) must be positive and finite"),
-    ])
-    def test_rays_per_frame_name_the_sensor_and_timing_keys(self, overrides, message):
-        # parse only: these used to be reported under [sensor] by integration_time,
-        # which is not a key; a frame lasts one LiDAR period
-        with pytest.raises(ConfigError) as err:
+    @pytest.mark.parametrize("overrides, changes, message", [
+        (["sensor.lidar_rate=1e-3", "timing.pipeline_latency=2000"], {"lidar_rate": 1e-3},
+         f"point_rate / lidar_rate (240000 / 0.001) exceeds {MAX_RAYS_PER_FRAME} rays per frame"),
+        (["sensor.point_rate=5"], {"point_rate": 5.0},
+         "point_rate / lidar_rate (5 / 10) gives no ray per frame"),
+        (["sensor.point_rate=-inf"], {"point_rate": -math.inf},
+         "point_rate (-inf) must be positive and finite"),
+        (["sensor.lidar_rate=0"], {"lidar_rate": 0.0}, "lidar_rate (0) must be positive and finite"),
+        (["sensor.lidar_rate=inf"], {"lidar_rate": math.inf},
+         "lidar_rate (inf) must be positive and finite"),
+    ], ids=["rays_above_cap", "no_ray", "point_rate_-inf", "lidar_rate_0", "lidar_rate_inf"])
+    def test_sensor_rate_rules_parse_as_replaced(self, overrides, changes, message):
+        # parse only: each rule is stated once, in RosetteParams; the parser
+        # used to state these again in words of its own, and the rays per
+        # frame by integration_time, which is not a key
+        with pytest.raises(ConfigError) as parsed:
             default_config(overrides)
-        assert err.value.category == "config-domain"
-        assert str(err.value) == message
+        with pytest.raises(ValueError) as replaced:
+            replace(default_config().sensor, **changes)
+        assert parsed.value.category == "config-domain"
+        assert str(replaced.value) == message
+        assert str(parsed.value) == f"section [sensor]: {message}"
 
     @pytest.mark.parametrize("overrides, message", [
         (["tracker.n_particles=2000000000"], f"between 1 and {MAX_PARTICLES}"),
@@ -233,11 +241,11 @@ seed = 11
         with pytest.raises(ConfigError) as err:
             parse_config(CONFIG_DIR / "indoor_vertical.cfg", [f"timing.pipeline_latency={latency}"])
         assert err.value.category == "config-domain"
-        assert str(err.value).startswith("timing.pipeline_latency * timing.lidar_rate")
+        assert str(err.value).startswith("timing.pipeline_latency * sensor.lidar_rate")
         assert f"exceeds {MAX_IN_FLIGHT} frames in flight" in str(err.value)
 
     def test_frames_in_flight_cap_is_inclusive(self):
-        cfg = default_config(["timing.pipeline_latency=32", "timing.lidar_rate=8"])
+        cfg = default_config(["timing.pipeline_latency=32", "sensor.lidar_rate=8"])
         assert cfg.pipeline_latency * cfg.lidar_rate == MAX_IN_FLIGHT
 
     @pytest.mark.parametrize("override, message", [
@@ -274,7 +282,7 @@ seed = 11
         with pytest.raises(ConfigError) as err:
             parse_config(CONFIG_DIR / "indoor_lock.cfg", ["turret.scan_duration=0.05"])
         assert err.value.category == "config-domain"
-        assert "turret.scan_duration" in str(err.value) and "timing.lidar_rate" in str(err.value)
+        assert "turret.scan_duration" in str(err.value) and "sensor.lidar_rate" in str(err.value)
 
     @pytest.mark.parametrize("near_min", ["0", "-1"])
     def test_near_min_must_be_positive(self, near_min):
@@ -291,6 +299,28 @@ seed = 11
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, "[tracker]\nn_particles = 0\n"))
         assert err.value.category == "config-domain"
+
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        # the later line used to win silently: this file ran at f1 = 50 Hz
+        path = write(tmp_path, "[sensor]\nf1 = 161\nf1 = 50\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.category == "config-syntax"
+        assert str(err.value) == f"{path}:3: [sensor] f1 is already set at {path}:2"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("[target]\ndiameter = 0.2\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config(path).scene.target.diameter == 0.2
+
+    def test_scene_is_frozen_with_the_config(self):
+        cfg = default_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.scene.ground_z = 3.0
+        with pytest.raises(FrozenInstanceError):
+            cfg.scene.target.diameter = 0.5
+        assert cfg.scene.ground_z == 0.0 and cfg.scene.target.diameter == 0.1
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -323,7 +353,7 @@ seed = 11
 class TestOverrides:
     def test_override_wins_over_file(self, tmp_path):
         path = write(tmp_path, "[run]\nseed = 3\n")
-        cfg = parse_config(path, ["run.seed=9", "tracker.sigma_pred=0.2"])
+        cfg = parse_config(path, ["run.seed=4", "run.seed=9", "tracker.sigma_pred=0.2"])
         assert cfg.seed == 9
         assert cfg.tracker.sigma_pred == pytest.approx(0.2)
         assert cfg.tracker.stability_threshold == pytest.approx(0.3)
@@ -364,6 +394,20 @@ def other_value(spec) -> str:
     if spec.default is None:
         return "0.2"
     return str(0.9 * spec.default if spec.default else 0.05)
+
+
+# the class whose fields each section's keys set
+SECTION_CLASSES = {"scene": WeatherModel, "sensor": RosetteParams, "filters": FilterParams,
+                   "background": BackgroundBuildParams, "tracker": TrackerParams,
+                   "turret": TurretParams}
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
+def test_every_key_sets_a_field_in_its_own_section(section, key):
+    # a key that sets another section's class field is read in two places
+    name = key.removesuffix("_deg")
+    owners = [s for s, cls in SECTION_CLASSES.items() if name in {f.name for f in fields(cls)}]
+    assert owners in ([], [section])
 
 
 @pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
@@ -479,7 +523,7 @@ class TestBundledConfigs:
     def test_frames_integrate_for_one_lidar_period(self):
         # a frame lasts one period, so no key sets the integration window
         cfgs = [parse_config(path) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
-        cfgs.append(default_config(["timing.lidar_rate=20", "timing.filter_rate=20"]))
+        cfgs.append(default_config(["sensor.lidar_rate=20", "timing.filter_rate=20"]))
         cfgs.append(replace(cfgs[0], sensor=replace(cfgs[0].sensor, lidar_rate=20.0), filter_rate=20.0))
         for cfg in cfgs:
             assert cfg.sensor.integration_time == 1.0 / cfg.lidar_rate

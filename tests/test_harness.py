@@ -155,7 +155,7 @@ class TestClock:
     def test_schedule_matches_an_exact_integer_oracle_over_the_longest_run(self, rates, t0):
         lidar, tick, latency = map(Fraction, rates)
         duration = MAX_EVENTS / float(tick)  # the most ticks a run may have
-        cfg = default_config([f"timing.lidar_rate={rates[0]}", f"timing.filter_rate={rates[1]}",
+        cfg = default_config([f"sensor.lidar_rate={rates[0]}", f"timing.filter_rate={rates[1]}",
                               f"timing.pipeline_latency={rates[2]}",
                               f"turret.scan_duration={t0}", f"run.duration={duration}"])
         n_frames = event_count(cfg.duration, cfg.lidar_rate)
@@ -183,7 +183,7 @@ class TestClock:
         texts = {"lr": f"{float(lr)!r}", "fr": f"{float(fr)!r}", "lat": f"{float(lat)!r}"}
         assert all(Fraction(text) == value for text, value in
                    zip(texts.values(), (lr, fr, lat)))  # the floats print as the decimals
-        cfg = default_config([f"timing.lidar_rate={texts['lr']}",
+        cfg = default_config([f"sensor.lidar_rate={texts['lr']}",
                               f"timing.filter_rate={texts['fr']}",
                               f"timing.pipeline_latency={texts['lat']}",
                               f"turret.scan_duration={t0 / 100}", f"run.duration={duration / 100}"])
@@ -470,7 +470,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(harness, "transform_cloud", recording_transform)
         monkeypatch.setattr(harness, "preprocess_cloud", recording_preprocess)
-        cfg = default_config(["timing.lidar_rate=10", "timing.filter_rate=10",
+        cfg = default_config(["sensor.lidar_rate=10", "timing.filter_rate=10",
                               "timing.pipeline_latency=0.1000000000012",
                               "turret.scan_duration=0.5", "run.duration=2"])
         assert receiving_ticks(range(20), cfg) == list(range(2, 22))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -459,7 +460,7 @@ class TestTargetConeCull:
         scene, origin, dirs, times = edge_case_cast(traj, data, seed, n_boxes, origin_inside,
                                                     n_rays)
         if not with_target:
-            scene.target = None
+            scene = replace(scene, target=None)
         ranges, surfaces = ray_cast_arrays(scene, origin, column_block(dirs), times)
         assert np.array_equal(ranges == np.inf, surfaces == -1)
         assert np.all(np.isfinite(ranges[surfaces != -1]))
