@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .background import BackgroundBuildParams
@@ -73,7 +73,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "wait": FieldSpec("float", _PATTERN["wait"].default, "hold time at each waypoint, s (square and line patterns only)"),
         "max_range": FieldSpec("float", _PATTERN["max_range"].default, "range_sweep outbound distance, m"),
         "sweep_speed": FieldSpec("float", _PATTERN["sweep_speed"].default, "range_sweep peak speed cap, m/s"),
-        "takeoff_delay": FieldSpec("float", 0.0, "tracking-phase seconds before the target appears, s"),
+        "takeoff_delay": FieldSpec("float", TargetModel.takeoff_delay, "tracking-phase seconds before the target appears, s"),
     },
     "sensor": {
         "f1": FieldSpec("float", RosetteParams.f1, "first prism frequency, Hz"),
@@ -146,10 +146,10 @@ def _check_events(span_key: str, span: float, rate_key: str, rate: float,
 class ScenarioConfig:
     """Typed scenario description; built from SCHEMA values.
 
-    The scene holds the target, whose trajectory starts at the beginning of
-    the tracking phase plus the takeoff delay. The run's clock rules hold for
-    every config, however made (dataclasses.replace included), and name the
-    keys that set each value.
+    The scene holds the target: its flight pattern as make_pattern builds it
+    and its takeoff delay, which the run adds to the end of the raster to
+    start the pattern. The run's clock rules hold for every config, however
+    made (dataclasses.replace included), and name the keys that set each value.
     """
 
     scene: Scene
@@ -297,7 +297,7 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
         names = {f.name for f in fields(cls)}
         return domain(section, lambda: cls(**{k: v for k, v in cfg[section].items() if k in names}))
 
-    s, tg, tu, tm, rn = (cfg[k] for k in ("scene", "target", "turret", "timing", "run"))
+    s, tg, tm, rn = (cfg[k] for k in ("scene", "target", "timing", "run"))
     weather = params(WeatherModel, "scene")
     sensor = params(RosetteParams, "sensor")
     filters = params(FilterParams, "filters")
@@ -305,11 +305,10 @@ def _build_config(values: dict[tuple[str, str], tuple[str, str]]) -> ScenarioCon
     tracker = params(TrackerParams, "tracker")
     turret = params(TurretParams, "turret")
 
-    target = domain("target", lambda: TargetModel(tg["diameter"], tg["reflectivity"], replace(
-        make_pattern(tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}),
-        start_time=tu["scan_duration"] + tg["takeoff_delay"])))
+    tg["trajectory"] = domain("target", lambda: make_pattern(
+        tg["pattern"], **{k: tg[k] for k in PATTERN_KEYS[tg["pattern"]]}))
     return ScenarioConfig(
-        scene=Scene(s["ground_z"], tuple(s["obstacles"]), target, weather),
+        scene=Scene(s["ground_z"], tuple(s["obstacles"]), params(TargetModel, "target"), weather),
         sensor=sensor, filters=filters, background=background, tracker=tracker,
         turret=turret, filter_rate=tm["filter_rate"], pipeline_latency=tm["pipeline_latency"],
         duration=rn["duration"], seed=rn["seed"],

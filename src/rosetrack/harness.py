@@ -147,10 +147,10 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     """
     bg_ss, scan_ss, pf_ss = np.random.SeedSequence(config.seed).spawn(3)
     t_track0 = config.turret.scan_duration
-    scene = config.scene
+    target = config.scene.target
+    traj = replace(target.trajectory, start_time=t_track0 + target.takeoff_delay)
+    scene = replace(config.scene, target=replace(target, trajectory=traj))
     static = replace(scene, target=None)  # what the sensor sees before takeoff
-    traj = scene.target.trajectory
-    spawn_t = traj.start_time
     tparams = config.turret
     origin = tparams.origin
     floor = scene.ground_z + config.filters.ground_margin  # range_filter's ground band
@@ -182,7 +182,7 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
     frame_t = event_times(t_track0, config.duration, config.lidar_rate)
     tick_t = event_times(t_track0, config.duration, config.filter_rate)
     receiver = receiving_ticks(range(len(frame_t)), config)
-    takeoff = math.ceil((exact(spawn_t) - exact(t_track0)) * lr)  # first frame after takeoff
+    takeoff = math.ceil((exact(traj.start_time) - exact(t_track0)) * lr)  # first frame after takeoff
     n_ticks = len(tick_t)
     track = np.zeros(n_ticks, TRACK_DTYPE)
     scans = np.zeros(len(frame_t), SCAN_DTYPE)

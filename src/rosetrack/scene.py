@@ -47,7 +47,7 @@ class Box:
             raise ValueError(f"box extents must be positive: {self.lo}..{self.hi}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Waypoint schedule: hold each waypoint for its wait time, then fly a
     straight segment with a raised-cosine speed profile.
@@ -58,16 +58,17 @@ class Trajectory:
     holds the last waypoint indefinitely.
     """
 
-    waypoints: list[tuple[tuple[float, float, float], float]]  # (position, wait seconds)
+    waypoints: tuple[tuple[tuple[float, float, float], float], ...]  # (position, wait seconds)
     segment_duration: float
     repeat_count: int = 1
     start_time: float = 0.0  # schedule offset; earlier times hold the first waypoint
 
     def __post_init__(self):
+        object.__setattr__(self, "waypoints", tuple((tuple(p), w) for p, w in self.waypoints))
         if len(self.waypoints) < 1:
             raise ValueError("trajectory needs at least one waypoint")
-        if self.segment_duration <= 0:
-            raise ValueError("segment_duration must be positive")
+        if not 0 < self.segment_duration < math.inf:
+            raise ValueError("segment_duration must be positive and finite")
         if self.repeat_count < 1:
             raise ValueError("repeat_count must be >= 1")
         if not all(0 <= w <= MAX_WAIT or w == math.inf for _, w in self.waypoints):
@@ -103,11 +104,10 @@ class Trajectory:
         # terminal hold
         t0s.append(t); durs.append(math.inf)
         starts.append(wps[-1][0]); ends.append(wps[-1][0])
-        self._t0 = np.array(t0s)
-        self._dur = np.array(durs)
-        self._a = np.vstack(starts)
-        self._b = np.vstack(ends)
-        self.total_duration = t
+        for name, value in (("_t0", np.array(t0s)), ("_dur", np.array(durs)),
+                            ("_a", np.vstack(starts)), ("_b", np.vstack(ends)),
+                            ("total_duration", t)):
+            object.__setattr__(self, name, value)
 
     def _phase(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Phase index of each time and the fraction of that phase done,
@@ -175,17 +175,20 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TargetModel:
-    """Tracked object approximated as a sphere on a scripted trajectory."""
+    """Sphere-shaped target; the run starts its trajectory takeoff_delay after the raster ends."""
 
     diameter: float
     reflectivity: float
     trajectory: Trajectory
+    takeoff_delay: float = 0.0
 
     def __post_init__(self):
-        if self.diameter <= 0:
-            raise ValueError("target diameter must be positive")
+        if not 0 < self.diameter < math.inf:
+            raise ValueError("target diameter must be positive and finite")
         if not 0 < self.reflectivity <= 1:
             raise ValueError("target reflectivity must be in (0, 1]")
+        if not abs(self.takeoff_delay) <= MAX_WAIT:
+            raise ValueError(f"takeoff_delay must be at most {MAX_WAIT:g} s in magnitude")
 
 
 @dataclass(frozen=True)

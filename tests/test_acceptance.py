@@ -291,9 +291,7 @@ class TestCriterion10PerformanceEnvelope:
 
         # preprocessing: real frames from the fast scenario against its map
         cfg = parse_config(CONFIG_DIR / "indoor_fast.cfg")
-        target = cfg.scene.target
-        scene = replace(cfg.scene, target=replace(
-            target, trajectory=replace(target.trajectory, start_time=0.0)))
+        scene = cfg.scene
         tp = cfg.turret
         rng = np.random.default_rng(2)
         scans = []

@@ -12,7 +12,8 @@ from rosetrack.config import (MAX_EVENTS, MAX_IN_FLIGHT, SCHEMA, ConfigError, de
                               describe_schema, parse_config)
 from rosetrack.filters import FilterParams
 from rosetrack.geometry import MAX_COORDINATE
-from rosetrack.scene import MAX_WAIT, PATTERN_KEYS, PATTERN_NAMES, WeatherModel, make_pattern
+from rosetrack.scene import (MAX_WAIT, PATTERN_KEYS, PATTERN_NAMES, TargetModel, WeatherModel,
+                             make_pattern)
 from rosetrack.sensor import MAX_PRISM_FREQUENCY, MAX_RAYS_PER_FRAME, RosetteParams
 from rosetrack.tracker import MAX_PARTICLES, TrackerParams
 from rosetrack.turret import MAX_RASTER_STEPS, TurretParams
@@ -26,15 +27,10 @@ def write(tmp_path, text):
     return path
 
 
-def tracking_pattern(cfg, name, **kwargs):
-    """make_pattern(name, **kwargs) shifted to start with the tracking phase."""
-    return replace(make_pattern(name, **kwargs), start_time=cfg.turret.scan_duration)
-
-
 class TestParse:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[target]\npattern = vertical\n"))
-        assert cfg.scene.target.trajectory == tracking_pattern(cfg, "vertical")
+        assert cfg.scene.target.trajectory == make_pattern("vertical")
         assert cfg.tracker.n_particles == 500
         assert cfg.tracker.sigma_pred == pytest.approx(0.1)
         assert cfg.filter_rate == 15.0 and cfg.lidar_rate == 10.0
@@ -43,7 +39,7 @@ class TestParse:
 
     def test_empty_file_is_all_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, "\n# nothing here\n"))
-        assert cfg.scene.target.trajectory == tracking_pattern(cfg, "vertical")
+        assert cfg.scene.target.trajectory == make_pattern("vertical")
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = parse_config(write(tmp_path, """
@@ -252,7 +248,11 @@ seed = 11
         ("run.seed=-1", "run.seed (-1) must be >= 0"),
         ("sensor.f1=inf", "section [sensor]: prism frequencies must be positive and finite"),
         ("sensor.f2=inf", "section [sensor]: prism frequencies must be positive and finite"),
-        ("target.takeoff_delay=-inf", "section [target]: trajectory start_time"),
+        ("target.takeoff_delay=-inf", f"section [target]: takeoff_delay must be at most "
+                                      f"{MAX_WAIT:g} s in magnitude"),
+        ("target.takeoff_delay=1e308", f"section [target]: takeoff_delay must be at most "
+                                       f"{MAX_WAIT:g} s in magnitude"),
+        ("target.diameter=inf", "section [target]: target diameter must be positive and finite"),
         ("target.center=1e308,0,1", "section [target]: waypoint coordinates must be finite and "
                                     f"at most {MAX_COORDINATE:g} m in magnitude"),
         ("target.extent=1e308", "section [target]: waypoint coordinates must be finite and "
@@ -272,7 +272,8 @@ seed = 11
         # seed -1 failed after parsing, an infinite prism frequency raised an
         # OverflowError, and a takeoff at -inf ran into a RuntimeWarning, as
         # did each 1e308 magnitude (an overflow in the trajectory, a norm,
-        # the tracker's estimate or the beam phase)
+        # the tracker's estimate or the beam phase); an infinite diameter ran
+        # with no Stable tick and a NaN rmse
         with pytest.raises(ConfigError) as err:
             default_config([override])
         assert err.value.category == "config-domain"
@@ -344,10 +345,26 @@ seed = 11
         assert err.value.category == "config-unknown-key"
         assert key in str(err.value)
 
-    def test_takeoff_delay_offsets_trajectory_start(self, tmp_path):
+    def test_takeoff_delay_is_a_target_field(self, tmp_path):
+        # the run adds the delay to the end of the raster; the config keeps
+        # the pattern as make_pattern builds it
         cfg = parse_config(write(tmp_path, "[target]\ntakeoff_delay = 1.5\n"
                                            "[turret]\nscan_duration = 3.0\n"))
-        assert cfg.scene.target.trajectory.start_time == 3.0 + 1.5
+        assert cfg.scene.target.takeoff_delay == 1.5
+        assert cfg.scene.target.trajectory == make_pattern("vertical")
+
+    def test_replaced_scan_duration_equals_the_parsed_one(self):
+        # the takeoff is not baked into the config, so replace moves it too
+        base = ["target.takeoff_delay=0.5"]
+        cfg = default_config(base)
+        moved = replace(cfg, turret=replace(cfg.turret, scan_duration=2.0))
+        assert moved == default_config([*base, "turret.scan_duration=2"])
+
+    def test_config_is_hashable(self):
+        # every part of it is a frozen value, the target's trajectory included
+        assert hash(default_config()) == hash(default_config())
+        assert len({default_config(), default_config(),
+                    parse_config(CONFIG_DIR / "indoor_fast.cfg")}) == 2
 
 
 class TestOverrides:
@@ -367,7 +384,7 @@ class TestOverrides:
 
     def test_default_config_accepts_overrides(self):
         cfg = default_config(["target.pattern=fast"])
-        assert cfg.scene.target.trajectory == tracking_pattern(cfg, "fast")
+        assert cfg.scene.target.trajectory == make_pattern("fast")
 
     def test_infinite_slew_rate_is_an_instant_turret(self):
         assert default_config(["turret.max_slew_rate=inf"]).turret.max_slew_rate == math.inf
@@ -397,9 +414,9 @@ def other_value(spec) -> str:
 
 
 # the class whose fields each section's keys set
-SECTION_CLASSES = {"scene": WeatherModel, "sensor": RosetteParams, "filters": FilterParams,
-                   "background": BackgroundBuildParams, "tracker": TrackerParams,
-                   "turret": TurretParams}
+SECTION_CLASSES = {"scene": WeatherModel, "target": TargetModel, "sensor": RosetteParams,
+                   "filters": FilterParams, "background": BackgroundBuildParams,
+                   "tracker": TrackerParams, "turret": TurretParams}
 
 
 @pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
@@ -516,8 +533,8 @@ class TestBundledConfigs:
     def test_indoor_fast_has_reference_prediction_noise(self):
         cfg = parse_config(CONFIG_DIR / "indoor_fast.cfg")
         assert cfg.tracker.sigma_pred == pytest.approx(0.1)
-        assert cfg.scene.target.trajectory == tracking_pattern(
-            cfg, "fast", center=(4.0, 0.0, 1.6), extent=1.8, wait=2.0)
+        assert cfg.scene.target.trajectory == make_pattern(
+            "fast", center=(4.0, 0.0, 1.6), extent=1.8, wait=2.0)
         assert cfg.tracker.stability_threshold == pytest.approx(0.15)
 
     def test_frames_integrate_for_one_lidar_period(self):

@@ -411,6 +411,18 @@ class TestRunScenario:
         export_csv(run_scenario(cfg).track, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_replaced_config_runs_as_the_parsed_one(self):
+        # the run places the target, so a config made with replace takes off
+        # where the parsed one does: 0.5 s after its 2 s raster
+        base = ["run.duration=2.0", "sensor.point_rate=24000", "target.takeoff_delay=0.5"]
+        cfg = default_config(base)
+        moved = run_scenario(replace(cfg, turret=replace(cfg.turret, scan_duration=2.0)))
+        parsed = run_scenario(default_config([*base, "turret.scan_duration=2"]))
+        for log in ("track", "truth", "scans"):
+            assert getattr(moved, log).tobytes() == getattr(parsed, log).tobytes()
+        pattern = replace(cfg.scene.target.trajectory, start_time=2.5)
+        assert np.array_equal(positions(moved.truth), pattern.position(moved.truth["t"]))
+
     def test_seed_changes_output(self, tmp_path):
         a = run_scenario(default_config(QUICK))
         b = run_scenario(default_config(QUICK + ["run.seed=1"]))
@@ -421,8 +433,8 @@ class TestRunScenario:
         # takeoff + pipeline_latency: sigma keeps growing until then
         cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=3.5"])
         result = run_scenario(cfg)
-        takeoff = cfg.scene.target.trajectory.start_time
-        assert takeoff == cfg.turret.scan_duration + 1.5  # indoor_lock's takeoff_delay
+        assert cfg.scene.target.takeoff_delay == 1.5  # indoor_lock's
+        takeoff = cfg.turret.scan_duration + cfg.scene.target.takeoff_delay
         earliest_reaction = takeoff + cfg.pipeline_latency
         sig = result.track["sigma_particles"]
         t = result.track["t"]
@@ -487,10 +499,13 @@ class TestRunScenario:
 
     def test_truth_and_target_range_come_from_the_trajectory(self):
         # neither log feeds the loop: both are the trajectory evaluated at the
-        # logged tick times and at each frame's mid-time
+        # logged tick times and at each frame's mid-time; the run starts the
+        # pattern takeoff_delay after the raster ends
         cfg = parse_config(CONFIG_DIR / "indoor_lock.cfg", ["run.duration=2"])
         result = run_scenario(cfg)
-        traj = cfg.scene.target.trajectory
+        target = cfg.scene.target
+        traj = replace(target.trajectory,
+                       start_time=cfg.turret.scan_duration + target.takeoff_delay)
         tick_t = result.track["t"]
         assert len(tick_t) and np.array_equal(result.truth["t"], tick_t)
         assert np.array_equal(positions(result.truth), traj.position(tick_t))

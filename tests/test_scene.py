@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import clamped_return_probability, list_bounding_ball
 
-from rosetrack.scene import (_BLOCK, Box, Scene, TargetModel, Trajectory, WeatherModel,
+from rosetrack.scene import (_BLOCK, MAX_WAIT, Box, Scene, TargetModel, Trajectory, WeatherModel,
                              make_pattern, ray_cast_arrays, return_probability_arrays)
 
 GROUND, OBSTACLE, TARGET = 0, 1, 2  # ray_cast_arrays surface codes; -1 is a miss
@@ -231,6 +231,22 @@ class TestTrajectory:
             Trajectory([((0, 0, 0), 0.0)], 0.0)
         with pytest.raises(ValueError):
             Trajectory([((0, 0, 0), 0.0)], 1.0, repeat_count=0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_segment_duration_must_be_positive_and_finite(self, duration):
+        # NaN used to give NaN positions
+        with pytest.raises(ValueError, match="segment_duration must be positive and finite"):
+            Trajectory([((0, 0, 0), 1.0), ((1, 0, 0), 1.0)], duration)
+
+    def test_is_a_frozen_value(self):
+        # assigning start_time used to leave position() on the old schedule
+        traj = Trajectory([[[1, 1, 1], 1.0], ([2, 1, 1], 0.0)], 2.0)
+        with pytest.raises(FrozenInstanceError):
+            traj.start_time = 9.0
+        assert traj.waypoints == (((1, 1, 1), 1.0), ((2, 1, 1), 0.0))
+        assert traj == Trajectory(traj.waypoints, 2.0) and hash(traj) == hash(replace(traj))
+        moved = replace(traj, start_time=5.0)
+        assert np.array_equal(moved.position(7.0), traj.position(2.0))
 
 
 class TestRayCast:
@@ -626,9 +642,20 @@ class TestDomainInvariants:
         with pytest.raises(ValueError):
             TargetModel(0.0, 0.5, traj)
         with pytest.raises(ValueError):
+            TargetModel(math.inf, 0.5, traj)
+        with pytest.raises(ValueError):
             TargetModel(0.1, 0.0, traj)
         with pytest.raises(ValueError):
             TargetModel(0.1, 1.5, traj)
+
+    @pytest.mark.parametrize("delay", [-math.inf, -1e308, math.nan,
+                                       math.nextafter(MAX_WAIT, math.inf)])
+    def test_takeoff_delay_is_capped_like_a_wait(self, delay):
+        # the cap keeps scan_duration + takeoff_delay finite
+        traj = Trajectory([((0, 0, 0), 1.0)], 1.0)
+        with pytest.raises(ValueError, match="takeoff_delay must be at most"):
+            TargetModel(0.1, 0.5, traj, delay)
+        assert TargetModel(0.1, 0.5, traj, -MAX_WAIT).takeoff_delay == -MAX_WAIT
 
     def test_weather_model_invariants(self):
         with pytest.raises(ValueError):
