@@ -132,11 +132,13 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
 
 def _check_events(span_key: str, span: float, rate_key: str, rate: float,
                   least: int, what: str, cap: int = MAX_EVENTS) -> None:
-    """Reject unless least <= event_count(span, rate) <= cap. The cap is
-    tested on the product first, which may overflow to inf."""
+    """Reject unless least <= event_count(span, rate) <= cap and the span is
+    finite. The cap is tested on the product first, which may overflow to inf."""
     given = f"{span_key} * {rate_key} ({span:g} * {rate:g})"
     if span * rate > cap:
         raise ConfigError("config-domain", f"{given} exceeds {cap} {what}")
+    if not math.isfinite(span):
+        raise ConfigError("config-domain", f"{given} must be finite")
     n = event_count(span, rate)
     if n < least:
         raise ConfigError("config-domain", f"{given} gives {n} {what}; at least {least} needed")
@@ -169,16 +171,14 @@ class ScenarioConfig:
         return self.sensor.lidar_rate
 
     def __post_init__(self):
+        if self.scene.target is None or self.scene.target.trajectory.start_time != 0:  # the run places it
+            raise ConfigError("config-domain", "the scene must hold a target whose trajectory starts at 0")
         lr, fr = self.lidar_rate, self.filter_rate
         if not 0 < fr < math.inf:
             raise ConfigError("config-domain", f"timing.filter_rate ({fr:g}) must be positive and finite")
         if fr < lr:  # no tick may receive two frames
             raise ConfigError("config-domain",
                               f"timing.filter_rate ({fr:g}) must be >= sensor.lidar_rate ({lr:g})")
-        if not self.pipeline_latency >= self.sensor.integration_time:
-            raise ConfigError("config-domain",
-                              f"timing.pipeline_latency ({self.pipeline_latency:g}) must be >= "
-                              f"1 / sensor.lidar_rate ({self.sensor.integration_time:g})")
         if not 0 <= self.duration < math.inf:
             raise ConfigError("config-domain", f"run.duration ({self.duration:g}) must be finite and >= 0")
         if self.seed < 0:
@@ -189,7 +189,7 @@ class ScenarioConfig:
                       MAX_RASTER_STEPS)
         _check_events("turret.scan_duration", scan, "sensor.lidar_rate", lr, 1, "raster frames")
         _check_events("timing.pipeline_latency", self.pipeline_latency, "sensor.lidar_rate", lr,
-                      0, "frames in flight", MAX_IN_FLIGHT)
+                      1, "frames in flight", MAX_IN_FLIGHT)
 
 
 def _number(text: str) -> float:

@@ -9,9 +9,9 @@ t0 + pipeline_latency, never earlier, and is consumed by the first tick at or
 after that instant (receiving_ticks). Frames and ticks both start at the
 beginning of the tracking phase. Every clock decision (event counts, the
 receiving tick, the order of frames and ticks, the raster's steps, the
-takeoff frame) is made in exact arithmetic on the config values read by
-sensor.exact; the logged times stay the floats t0 + k / rate. Everything is
-deterministic under the config seed.
+takeoff frame, each frame's start as scan receives it) is made in exact
+arithmetic on the config values read by sensor.exact; the logged times stay
+the floats t0 + k / rate. Everything is deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -166,23 +166,23 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
         Up to each frame's start the turret takes `steps` commands, one per
         filter period, the last one short."""
         nonlocal state
-        for t0 in event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist():
+        for k, t0 in enumerate(event_times(0.0, tparams.scan_duration, config.lidar_rate).tolist()):
             for _ in range(steps):
                 if t0 > state.t:  # the first frame starts where the turret does
                     state = step_dynamics(state, scan_mode_command(state.t, tparams),
                                           min(step_dt, t0 - state.t), tparams)
             pose = SensorPose(origin, state.pose)
-            yield scan(static, pose, t0, config.sensor, bg_rng, floor=floor)[0], pose
+            yield scan(static, pose, k / lr, config.sensor, bg_rng, floor=floor)[0], pose
 
     octree = build_background(raster(), config.background, config.filters, scene.ground_z)
 
     # --- tracking phase ----------------------------------------------------
     track_rng = np.random.default_rng(scan_ss)
-    pset = init_filter(config.tracker, np.random.default_rng(pf_ss))
+    pset = init_filter(config.tracker, pf_ss)
     frame_t = event_times(t_track0, config.duration, config.lidar_rate)
     tick_t = event_times(t_track0, config.duration, config.filter_rate)
     receiver = receiving_ticks(range(len(frame_t)), config)
-    takeoff = math.ceil((exact(traj.start_time) - exact(t_track0)) * lr)  # first frame after takeoff
+    takeoff = math.ceil(exact(target.takeoff_delay) * lr)  # first frame after takeoff
     n_ticks = len(tick_t)
     track = np.zeros(n_ticks, TRACK_DTYPE)
     scans = np.zeros(len(frame_t), SCAN_DTYPE)
@@ -201,8 +201,8 @@ def run_scenario(config: ScenarioConfig, progress=None) -> RunResult:
             state = step_dynamics(state, last_cmd, ev_t - state.t, tparams)
         if kind == 0:  # LiDAR frame
             pose = SensorPose(origin, state.pose)
-            points, surfaces = scan(scene if i >= takeoff else static,
-                                    pose, ev_t, config.sensor, track_rng, floor=floor)
+            points, surfaces = scan(scene if i >= takeoff else static, pose,
+                                    exact(t_track0) + i / lr, config.sensor, track_rng, floor=floor)
             cloud = transform_cloud(points, pose)
             if receiver[i] < n_ticks:  # else no tick receives it
                 inbox[receiver[i]] = cloud

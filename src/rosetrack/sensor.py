@@ -57,17 +57,21 @@ class RosetteParams:
             raise ValueError(f"lidar_rate ({self.lidar_rate:g}) must be positive and finite")
         if not 0 < self.point_rate < math.inf:
             raise ValueError(f"point_rate ({self.point_rate:g}) must be positive and finite")
-        # a frame lasts one period, so its rays are point_rate / lidar_rate
         given = f"point_rate / lidar_rate ({self.point_rate:g} / {self.lidar_rate:g})"
-        if self.point_rate * self.integration_time > MAX_RAYS_PER_FRAME:
+        if self.rays_per_frame > MAX_RAYS_PER_FRAME:
             raise ValueError(f"{given} exceeds {MAX_RAYS_PER_FRAME} rays per frame")
-        if event_count(self.integration_time, self.point_rate) < 1:
+        if self.rays_per_frame < 1:
             raise ValueError(f"{given} gives no ray per frame")
 
     @property
     def integration_time(self) -> float:
-        """One frame's length, s: frames follow each other without a gap."""
+        """One frame's length, s, for float times: frames follow each other without a gap."""
         return 1.0 / self.lidar_rate
+
+    @functools.cached_property
+    def rays_per_frame(self) -> int:
+        """floor(point_rate / lidar_rate), both read by exact(): 24960 / 1.04 is 24000 rays."""
+        return math.floor(exact(self.point_rate) / exact(self.lidar_rate))
 
     def deflections(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Angular offsets (a_h, a_v) from the boresight at the given times."""
@@ -87,24 +91,21 @@ class RosetteParams:
         return _angles_to_directions(a_h, a_v)
 
     @functools.cached_property
-    def period(self) -> float:
-        """Exact repeat period of the pattern, or inf unless both frequencies
-        read by exact() have denominators <= 10^6."""
+    def period(self) -> Fraction | float:
+        """Exact repeat period of the pattern, s, or inf unless both
+        frequencies read by exact() have denominators <= 10^6."""
         fa, fb = exact(self.f1), exact(self.f2)
         if max(fa.denominator, fb.denominator) > 10**6:
             return math.inf
-        g = Fraction(math.gcd(fa.numerator * fb.denominator, fb.numerator * fa.denominator),
-                     fa.denominator * fb.denominator)
-        return float(1 / g)
+        return 1 / Fraction(math.gcd(fa.numerator * fb.denominator, fb.numerator * fa.denominator),
+                            fa.denominator * fb.denominator)
 
     @functools.cached_property
-    def frame_phases(self) -> float:
+    def frame_phases(self) -> int | float:
         """Pattern phases at which consecutive frames start before they
-        repeat: the numerator of period / integration_time, both read by
+        repeat: the numerator of period * lidar_rate, the rate read by
         exact(), or inf when the pattern does not repeat."""
-        if self.period == math.inf:
-            return math.inf
-        return (exact(self.period) / exact(self.integration_time)).numerator
+        return math.inf if self.period == math.inf else (self.period * exact(self.lidar_rate)).numerator
 
 
 # Fastest prism rotation, Hz: about 6,000x the bundled 161 Hz. The beam phase
@@ -120,10 +121,11 @@ MAX_RAYS_PER_FRAME = 2**22
 def exact(x: float) -> Fraction:
     """The fraction with denominator at most 10^6 whose float is x, or else
     x's own binary fraction: a rate or a time written as a decimal reads as
-    that decimal. Every clock decision is made on values read this way.
+    that decimal (such a Fraction as itself). Every clock decision is made on
+    config values read this way, never on a float computed from them.
 
-    Cached, as reading a value costs about 20 us: runs of one config read
-    the same rates and frame starts again."""
+    Cached, as reading a float costs about 20 us: runs of one config read
+    the same rates and times again."""
     binary = Fraction(x)
     near = binary.limit_denominator(10**6)
     return near if float(near) == x else binary
@@ -132,7 +134,7 @@ def exact(x: float) -> Fraction:
 def event_count(span: float, rate: float) -> int:
     """Events at the given rate that fit in the span: floor(span * rate) in
     exact arithmetic, so that 100 rays/s over 0.29 s gives 29 rays, not the
-    28 of the float product. Rays per frame, frames and filter ticks are all
+    28 of the float product. Frames, filter ticks and raster steps are
     counted with it."""
     return math.floor(exact(span) * exact(rate))
 
@@ -150,11 +152,10 @@ CACHED_PHASES = 32
 
 
 @functools.lru_cache(maxsize=1)
-def _frame_offsets(integration_time: float, point_rate: float) -> np.ndarray:
-    """Read-only emission times of the event_count(integration_time,
-    point_rate) rays of a frame, from its start."""
-    n = event_count(integration_time, point_rate)
-    offsets = np.arange(n) * (integration_time / n)
+def _frame_offsets(params: RosetteParams) -> np.ndarray:
+    """Read-only emission times of the rays of a frame, from its start."""
+    n = params.rays_per_frame
+    offsets = np.arange(n) * (params.integration_time / n)
     offsets.flags.writeable = False
     return offsets
 
@@ -162,32 +163,31 @@ def _frame_offsets(integration_time: float, point_rate: float) -> np.ndarray:
 @functools.lru_cache(maxsize=CACHED_PHASES)
 def _phase_directions(params: RosetteParams, phase: Fraction) -> np.ndarray:
     """(3, n) C-ordered block of the directions of a frame starting at the phase."""
-    offsets = _frame_offsets(params.integration_time, params.point_rate)
-    dirs = params.directions(float(phase) + offsets).T
+    dirs = params.directions(float(phase) + _frame_offsets(params)).T
     dirs.flags.writeable = False
     return dirs
 
 
-def _frame_directions(params: RosetteParams, t0: float) -> np.ndarray:
+def _frame_directions(params: RosetteParams, t0: Fraction | float) -> np.ndarray:
     """(3, n) C-ordered directions of the frame starting at t0; cached iff
     the frames start at no more than CACHED_PHASES pattern phases. The phase
-    key is exact(t0) modulo exact(period)."""
+    key is exact(t0) modulo period."""
     if params.frame_phases > CACHED_PHASES:
-        return params.directions(t0 + _frame_offsets(params.integration_time, params.point_rate)).T
-    return _phase_directions(params, exact(t0) % exact(params.period))
+        return params.directions(float(t0) + _frame_offsets(params)).T
+    return _phase_directions(params, exact(t0) % params.period)
 
 
-def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Generator, *,
-         floor: float = -math.inf):
+def scan(scene: Scene, pose: SensorPose, t0: Fraction | float, params, rng: np.random.Generator,
+         *, floor: float = -math.inf):
     """Simulate one integration frame; returns (points, surface codes): the
     kept points as an (n, 3) sensor-frame array (the transpose of a C-ordered
     (3, n) block), and per point its code as in scene.ray_cast_arrays.
 
-    Emits event_count(integration_time, point_rate) rays at uniform time
-    steps, casts each into the scene (one whose target is None gives the
-    static background), keeps hits within range_max with the range/weather
-    keep probability, and perturbs kept ranges with Gaussian noise e along
-    the ray. Zero points is a valid result.
+    Emits rays_per_frame rays at uniform time steps from t0 (a float, or the
+    exact start as run_scenario passes it), casts each into the scene (one
+    whose target is None gives the static background), keeps hits within
+    range_max with the range/weather keep probability, and perturbs kept
+    ranges with Gaussian noise e along the ray. Zero points is a valid result.
 
     ``floor`` is a world height that the caller's range gate keeps only
     points above (ground_z + ground_margin, summed as range_filter sums it).
@@ -200,15 +200,15 @@ def scan(scene: Scene, pose: SensorPose, t0: float, params, rng: np.random.Gener
     whose rounding differs from the gemm that transform_cloud runs on two or
     more, so the first other return stays beside it, for the gate to drop.
     """
-    if not 0.0 <= t0 < math.inf:
+    if not 0.0 <= float(t0) < math.inf:
         raise ValueError("frame start time must be finite and >= 0")
-    offsets = _frame_offsets(params.integration_time, params.point_rate)
+    offsets = _frame_offsets(params)
     dirs_sensor = _frame_directions(params, t0)  # (3, n)
 
     rot = pan_tilt_to_rotation(pose.orientation)
     dirs_world = rot @ dirs_sensor
     origin = np.asarray(pose.origin, dtype=float)
-    times = t0 + offsets
+    times = float(t0) + offsets
 
     ranges, surf = ray_cast_arrays(scene, origin, dirs_world.T, times)
     kept = np.flatnonzero(ranges <= params.range_max)  # ranges are inf exactly on MISS

@@ -116,7 +116,7 @@ def gather_twice_scan(scene, pose, t0, params, rng):
     """Twin of sensor.scan that gathers the kept ranges and codes after each
     selection, draws the noise with rng.normal(0, sigma) and scales a fresh
     direction array; the random draws must come out the same."""
-    n = event_count(params.integration_time, params.point_rate)
+    n = params.rays_per_frame
     offsets = np.arange(n) * (params.integration_time / n)
     dirs_sensor = _frame_directions(params, t0)
     dirs_world = pan_tilt_to_rotation(pose.orientation) @ dirs_sensor
@@ -145,6 +145,10 @@ class RingScanParams:
 
     # no exact repeat period, so sensor.scan evaluates every frame's directions
     frame_phases = math.inf
+
+    @property
+    def rays_per_frame(self) -> int:
+        return event_count(self.integration_time, self.point_rate)
 
     @property
     def ring_elevations(self) -> np.ndarray:

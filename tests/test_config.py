@@ -1,6 +1,7 @@
 import math
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,8 +84,9 @@ seed = 11
     def test_latency_must_cover_integration(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, "[timing]\npipeline_latency = 0.05\n"))
-        assert "pipeline_latency" in str(err.value)
-        assert "1 / sensor.lidar_rate" in str(err.value)
+        assert err.value.category == "config-domain"
+        assert str(err.value) == ("timing.pipeline_latency * sensor.lidar_rate (0.05 * 10) "
+                                  "gives 0 frames in flight; at least 1 needed")
 
     @pytest.mark.parametrize("override, changes", [
         ("timing.filter_rate=5", {"filter_rate": 5.0}),
@@ -103,6 +105,40 @@ seed = 11
             replace(default_config(), **changes)
         assert replaced.value.category == "config-domain"
         assert str(replaced.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("latency", [math.nan, -math.inf, -0.2, math.inf])
+    def test_replaced_latency_outside_the_pipeline_rule_is_config_domain(self, latency):
+        # a NaN or -inf span reached event_count, whose exact() raised a bare
+        # ValueError or OverflowError once the float rule was folded into the count
+        with pytest.raises(ConfigError) as err:
+            replace(default_config(), pipeline_latency=latency)
+        assert err.value.category == "config-domain"
+        assert str(err.value).startswith("timing.pipeline_latency * sensor.lidar_rate")
+
+    def test_latency_rule_counts_frames_exactly(self):
+        # the float 1 / 1.3 is below the exact period 10 / 13 s: one frame is
+        # not yet in flight, where the float rule latency >= 1.0 / rate accepted it
+        assert 1.0 / 1.3 < Fraction(10, 13)
+        with pytest.raises(ConfigError) as err:
+            default_config(["sensor.lidar_rate=1.3", f"timing.pipeline_latency={1.0 / 1.3!r}"])
+        assert "gives 0 frames in flight; at least 1 needed" in str(err.value)
+        cfg = default_config(["sensor.lidar_rate=1.3", "timing.pipeline_latency=0.769231"])
+        assert cfg.pipeline_latency == 0.769231
+
+    def test_config_holds_a_target_the_run_places(self):
+        # a config without a target ran into an AttributeError, and a
+        # trajectory's own start_time was overwritten by the run without a word
+        cfg = default_config()
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, scene=replace(cfg.scene, target=None))
+        assert err.value.category == "config-domain"
+        assert str(err.value) == "the scene must hold a target whose trajectory starts at 0"
+        target = replace(cfg.scene.target, trajectory=replace(cfg.scene.target.trajectory,
+                                                              start_time=5.0))
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, scene=replace(cfg.scene, target=target))
+        assert err.value.category == "config-domain"
+        assert str(err.value) == "the scene must hold a target whose trajectory starts at 0"
 
     def test_frame_rate_is_the_sensors_alone(self):
         cfg = default_config()

@@ -25,7 +25,7 @@ from rosetrack.harness import (SCAN_DTYPE, TRACK_DTYPE, TRUTH_DTYPE, MetricsRepo
                                event_times, export_csv, export_run, positions, points_per_scan,
                                read_scan_log, read_track_log, read_truth_log, receiving_ticks,
                                run_many, run_scenario, target_visibility)
-from rosetrack.sensor import event_count
+from rosetrack.sensor import _phase_directions, event_count
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -422,6 +422,29 @@ class TestRunScenario:
             assert getattr(moved, log).tobytes() == getattr(parsed, log).tobytes()
         pattern = replace(cfg.scene.target.trajectory, start_time=2.5)
         assert np.array_equal(positions(moved.truth), pattern.position(moved.truth["t"]))
+
+    def test_takeoff_frame_is_counted_from_the_delay(self):
+        # 0.1 + 0.2 is 0.30000000000000004 s, the trajectory's start, but frame 2
+        # starts exactly 0.2 s, the takeoff delay, into tracking: it sees the
+        # target. Counted from that float sum, the takeoff frame was 3.
+        cfg = default_config(["turret.scan_duration=0.1", "target.takeoff_delay=0.2",
+                              "target.pattern=hover", "target.diameter=0.6", "run.duration=0.5",
+                              "turret.scan_pan_min=-0.05", "turret.scan_pan_max=0.05",
+                              "turret.scan_tilt_min=-0.05", "turret.scan_tilt_max=0.05"])
+        n_points = run_scenario(cfg).scans["n_points"]
+        assert n_points[:2].tolist() == [0, 0]
+        assert n_points[2] > 0
+
+    def test_pattern_phases_come_from_the_rates(self):
+        # at 5.2 Hz the 1 s pattern period spans 26 frame phases; read from the
+        # float 1 / 5.2, frame_phases was about 4.5e15 and nothing was cached
+        cfg = default_config(["sensor.lidar_rate=5.2", "timing.pipeline_latency=0.2",
+                              "run.duration=2"])
+        assert cfg.sensor.frame_phases == 26
+        _phase_directions.cache_clear()
+        run_scenario(cfg)
+        info = _phase_directions.cache_info()
+        assert info.currsize == 26 and info.hits > 0
 
     def test_seed_changes_output(self, tmp_path):
         a = run_scenario(default_config(QUICK))

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import RingScanParams, gather_twice_scan
 
@@ -12,8 +13,9 @@ from rosetrack.filters import FilterParams, range_filter
 from rosetrack.geometry import PanTiltPose, SensorPose, pan_tilt_to_rotation, transform_cloud
 from rosetrack.scene import (GROUND, TARGET, Box, Scene, TargetModel, Trajectory, WeatherModel,
                              ray_cast_arrays)
+from rosetrack.harness import event_times
 from rosetrack.sensor import (CACHED_PHASES, MAX_RAYS_PER_FRAME, RosetteParams, _frame_directions,
-                              _phase_directions, event_count, scan)
+                              _phase_directions, event_count, exact, scan)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -63,7 +65,7 @@ class TestRosetteDirection:
     def test_rays_per_frame_cap_is_inclusive(self):
         # constructing the parameters allocates nothing, so the cap itself is probed
         params = RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME), lidar_rate=1.0)
-        assert event_count(params.integration_time, params.point_rate) == MAX_RAYS_PER_FRAME
+        assert params.rays_per_frame == MAX_RAYS_PER_FRAME
         with pytest.raises(ValueError, match="rays per frame"):
             RosetteParams(point_rate=float(MAX_RAYS_PER_FRAME + 1), lidar_rate=1.0)
         for bad in ({"point_rate": math.inf}, {"lidar_rate": 0.0}, {"lidar_rate": 5e-324},
@@ -80,34 +82,46 @@ CACHE_CASES = {**{p.stem: (p, []) for p in sorted(CONFIG_DIR.glob("*.cfg"))},
 
 
 def frame_starts(path, overrides):
-    """A config's pattern and the start times of its raster and tracking frames."""
+    """A config's pattern and the exact start times of its raster and
+    tracking frames, as run_scenario passes them to scan."""
     cfg = parse_config(path, overrides)
-    t_track0 = cfg.turret.scan_duration
-    starts = ([k / cfg.lidar_rate for k in range(event_count(t_track0, cfg.lidar_rate))]
-              + [t_track0 + k / cfg.lidar_rate
-                 for k in range(event_count(cfg.duration, cfg.lidar_rate))])
-    return cfg.sensor, set(starts)
+    lr, t_track0 = exact(cfg.lidar_rate), exact(cfg.turret.scan_duration)
+    raster = [k / lr for k in range(event_count(cfg.turret.scan_duration, cfg.lidar_rate))]
+    tracking = [t_track0 + k / lr for k in range(event_count(cfg.duration, cfg.lidar_rate))]
+    return cfg.sensor, raster + tracking
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_bundled_frames_start_at_their_logged_times(path):
+    # a bundled frame's rays are timed from float(exact start): that is the
+    # float start t0 + k / lidar_rate of the logs, so the rays keep their times
+    cfg = parse_config(path)
+    floats = np.concatenate([event_times(0.0, cfg.turret.scan_duration, cfg.lidar_rate),
+                             event_times(cfg.turret.scan_duration, cfg.duration, cfg.lidar_rate)])
+    assert [float(t0) for t0 in frame_starts(path, [])[1]] == floats.tolist()
 
 
 class TestDirectionCache:
     @pytest.mark.parametrize("case", list(CACHE_CASES))
     def test_cached_directions_match_direct_evaluation(self, case):
         # frames at the same pattern phase share one block keyed by the exact
-        # phase, exact(t0) % exact(period); at every frame start of the raster and of the
-        # tracking phase that block must equal directions at the frame's own
-        # times. The bundled configs share one pattern and many frame starts,
+        # phase, exact(t0) % period; at every exact frame start of the raster and
+        # of the tracking phase that block must equal directions at the frame's
+        # own times. The bundled configs share one pattern and many frame starts,
         # so a case checks only the starts that no earlier case with its pattern checks
         cases = list(CACHE_CASES.values())
         k = list(CACHE_CASES).index(case)
         params, starts = frame_starts(*cases[k])
+        starts = set(starts)
         for earlier in cases[:k]:
             earlier_params, earlier_starts = frame_starts(*earlier)
             if earlier_params == params:
-                starts -= earlier_starts
-        n = event_count(params.integration_time, params.point_rate)
+                starts -= set(earlier_starts)
+        n = params.rays_per_frame
         offsets = np.arange(n) * (params.integration_time / n)
         worst = max((np.max(np.abs(_frame_directions(params, t0)
-                                   - params.directions(t0 + offsets).T)) for t0 in sorted(starts)),
+                                   - params.directions(float(t0) + offsets).T))
+                     for t0 in sorted(starts)),
                     default=0.0)
         assert worst <= 1e-9
 
@@ -214,13 +228,32 @@ class TestScan:
         assert len(points) <= int(p.point_rate * p.integration_time)
 
     def test_ray_count_not_truncated_by_float_error(self):
-        # 100 * 0.29 == 28.999999999999996 in floating point; the frame still
-        # holds 29 rays, all of which hit the wall
-        p = RosetteParams(point_rate=100.0, lidar_rate=1 / 0.29)
+        # 24960 * (1 / 1.04) == 23999.999999999996 in floating point; the
+        # frame still holds 24000 rays, all of which hit the wall
+        p = RosetteParams(point_rate=24960.0, lidar_rate=1.04)
+        assert p.point_rate * p.integration_time < 24000 == p.rays_per_frame
         wall = Box((9.9, -50, -50), (10.1, 50, 50))
         scene = Scene(-100.0, [wall], None, NO_CUTOFF)
         points, _ = scan(scene, SensorPose((0, 0, 0)), 0.0, p, np.random.default_rng(0))
-        assert len(points) == 29
+        assert len(points) == 24000
+
+    def test_rays_per_frame_reads_the_rates_not_the_frame_length(self):
+        # 1 / 0.29 is no decimal rate: 100 rays/s over its exact period of
+        # 1 / 3.4482758620689657 s is 28.99... rays, so 28 is exact
+        p = RosetteParams(point_rate=100.0, lidar_rate=1 / 0.29)
+        assert p.rays_per_frame == 28
+
+    @given(centi_rate=st.integers(100, 10_000), n=st.integers(1, 10_000))
+    @example(centi_rate=104, n=24_000)
+    @settings(max_examples=300, deadline=None)
+    def test_whole_rays_per_frame_at_decimal_rates(self, centi_rate, n):
+        # a 2-decimal frame rate in [1, 100] Hz and point_rate = n * rate:
+        # whenever the float product round-trips (it is the float of the
+        # decimal n * rate, as a config writes it), the frame has n rays
+        rate = centi_rate / 100
+        point_rate = n * rate
+        assume(float(Fraction(n * centi_rate, 100)) == point_rate)
+        assert RosetteParams(point_rate=point_rate, lidar_rate=rate).rays_per_frame == n
 
     @pytest.mark.parametrize("t0", [-0.1, math.nan, math.inf])
     def test_frame_start_must_be_finite_and_non_negative(self, t0):
